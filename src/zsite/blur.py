@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import reports
 from .fincat import FinCat, InputError, ObjEquiv, quotient_category
 from .reports import Report
-from .site import CoveringAssignment, grothendieck_axiom_check, _family_label
+from .site import CoveringAssignment, grothendieck_axiom_check, _family_label, refined_families
 
 
 # =====================================================================
@@ -180,13 +180,15 @@ def _class_stability_findings(site: BlurrySite) -> list:
     return rows
 
 
-def blurry_axiom_probe(site: BlurrySite) -> Report:
+def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
     """Covering axioms on the quotient assignment.
 
     Preconditions: the partition passes gamma_check, the base assignment
     passes grothendieck_axiom_check, and the quotient has no saturation
     failures.  Violated preconditions make the probe Skipped, not failed.
     Class-level base change goes through declared base pullbacks.
+    ``budget`` caps the refinements of one family, on the base and the
+    quotient alike.
     """
     rows = []
     gamma = gamma_check(site.cat, site.relation)
@@ -194,7 +196,7 @@ def blurry_axiom_probe(site: BlurrySite) -> Report:
         rows.append(
             reports.skipped("gamma_precondition", (), "partition is not product-compatible")
         )
-    base_axioms = grothendieck_axiom_check(site.cat, site.assignment)
+    base_axioms = grothendieck_axiom_check(site.cat, site.assignment, budget)
     if not base_axioms.ok:
         rows.append(
             reports.skipped("base_axioms_precondition", (), "base assignment fails the axioms")
@@ -219,14 +221,7 @@ def blurry_axiom_probe(site: BlurrySite) -> Report:
 
     for block in sorted(K.families):
         for fam in K.families_of(block):
-            members = sorted(fam)
-            refinement_choices = [K.families_of(quotient.source(m)) for m in members]
-            if any(not c for c in refinement_choices):
-                continue
-            for choice in itertools.product(*refinement_choices):
-                composite = frozenset(
-                    quotient.compose(m, g) for m, sub in zip(members, choice) for g in sub
-                )
+            for composite in refined_families(quotient, K, fam, budget):
                 if not K.has(block, composite):
                     rows.append(
                         reports.law(
@@ -252,12 +247,14 @@ class PoweredBlurry:
     precondition_findings: tuple = ()
 
 
-def powered_blurry_compose(sites, layered=None, loose_levels=()) -> PoweredBlurry:
+def powered_blurry_compose(
+    sites, layered=None, loose_levels=(), budget: int | None = None
+) -> PoweredBlurry:
     """Bundle per-level blurry sites into one powered assignment.
 
-    Non-loose levels must pass blurry_axiom_probe; failures are recorded as
-    Skipped findings on the bundle.  A layered category, when supplied,
-    fixes the expected level count.
+    Non-loose levels must pass blurry_axiom_probe (under ``budget``);
+    failures are recorded as Skipped findings on the bundle.  A layered
+    category, when supplied, fixes the expected level count.
     """
     sites = tuple(sites)
     loose = frozenset(int(n) for n in loose_levels)
@@ -270,7 +267,7 @@ def powered_blurry_compose(sites, layered=None, loose_levels=()) -> PoweredBlurr
         if n in loose:
             rows.append(reports.info("loose_level", (str(n),), "declared loose; probe skipped"))
             continue
-        probe = blurry_axiom_probe(site)
+        probe = blurry_axiom_probe(site, budget)
         probe_skipped = any(f.kind == reports.SKIPPED for f in probe.findings)
         if not probe.ok or probe_skipped:
             rows.append(

@@ -209,7 +209,7 @@ def _check_z_compose(ws, spec, path, budget):
 
 def _check_grothendieck(ws, spec, path, budget):
     catname, assignment = ws.lookup(ws.coverings, spec["covering"], path, "covering")
-    return grothendieck_axiom_check(ws.categories[catname], assignment), None
+    return grothendieck_axiom_check(ws.categories[catname], assignment, budget), None
 
 
 def _nisnevich_inputs(ws, spec, path):
@@ -286,7 +286,7 @@ def _blurry_site(ws, spec_level, path):
 
 
 def _check_blurry_probe(ws, spec, path, budget):
-    return blurry_axiom_probe(_blurry_site(ws, spec, path)), None
+    return blurry_axiom_probe(_blurry_site(ws, spec, path), budget), None
 
 
 def _check_powered_blurry(ws, spec, path, budget):
@@ -296,7 +296,9 @@ def _check_powered_blurry(ws, spec, path, budget):
         if "layered" in spec
         else None
     )
-    powered = powered_blurry_compose(sites, layered=layered, loose_levels=spec.get("loose", ()))
+    powered = powered_blurry_compose(
+        sites, layered=layered, loose_levels=spec.get("loose", ()), budget=budget
+    )
     return powered_blurry_check(powered, spec["arrows"]), None
 
 
@@ -488,14 +490,41 @@ HANDLERS = {
 _OWN_EXPECTATION = {"z_compose", "enumerate_fes", "class_types", "z_equiv", "invariant"}
 
 
+class _Spec(dict):
+    """A check spec, or a dict inside one, whose missing fields are workspace errors.
+
+    Only a missing field of the spec itself aborts the run; a KeyError from
+    inside a checker is a dangling table id and fails that check alone.
+    """
+
+    path = ""
+
+    def __missing__(self, key):
+        raise WorkspaceError(f"{self.path}: missing field {key!r}")
+
+
+def _spec(value, path: str):
+    if isinstance(value, dict):
+        spec = _Spec({key: _spec(item, path) for key, item in value.items()})
+        spec.path = path
+        return spec
+    if isinstance(value, list):
+        return [_spec(item, path) for item in value]
+    return value
+
+
 def _run_check(ws: Workspace, spec: dict, pos: int, budget: int):
     path = f"checks[{pos}]"
     kind = spec["kind"]
     handler = HANDLERS[kind]
     try:
-        report, payload = handler(ws, spec, path, budget)
+        report, payload = handler(ws, _spec(spec, path), path, budget)
     except KeyError as exc:
-        raise WorkspaceError(f"{path}: missing field {exc.args[0]!r}") from exc
+        missing = exc.args[0] if exc.args else ""
+        report, payload = (
+            Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")]),
+            None,
+        )
     except ResourceBudgetError as exc:
         report, payload = (
             Report.collect(kind, [reports.structural("budget", (), str(exc))]),

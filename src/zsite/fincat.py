@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -81,14 +82,21 @@ class FinCat:
         return self.composition.get((after, first))
 
     def hom(self, src: str, tgt: str) -> tuple[str, ...]:
-        return tuple(
-            m
-            for m in sorted(self.morphisms)
-            if self.morphisms[m] == (src, tgt)
-        )
+        return self._homs.get((src, tgt), ())
 
     def morphisms_into(self, tgt: str) -> tuple[str, ...]:
-        return tuple(m for m in sorted(self.morphisms) if self.morphisms[m][1] == tgt)
+        return self._into.get(tgt, ())
+
+    # Hom-sets and arrows into each object, sorted by id; built on first use,
+    # since the tables never change after construction.
+
+    @functools.cached_property
+    def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        return _index_sorted(self.morphisms, lambda ends: ends)
+
+    @functools.cached_property
+    def _into(self) -> dict[str, tuple[str, ...]]:
+        return _index_sorted(self.morphisms, lambda ends: ends[1])
 
     def composable_pairs(self):
         for g, (gs, _gt) in self.morphisms.items():
@@ -119,6 +127,13 @@ class FinCat:
         if a == b:
             return True
         return any(self.is_iso(m) for m in self.hom(a, b))
+
+
+def _index_sorted(morphisms: dict[str, tuple[str, str]], key) -> dict:
+    index: dict = {}
+    for m in sorted(morphisms):
+        index.setdefault(key(morphisms[m]), []).append(m)
+    return {k: tuple(ms) for k, ms in index.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +265,8 @@ def validate_category(cat: FinCat) -> Report:
             rows.append(reports.law("identity_right", (m,), f"{m}∘id = {right}"))
 
     for h, (hs, _ht) in sorted(cat.morphisms.items()):
-        for g, (gs, gt) in sorted(cat.morphisms.items()):
-            if gt != hs:
-                continue
-            for f, (_fs, ft) in sorted(cat.morphisms.items()):
-                if ft != gs:
-                    continue
+        for g in cat.morphisms_into(hs):
+            for f in cat.morphisms_into(cat.source(g)):
                 hg, gf = comp(h, g), comp(g, f)
                 if hg is None or gf is None:
                     continue

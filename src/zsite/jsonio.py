@@ -10,6 +10,7 @@ the command line maps to exit code 2.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,6 +32,29 @@ class WorkspaceError(Exception):
 def _schema() -> dict:
     text = resources.files("zsite").joinpath("schemas/workspace.schema.json").read_text()
     return json.loads(text)
+
+
+def _inline_refs(node, defs: dict):
+    """``node`` with every ``{"$ref": "#/$defs/name"}`` replaced by that definition.
+
+    Each reference in the shipped schema is the only key of its node and no
+    definition refers to itself, so the inlined schema validates exactly as
+    the referencing one does, without resolving a reference per instance.
+    """
+    if isinstance(node, dict):
+        if "$ref" in node:
+            return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+        return {key: _inline_refs(value, defs) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_inline_refs(value, defs) for value in node]
+    return node
+
+
+@functools.cache
+def inlined_schema() -> dict:
+    """The workspace schema with its ``$defs`` inlined, built once per process."""
+    schema = _schema()
+    return _inline_refs(schema, schema.pop("$defs"))
 
 
 def _pair(key: str, path: str) -> tuple[str, str]:
@@ -242,7 +266,7 @@ def load_workspace(path: str) -> Workspace:
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = jsonschema.Draft202012Validator(inlined_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]

@@ -15,7 +15,6 @@ evidence against an axiom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import reports
@@ -107,7 +106,66 @@ def _pulled_family(cat: FinCat, family: frozenset[str], g: str):
     return frozenset(legs), missing
 
 
-def grothendieck_axiom_check(cat: FinCat, assignment: CoveringAssignment) -> Report:
+def refined_families(
+    cat: FinCat,
+    assignment: CoveringAssignment,
+    family: frozenset[str],
+    budget: int | None = None,
+) -> frozenset[frozenset[str]]:
+    """Every refinement of ``family`` by families assigned to its members' sources.
+
+    A refinement picks one assigned family of source(f) for each member f
+    and composes f with each of its arrows.  Folding member by member over
+    the distinct partial unions gives the same set as walking the product of
+    the choices, without visiting each composite once per choice tuple that
+    yields it.  ``budget`` caps the partial unions.  An undefined composite
+    raises the InputError that the product walk meets first.
+    """
+    members = sorted(family)
+    choices = [assignment.families_of(cat.source(f)) for f in members]
+    if not all(choices):
+        return frozenset()
+    rows = []
+    for f, subs in zip(members, choices):
+        row = []
+        for sub in subs:
+            try:
+                row.append(frozenset(cat.compose(f, g) for g in sub))
+            except InputError as exc:
+                row.append(exc)
+        rows.append(row)
+    _raise_first_undefined(rows)
+
+    partial = {frozenset()}
+    for row in rows:
+        partial = {p | r for p in partial for r in row}
+        if budget is not None and len(partial) > budget:
+            raise ResourceBudgetError(
+                f"refining {_family_label(family)} gave more than {budget} partial unions; "
+                "refusing to truncate"
+            )
+    return frozenset(partial)
+
+
+def _raise_first_undefined(rows) -> None:
+    """Raise the error at the first choice tuple, in product order, that fails.
+
+    The all-first tuple fails at its first failing member; when it passes,
+    the first failing tuple varies only the last member that can fail, at
+    that member's first failing choice.
+    """
+    for row in rows:
+        if isinstance(row[0], InputError):
+            raise row[0]
+    for row in reversed(rows):
+        for entry in row:
+            if isinstance(entry, InputError):
+                raise entry
+
+
+def grothendieck_axiom_check(
+    cat: FinCat, assignment: CoveringAssignment, budget: int | None = None
+) -> Report:
     """Exhaustive check of the three covering axioms.
 
     isoAxiom: every isomorphism's singleton family is assigned to its
@@ -115,7 +173,7 @@ def grothendieck_axiom_check(cat: FinCat, assignment: CoveringAssignment) -> Rep
     morphism into its object, to an assigned family (missing declared
     pullbacks are Unverifiable).  transitivity: refining every member of an
     assigned family by assigned families of its source lands in the
-    assignment.
+    assignment; ``budget`` caps the refinements of one family.
     """
     rows = list(validate_covering(cat, assignment).findings)
     if any(f.kind == reports.STRUCTURAL for f in rows):
@@ -152,14 +210,7 @@ def grothendieck_axiom_check(cat: FinCat, assignment: CoveringAssignment) -> Rep
 
     for obj in sorted(cat.objects):
         for fam in assignment.families_of(obj):
-            members = sorted(fam)
-            refinement_choices = [assignment.families_of(cat.source(f)) for f in members]
-            if any(not c for c in refinement_choices):
-                continue
-            for choice in itertools.product(*refinement_choices):
-                composite = frozenset(
-                    cat.compose(f, g) for f, sub in zip(members, choice) for g in sub
-                )
+            for composite in refined_families(cat, assignment, fam, budget):
                 if not assignment.has(obj, composite):
                     rows.append(
                         reports.law(
@@ -181,7 +232,7 @@ def generate_covering_assignment(
 
     Base change is applied only where the pullback is declared, matching what
     grothendieck_axiom_check can verify.  The closure is a finite fixpoint;
-    the budget caps the total family count.
+    the budget caps the total family count and the refinements of one family.
     """
     assignment = CoveringAssignment(families={})
     for obj, fams in seeds.items():
@@ -207,14 +258,7 @@ def generate_covering_assignment(
                     if not assignment.has(cat.source(g), pulled):
                         assignment = assignment.with_family(cat.source(g), pulled)
                         changed = True
-                members = sorted(fam)
-                refinement_choices = [assignment.families_of(cat.source(f)) for f in members]
-                if any(not c for c in refinement_choices):
-                    continue
-                for choice in itertools.product(*refinement_choices):
-                    composite = frozenset(
-                        cat.compose(f, g) for f, sub in zip(members, choice) for g in sub
-                    )
+                for composite in refined_families(cat, assignment, fam, budget):
                     if not assignment.has(obj, composite):
                         assignment = assignment.with_family(obj, composite)
                         changed = True

@@ -158,3 +158,17 @@ def count_fes_bruteforce(source, target):
             if es:
                 count += 1
     return count
+
+
+def refinements_product(cat, assignment, family):
+    """Refinements of a family by walking the full product of the choices.
+
+    One composite per choice tuple, members in sorted order, so the first
+    undefined composite raised is the one the tuple walk meets first.
+    """
+    members = sorted(family)
+    choices = [assignment.families_of(cat.source(f)) for f in members]
+    return frozenset(
+        frozenset(cat.compose(f, g) for f, sub in zip(members, choice) for g in sub)
+        for choice in itertools.product(*choices)
+    )

@@ -71,6 +71,54 @@ def test_budget_overrun_is_structural(capsys):
     assert "budget" in rules
 
 
+def test_transitivity_refinement_is_budgeted(capsys):
+    code, out, _err = run(capsys, ["site-check", fixture_path("chain3.json"), "--budget", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    (entry,) = [e for e in doc["checks"] if e["kind"] == "grothendieck"]
+    assert [f["rule"] for f in entry["findings"]] == ["budget"]
+    assert entry["findings"][0]["kind"] == "structural"
+
+
+def test_dangling_projection_fails_only_its_checks(capsys, tmp_path):
+    with open(fixture_path("chain3.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["categories"]["chain3"]["pullbacks"]["B<T|B<T"] = ["B", "ghost", "id_B"]
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["sheaf-check", str(path)])
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    kinds = {"sheaf", "additivity", "cartesian", "squares_probe"}
+    assert len(report["checks"]) == sum(c["kind"] in kinds for c in doc["checks"]) == 8
+    sheaf = [e for e in report["checks"] if e["kind"] == "sheaf"]
+    assert sheaf
+    for entry in sheaf:
+        assert {"kind": "structural", "rule": "inputs", "witnesses": ["ghost"],
+                "detail": "unknown id 'ghost'"} in entry["findings"]
+
+
+@pytest.mark.parametrize(
+    "command,fixture,label,inside,field",
+    [
+        ("sheaf-check", "chain3.json", "glues-sheaf", (), "covering"),
+        ("blur-check", "layered2.json", "two-level-blurry", ("levels", 1), "partition"),
+    ],
+)
+def test_missing_spec_field_is_still_a_workspace_error(capsys, tmp_path, command, fixture, label, inside, field):
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pos, spec = next((pos, c) for pos, c in enumerate(doc["checks"]) if c["label"] == label)
+    for key in inside:
+        spec = spec[key]
+    del spec[field]
+    path = tmp_path / "nofield.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: checks[{pos}]: missing field {field!r}\n"
+
+
 @pytest.mark.parametrize("command,fixture,count", PASSING)
 def test_output_is_identical_across_runs(capsys, command, fixture, count):
     _code, first, _err = run(capsys, [command, fixture_path(fixture)])

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import FIXTURE_NAMES, fixture_path
 from zsite.fincat import (
     FinCat,
     Functor,
@@ -16,6 +17,7 @@ from zsite.fincat import (
     validate_category,
     validate_partition,
 )
+from zsite.jsonio import load_workspace
 
 
 def square_poset():
@@ -275,3 +277,20 @@ def test_quotient_rejects_partition_of_wrong_objects():
     rel = partition_from_blocks([["P", "Q"], ["T"]])  # E missing
     with pytest.raises(InputError):
         quotient_category(cat, rel)
+
+
+def _indexed_categories():
+    for name in FIXTURE_NAMES:
+        if name != "malformed.json":
+            yield from load_workspace(fixture_path(name)).categories.values()
+    yield square_poset()
+    yield poset_category("diamond3", ["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
+
+
+@pytest.mark.parametrize("cat", list(_indexed_categories()), ids=lambda cat: cat.name)
+def test_hom_indexes_match_the_sorted_filter(cat):
+    ends = set(cat.objects) | {e for pair in cat.morphisms.values() for e in pair} | {"nowhere"}
+    for b in sorted(ends):
+        assert cat.morphisms_into(b) == tuple(m for m in sorted(cat.morphisms) if cat.morphisms[m][1] == b)
+        for a in sorted(ends):
+            assert cat.hom(a, b) == tuple(m for m in sorted(cat.morphisms) if cat.morphisms[m] == (a, b))

@@ -1,12 +1,17 @@
+import copy
 import json
+import random
 
+import jsonschema
 import pytest
 
 from conftest import FIXTURE_NAMES, fixture_path
 from zsite.jsonio import (
     WorkspaceError,
+    _schema,
     cat_from_doc,
     cat_to_doc,
+    inlined_schema,
     load_workspace,
     pair_key,
     zmorphism_to_doc,
@@ -138,3 +143,65 @@ def test_checks_come_back_as_plain_dicts():
     ws = load_workspace(fixture_path("fingerprint.json"))
     assert isinstance(ws.checks, tuple)
     assert {c["kind"] for c in ws.checks} == {"invariant", "z_equiv"}
+
+
+# =====================================================================
+# the inlined schema
+# =====================================================================
+
+
+def test_inlined_schema_has_no_references():
+    text = json.dumps(inlined_schema())
+    assert "$ref" not in text and "$defs" not in text
+
+
+def _sites(node):
+    """(container, key) of every dict entry and list item under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _sites(value)
+
+
+def _mutate(doc, rng: random.Random) -> None:
+    """One seeded edit: a dropped key, a wrong type, a bar, an empty string or an extra key."""
+    sites = list(_sites(doc))
+    if not sites:
+        doc["zz_extra"] = 1
+        return
+    container, key = rng.choice(sites)
+    edit = rng.choice(("drop", "type", "bar", "empty", "extra"))
+    if edit == "drop":
+        del container[key]
+    elif edit == "type":
+        container[key] = rng.choice((7, "x", [], {}, None, True))
+    elif edit == "bar" and isinstance(container, dict):
+        container[f"{key}|z"] = container.pop(key)
+    elif edit == "bar":
+        container[key] = f"{container[key]}|z"
+    elif edit == "empty":
+        container[key] = ""
+    elif isinstance(container, dict):
+        container["zz_extra"] = 1
+    else:
+        container.append({"zz_extra": 1})
+
+
+def _errors(validator, doc):
+    return sorted((json.dumps(list(e.absolute_path)), e.message) for e in validator.iter_errors(doc))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_inlined_schema_reports_what_the_referencing_one_does(name):
+    with_refs = jsonschema.Draft202012Validator(_schema())
+    inlined = jsonschema.Draft202012Validator(inlined_schema())
+    rng = random.Random(name)
+    invalid = 0
+    for _ in range(40):
+        doc = copy.deepcopy(raw_doc(name))
+        for _edit in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        want = _errors(with_refs, doc)
+        assert _errors(inlined, doc) == want
+        invalid += bool(want)
+    assert invalid >= 10

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import fixture_path
 from fuzz import rand_poset, rand_seeds
-from zsite.fincat import poset_category
+from oracles import refinements_product
+from zsite.fincat import InputError, ResourceBudgetError, poset_category
 from zsite.jsonio import load_workspace
 from zsite.site import (
     CoveringAssignment,
@@ -19,6 +20,7 @@ from zsite.site import (
     nisnevich_cover_check,
     powered_cover_check,
     powered_stability_probe,
+    refined_families,
     validate_covering,
     validate_ladder,
     validate_layered,
@@ -315,3 +317,76 @@ def test_generated_assignment_passes_axioms_on_random_posets():
         report = grothendieck_axiom_check(cat, K)
         assert report.ok, report.render()
         done += 1
+
+
+class TestRefinementKernel:
+    """The member-by-member fold against the walk over every choice tuple."""
+
+    @staticmethod
+    def _families(K):
+        return [fam for obj in sorted(K.families) for fam in K.families_of(obj)]
+
+    def test_chain3_closure(self):
+        ws = load_workspace(fixture_path("chain3.json"))
+        cat, (_catname, K) = ws.categories["chain3"], ws.coverings["K"]
+        for fam in self._families(K):
+            assert refined_families(cat, K, fam) == refinements_product(cat, K, fam)
+
+    def test_random_closures(self):
+        rng = random.Random(8642)
+        done = 0
+        while done < 30:
+            cat = rand_poset(rng, n_objs=rng.randint(3, 6), edge_p=0.6)
+            try:
+                K = generate_covering_assignment(cat, rand_seeds(rng, cat, max_seeds=3))
+            except ResourceBudgetError:
+                continue
+            for fam in self._families(K):
+                assert refined_families(cat, K, fam) == refinements_product(cat, K, fam)
+            done += 1
+
+    def test_undefined_composites_raise_what_the_product_walk_meets_first(self):
+        rng = random.Random(9753)
+        raised = 0
+        for _ in range(60):
+            cat = rand_poset(rng, n_objs=rng.randint(3, 6), edge_p=0.6)
+            try:
+                K = generate_covering_assignment(cat, rand_seeds(rng, cat, max_seeds=3))
+            except ResourceBudgetError:
+                continue
+            pairs = sorted(cat.composition)
+            holes = set(rng.sample(pairs, rng.randint(1, min(4, len(pairs)))))
+            holed = replace(cat, composition={k: v for k, v in cat.composition.items() if k not in holes})
+            for fam in self._families(K):
+                try:
+                    want = refinements_product(holed, K, fam)
+                except InputError as exc:
+                    with pytest.raises(InputError) as got:
+                        refined_families(holed, K, fam)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                else:
+                    assert refined_families(holed, K, fam) == want
+        assert raised >= 20
+
+    def test_later_members_fail_first_when_every_first_choice_composes(self, poset2_ws):
+        # P and Q each refine by {id} first and {E<., id} second; with both
+        # second composites missing, the tuple walk fails on the last member
+        cat, (_catname, K) = poset2_ws.categories["poset2"], poset2_ws.coverings["K"]
+        holes = {("P<T", "E<P"), ("Q<T", "E<Q")}
+        holed = replace(cat, composition={k: v for k, v in cat.composition.items() if k not in holes})
+        family = frozenset({"P<T", "Q<T"})
+        with pytest.raises(InputError, match=r"Q<T after E<Q"):
+            refinements_product(holed, K, family)
+        with pytest.raises(InputError, match=r"Q<T after E<Q"):
+            refined_families(holed, K, family)
+
+    def test_budget_caps_the_partial_unions(self):
+        ws = load_workspace(fixture_path("chain3.json"))
+        cat, (_catname, K) = ws.categories["chain3"], ws.coverings["K"]
+        # id_T refines by either family of T: two partial unions
+        assert len(refined_families(cat, K, frozenset({"id_T"}), budget=2)) == 2
+        with pytest.raises(ResourceBudgetError, match=r"\{id_T\}"):
+            refined_families(cat, K, frozenset({"id_T"}), budget=1)
+        with pytest.raises(ResourceBudgetError):
+            grothendieck_axiom_check(cat, K, budget=1)

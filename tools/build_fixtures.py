@@ -5,7 +5,10 @@ covering closure, quotients) and serialized with sorted keys, so reruns are
 byte-identical and the committed files double as golden outputs.  Run from
 the repository root:
 
-    python3 tools/build_fixtures.py
+    python3 tools/build_fixtures.py [OUT_DIR]
+
+OUT_DIR defaults to src/zsite/fixtures/; the test suite builds into a
+temporary directory and byte-compares the result with the committed files.
 """
 
 import json
@@ -580,16 +583,17 @@ BUILDERS = {
 
 
 def main() -> int:
-    OUT.mkdir(parents=True, exist_ok=True)
+    out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else OUT
+    out.mkdir(parents=True, exist_ok=True)
     for fname, builder in BUILDERS.items():
         doc = builder()
-        path = OUT / fname
+        path = out / fname
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         load_workspace(str(path))  # schema + cross-reference sanity
-        print(f"wrote {path.relative_to(OUT.parents[2])}")
-    path = OUT / "malformed.json"
+        print(f"wrote {path}")
+    path = out / "malformed.json"
     path.write_text(json.dumps(MALFORMED, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path.relative_to(OUT.parents[2])} (schema-invalid on purpose)")
+    print(f"wrote {path} (schema-invalid on purpose)")
     return 0
 
 
