@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import reports
-from .fincat import FinCat, InputError, ObjEquiv, quotient_category
+from .fincat import FinCat, InputError, ObjEquiv, class_morphism, quotient_category
 from .reports import Report
 from .site import CoveringAssignment, grothendieck_axiom_check, _family_label, refined_families
 
@@ -99,7 +99,7 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
         block = rel.block_id(obj)
         for fam in assignment.families_of(obj):
             class_family = frozenset(
-                f"{rel.block_id(cat.source(m))}->{rel.block_id(cat.target(m))}" for m in fam
+                class_morphism(rel.block_id(cat.source(m)), rel.block_id(cat.target(m))) for m in fam
             )
             families[block] = families.get(block, frozenset()) | {class_family}
             witnesses.setdefault((block, class_family), (obj, fam))
@@ -127,7 +127,7 @@ def _class_stability_findings(site: BlurrySite) -> list:
     K = site.quotient_assignment
     reps: dict[str, list[str]] = {}
     for m, (a, b) in sorted(cat.morphisms.items()):
-        reps.setdefault(f"{rel.block_id(a)}->{rel.block_id(b)}", []).append(m)
+        reps.setdefault(class_morphism(rel.block_id(a), rel.block_id(b)), []).append(m)
 
     for block in sorted(K.families):
         for class_family in K.families_of(block):
@@ -157,9 +157,7 @@ def _class_stability_findings(site: BlurrySite) -> list:
                         continue
                     f, g = found
                     to_b = cat.pullbacks[(f, g)][2]
-                    pulled.add(
-                        f"{rel.block_id(cat.source(to_b))}->{rel.block_id(cat.target(to_b))}"
-                    )
+                    pulled.add(class_morphism(rel.block_id(cat.source(to_b)), rel.block_id(cat.target(to_b))))
                     rows.append(
                         reports.info(
                             "stability_witness",

@@ -3,10 +3,15 @@
 Subcommands partition the check kinds: validate covers structural checks of
 every document, z-compose prints composites, site-check / blur-check /
 sheaf-check / parametrize / model-check / fingerprint run their modules'
-checks.  Reports are byte-deterministic for identical inputs (canonical
-finding order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some
-check failed a law, 2 structural trouble (schema violation, unresolved
-reference, malformed document, blown enumeration budget).
+checks.  One table, ``KINDS``, maps each kind to its command, to the
+function that runs it and to whether that function reads ``expect``
+itself; ``COMMAND_KINDS`` is derived from it.  Each run function reads its
+spec through a ``_Resolver``, which resolves ids in the workspace table of
+their role and turns a missing or mistyped field into a WorkspaceError.
+Reports are byte-deterministic for identical inputs (canonical finding
+order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some check
+failed a law, 2 structural trouble (schema violation, unresolved reference,
+mistyped spec field, malformed document, blown enumeration budget).
 """
 
 from __future__ import annotations
@@ -65,313 +70,261 @@ from .site import (
 )
 from .zlin import MarginalMismatch, SignIncoherent, z_compose, z_validate
 
-COMMAND_KINDS = {
-    "validate": (
-        "validate_category",
-        "validate_functor",
-        "validate_partition",
-        "validate_pointed_base",
-        "validate_presheaf",
-        "validate_covering",
-        "quotient",
-        "z_validate",
-    ),
-    "z-compose": ("z_compose",),
-    "site-check": (
-        "grothendieck",
-        "nisnevich",
-        "component_lemma",
-        "square",
-        "powered_cover",
-        "powered_stability",
-    ),
-    "blur-check": ("gamma", "blurry_probe", "powered_blurry"),
-    "sheaf-check": ("sheaf", "additivity", "cartesian", "squares_probe"),
-    "parametrize": ("enumerate_fes", "precompose"),
-    "model-check": ("model_axioms", "class_types", "quotient_model"),
-    "fingerprint": ("invariant", "z_equiv"),
+_REQUIRED = object()
+
+# role of a spec field -> (Workspace table it names an entry of, noun in diagnostics)
+_ROLES = {
+    "category": ("categories", "category"),
+    "functor": ("functors", "functor"),
+    "partition": ("partitions", "partition"),
+    "pointed_base": ("pointed_bases", "pointed base"),
+    "presheaf": ("presheaves", "presheaf"),
+    "covering": ("coverings", "covering"),
+    "zobject": ("zobjects", "zobject"),
+    "zmorphism": ("zmorphisms", "zmorphism"),
+    "square": ("squares", "square"),
+    "layered": ("layered", "layered category"),
+    "ladder": ("ladders", "ladder"),
+    "model": ("model_cats", "model category"),
+    "table": ("fingerprints", "fingerprint table"),
 }
+
+# JSON type of a plain field or list item; an untyped list item is an id
+_TYPE_NAMES = {object: "id", dict: "object", str: "string", int: "integer", bool: "boolean", list: "list"}
+
+
+class _Resolver:
+    """One check spec, read against the workspace for the check at ``path``.
+
+    Every field is read through a typed accessor: ``id`` resolves an id in
+    the table of its role, ``ids`` and ``objects`` read lists of ids and of
+    nested specs, ``value`` and ``values`` read plain data.  A missing or
+    mistyped field, an unknown id, or inputs on different categories raise
+    a WorkspaceError naming the check, which aborts the run; what a checker
+    raises on resolved inputs is a finding on that check alone.
+    """
+
+    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int):
+        self.ws, self.spec, self.path, self.budget = ws, spec, path, budget
+
+    def error(self, message: str) -> WorkspaceError:
+        return WorkspaceError(f"{self.path}: {message}")
+
+    def value(self, field: str, of=object, default=_REQUIRED):
+        if field not in self.spec:
+            if default is _REQUIRED:
+                raise self.error(f"missing field {field!r}")
+            return default
+        if not isinstance(self.spec[field], of):
+            raise self.error(f"field {field!r} must be of type {_TYPE_NAMES[of]}")
+        return self.spec[field]
+
+    def values(self, field: str, of=object, default=_REQUIRED):
+        items = self.value(field, default=default)
+        if field in self.spec and not (isinstance(items, list) and all(isinstance(i, of) for i in items)):
+            raise self.error(f"field {field!r} must be a list of {_TYPE_NAMES[of]}s")
+        return items
+
+    def ids(self, field: str) -> list:
+        """The ids listed in ``field``, each to be resolved with ``lookup``."""
+        return self.values(field)
+
+    def objects(self, field: str) -> list:
+        """The nested specs listed in ``field``, each read like the check's own."""
+        return [_Resolver(self.ws, item, self.path, self.budget) for item in self.values(field, dict)]
+
+    def lookup(self, role: str, name):
+        table, noun = _ROLES[role]
+        return self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
+
+    def id(self, field: str, role: str | None = None):
+        return self.lookup(role or field, self.value(field))
+
+    def on(self, field: str, role: str | None = None):
+        """The category and the document of a (category name, document) entry."""
+        catname, doc = self.id(field, role)
+        return self.ws.categories[catname], doc
+
+    def lives_on(self, a: str, x: str, b: str, y: str) -> None:
+        """Raise unless ``a``, which lives on ``x``, and ``b``, on ``y``, share a category."""
+        if x != y:
+            raise self.error(f"{a} lives on {x}, {b} on {y}")
 
 
 def _with_expectation(report: Report, expect) -> Report:
     """Replace a check's pass/fail with 'matched the expected verdict'.
 
     Law findings of the inner report become informational (they are the
-    observed behavior, possibly expected); structural findings stay fatal.
+    observed behavior, possibly expected).  A report with a structural
+    finding never ran its law, so it is returned unchanged.
     """
-    if expect is None:
+    if expect is None or any(f.kind == reports.STRUCTURAL for f in report.findings):
         return report
     observed = report.ok
-    rows = []
-    for f in report.findings:
-        if f.kind == reports.LAW:
-            rows.append(reports.info(f"observed.{f.rule}", f.witnesses, f.detail))
-        else:
-            rows.append(f)
-    if observed == bool(expect):
+    rows = [
+        reports.info(f"observed.{f.rule}", f.witnesses, f.detail) if f.kind == reports.LAW else f
+        for f in report.findings
+    ]
+    if observed == expect:
         rows.append(reports.info("expected_outcome", (), f"check passed: {observed}, as expected"))
     else:
-        rows.append(
-            reports.law("expected_outcome", (), f"expected pass={bool(expect)}, observed pass={observed}")
-        )
+        rows.append(reports.law("expected_outcome", (), f"expected pass={expect}, observed pass={observed}"))
     return Report.collect(report.subject, rows)
 
 
 # =====================================================================
-# check handlers
+# checks that do more than call one checker on resolved inputs
 # =====================================================================
 
 
-def _zmorphisms_on_one_base(ws: Workspace, names, path: str):
-    pairs = [ws.lookup(ws.zmorphisms, n, path, "zmorphism") for n in names]
-    cats = {c for c, _m in pairs}
-    if len(cats) > 1:
-        raise WorkspaceError(f"{path}: zmorphisms live on different categories {sorted(cats)}")
-    return pairs
-
-
-def _check_validate_category(ws, spec, path, budget):
-    return validate_category(ws.category(spec["category"], path)), None
-
-
-def _check_validate_functor(ws, spec, path, budget):
-    fun = ws.lookup(ws.functors, spec["functor"], path, "functor")
-    return check_functor(fun).report, None
-
-
-def _check_validate_partition(ws, spec, path, budget):
-    catname, rel = ws.lookup(ws.partitions, spec["partition"], path, "partition")
-    return validate_partition(ws.categories[catname], rel), None
-
-
-def _check_validate_pointed_base(ws, spec, path, budget):
-    return validate_pointed_base(ws.lookup(ws.pointed_bases, spec["pointed_base"], path, "pointed base")), None
-
-
-def _check_validate_presheaf(ws, spec, path, budget):
-    return validate_presheaf(ws.lookup(ws.presheaves, spec["presheaf"], path, "presheaf")), None
-
-
-def _check_validate_covering(ws, spec, path, budget):
-    catname, assignment = ws.lookup(ws.coverings, spec["covering"], path, "covering")
-    return validate_covering(ws.categories[catname], assignment), None
-
-
-def _check_quotient(ws, spec, path, budget):
-    catname, rel = ws.lookup(ws.partitions, spec["partition"], path, "partition")
-    _quotient, report = quotient_category(ws.categories[catname], rel)
-    return report, None
-
-
-def _check_z_validate(ws, spec, path, budget):
-    catname, phi = ws.lookup(ws.zmorphisms, spec["zmorphism"], path, "zmorphism")
-    return z_validate(ws.categories[catname], phi, subject=spec["zmorphism"]), None
-
-
-def _check_z_compose(ws, spec, path, budget):
-    (cat_outer, outer) = ws.lookup(ws.zmorphisms, spec["outer"], path, "zmorphism")
-    (cat_inner, inner) = ws.lookup(ws.zmorphisms, spec["inner"], path, "zmorphism")
-    rows = []
-    payload = None
-    if cat_outer != cat_inner:
-        rows.append(
-            reports.structural(
-                "compose_inputs", (spec["outer"], spec["inner"]), "factors live on different categories"
-            )
+def _z_compose(r: _Resolver):
+    """The composite's report and, when it is defined, its document."""
+    base, outer = r.on("outer", "zmorphism")
+    inner_base, inner = r.on("inner", "zmorphism")
+    names = (r.value("outer"), r.value("inner"))
+    if base.name != inner_base.name:
+        return Report.collect(
+            "z_compose", [reports.structural("compose_inputs", names, "factors live on different categories")]
         )
-        return Report.collect("z_compose", rows), None
-    base = ws.categories[cat_outer]
-    for label, phi in ((spec["outer"], outer), (spec["inner"], inner)):
-        sub = z_validate(base, phi, subject=label)
-        if not sub.ok:
-            rows.append(reports.structural("compose_inputs", (label,), "factor fails validation"))
+    rows = [
+        reports.structural("compose_inputs", (label,), "factor fails validation")
+        for label, phi in zip(names, (outer, inner))
+        if not z_validate(base, phi, subject=label).ok
+    ]
     if rows:
-        return Report.collect("z_compose", rows), None
+        return Report.collect("z_compose", rows)
     try:
         composite = z_compose(base, outer, inner)
     except (SignIncoherent, MarginalMismatch) as exc:
-        rows.append(reports.law("compose_defined", (spec["outer"], spec["inner"]), str(exc)))
-        return Report.collect("z_compose", rows), None
+        return Report.collect("z_compose", [reports.law("compose_defined", names, str(exc))])
     except InputError as exc:
-        rows.append(reports.structural("compose_inputs", (spec["outer"], spec["inner"]), str(exc)))
-        return Report.collect("z_compose", rows), None
-    payload = zmorphism_to_doc(composite)
-    rows.append(reports.info("composite", (), composite.render()))
-    if "expect_terms" in spec:
-        expected = [tuple(t) for t in spec["expect_terms"]]
-        got = [(r, c, v, a) for r, c, a, v in composite.normal_form()]
+        return Report.collect("z_compose", [reports.structural("compose_inputs", names, str(exc))])
+    rows = [reports.info("composite", (), composite.render())]
+    if "expect_terms" in r.spec:
+        expected = [tuple(t) for t in r.values("expect_terms", list)]
+        got = [(row, col, v, a) for row, col, a, v in composite.normal_form()]
         if expected != got:
-            rows.append(
-                reports.law("expected_terms", (), f"expected {expected}, got {got}")
-            )
-    return Report.collect("z_compose", rows), payload
+            rows.append(reports.law("expected_terms", (), f"expected {expected}, got {got}"))
+    return Report.collect("z_compose", rows), zmorphism_to_doc(composite)
 
 
-def _check_grothendieck(ws, spec, path, budget):
-    catname, assignment = ws.lookup(ws.coverings, spec["covering"], path, "covering")
-    return grothendieck_axiom_check(ws.categories[catname], assignment, budget), None
-
-
-def _nisnevich_inputs(ws, spec, path):
-    base = ws.lookup(ws.pointed_bases, spec["pointed_base"], path, "pointed base")
-    target = ws.lookup(ws.zobjects, spec["target"], path, "zobject")
-    pairs = _zmorphisms_on_one_base(ws, spec["family"], path)
-    if pairs and pairs[0][0] != base.cat.name:
-        raise WorkspaceError(f"{path}: family lives on {pairs[0][0]}, base on {base.cat.name}")
+def _nisnevich_inputs(r: _Resolver):
+    base = r.id("pointed_base")
+    target = r.id("target", "zobject")
+    pairs = [r.lookup("zmorphism", name) for name in r.ids("family")]
+    cats = {c for c, _m in pairs}
+    if len(cats) > 1:
+        raise r.error(f"zmorphisms live on different categories {sorted(cats)}")
+    if pairs:
+        r.lives_on("family", pairs[0][0], "base", base.cat.name)
     return base, target, [m for _c, m in pairs]
 
 
-def _check_nisnevich(ws, spec, path, budget):
-    base, target, family = _nisnevich_inputs(ws, spec, path)
-    return nisnevich_cover_check(base, target, family), None
+def _square(r: _Resolver):
+    base = r.id("pointed_base")
+    cat, square = r.on("square")
+    r.lives_on("square", cat.name, "base", base.cat.name)
+    return distinguished_square_check(base, square)
 
 
-def _check_component_lemma(ws, spec, path, budget):
-    base, target, family = _nisnevich_inputs(ws, spec, path)
-    return nisnevich_component_lemma_check(base, target, family), None
-
-
-def _check_square(ws, spec, path, budget):
-    base = ws.lookup(ws.pointed_bases, spec["pointed_base"], path, "pointed base")
-    catname, square = ws.lookup(ws.squares, spec["square"], path, "square")
-    if catname != base.cat.name:
-        raise WorkspaceError(f"{path}: square lives on {catname}, base on {base.cat.name}")
-    return distinguished_square_check(base, square), None
-
-
-def _ladder(ws, name, layered_name, path):
-    lname, ladder = ws.lookup(ws.ladders, name, path, "ladder")
-    if lname != layered_name:
-        raise WorkspaceError(f"{path}: ladder {name!r} belongs to layered category {lname!r}")
+def _ladder(r: _Resolver, name):
+    layered, ladder = r.lookup("ladder", name)
+    if layered != r.value("layered"):
+        raise r.error(f"ladder {name!r} belongs to layered category {layered!r}")
     return ladder
 
 
-def _coverings(ws, names, path):
-    return [ws.lookup(ws.coverings, n, path, "covering")[1] for n in names]
+def _coverings(r: _Resolver) -> list:
+    return [r.lookup("covering", name)[1] for name in r.ids("coverings")]
 
 
-def _check_powered_cover(ws, spec, path, budget):
-    layered = ws.lookup(ws.layered, spec["layered"], path, "layered category")
+def _powered_cover(r: _Resolver):
+    layered = r.id("layered")
     shape = validate_layered(layered)
     if not shape.ok:
-        return shape, None
-    ladder = _ladder(ws, spec["ladder"], spec["layered"], path)
-    return powered_cover_check(layered, ladder, _coverings(ws, spec["coverings"], path)), None
+        return shape
+    return powered_cover_check(layered, _ladder(r, r.value("ladder")), _coverings(r))
 
 
-def _check_powered_stability(ws, spec, path, budget):
-    layered = ws.lookup(ws.layered, spec["layered"], path, "layered category")
+def _powered_stability(r: _Resolver):
+    layered = r.id("layered")
     shape = validate_layered(layered)
     if not shape.ok:
-        return shape, None
-    family = [_ladder(ws, n, spec["layered"], path) for n in spec["family"]]
-    test = _ladder(ws, spec["test"], spec["layered"], path)
-    ks = _coverings(ws, spec["coverings"], path)
-    return powered_stability_probe(layered, family, test, ks), None
+        return shape
+    family = [_ladder(r, name) for name in r.ids("family")]
+    test = _ladder(r, r.value("test"))
+    return powered_stability_probe(layered, family, test, _coverings(r))
 
 
-def _check_gamma(ws, spec, path, budget):
-    catname, rel = ws.lookup(ws.partitions, spec["partition"], path, "partition")
-    return gamma_check(ws.categories[catname], rel), None
+def _blurry_site(r: _Resolver):
+    cat, assignment = r.on("covering")
+    rel_cat, rel = r.on("partition")
+    r.lives_on("covering", repr(cat.name), "partition", repr(rel_cat.name))
+    return blurry_topology(cat, assignment, rel)
 
 
-def _blurry_site(ws, spec_level, path):
-    catname, assignment = ws.lookup(ws.coverings, spec_level["covering"], path, "covering")
-    relname, rel = ws.lookup(ws.partitions, spec_level["partition"], path, "partition")
-    if relname != catname:
-        raise WorkspaceError(
-            f"{path}: covering lives on {catname!r}, partition on {relname!r}"
-        )
-    return blurry_topology(ws.categories[catname], assignment, rel)
-
-
-def _check_blurry_probe(ws, spec, path, budget):
-    return blurry_axiom_probe(_blurry_site(ws, spec, path), budget), None
-
-
-def _check_powered_blurry(ws, spec, path, budget):
-    sites = [_blurry_site(ws, level, path) for level in spec["levels"]]
-    layered = (
-        ws.lookup(ws.layered, spec["layered"], path, "layered category")
-        if "layered" in spec
-        else None
-    )
+def _powered_blurry(r: _Resolver):
+    sites = [_blurry_site(level) for level in r.objects("levels")]
+    layered = r.id("layered") if "layered" in r.spec else None
     powered = powered_blurry_compose(
-        sites, layered=layered, loose_levels=spec.get("loose", ()), budget=budget
+        sites, layered=layered, loose_levels=r.values("loose", int, ()), budget=r.budget
     )
-    return powered_blurry_check(powered, spec["arrows"]), None
+    return powered_blurry_check(powered, r.values("arrows", str))
 
 
-def _check_sheaf(ws, spec, path, budget):
-    F = ws.lookup(ws.presheaves, spec["presheaf"], path, "presheaf")
-    catname, assignment = ws.lookup(ws.coverings, spec["covering"], path, "covering")
-    if catname != F.cat.name:
-        raise WorkspaceError(f"{path}: presheaf lives on {F.cat.name}, covering on {catname}")
-    return sheaf_check(F, assignment), None
+def _presheaf_and(r: _Resolver, field: str):
+    """The presheaf and the ``field`` document, which must live on its category."""
+    F = r.id("presheaf")
+    cat, doc = r.on(field)
+    r.lives_on("presheaf", F.cat.name, field, cat.name)
+    return F, doc
 
 
-def _check_additivity(ws, spec, path, budget):
-    base = ws.category(spec["category"], path)
-    obj = ws.lookup(ws.zobjects, spec["zobject"], path, "zobject")
-    flavor = spec.get("flavor", "tables")
+def _additivity(r: _Resolver):
+    base = r.id("category")
+    obj = r.id("zobject")
+    flavor = r.value("flavor", default="tables")
     if flavor == "tables":
-        target = ws.lookup(ws.zobjects, spec["target"], path, "zobject")
-        zp = representable_z(base, target)
+        zp = representable_z(base, r.id("target", "zobject"))
     elif flavor == "constant":
-        zp = constant_z(base, spec.get("labels", ()))
+        zp = constant_z(base, r.values("labels", str, ()))
     else:
-        raise WorkspaceError(f"{path}: unknown additivity flavor {flavor!r}")
-    return additivity_check(zp, obj), None
+        raise r.error(f"unknown additivity flavor {flavor!r}")
+    return additivity_check(zp, obj)
 
 
-def _check_cartesian(ws, spec, path, budget):
-    F = ws.lookup(ws.presheaves, spec["presheaf"], path, "presheaf")
-    catname, square = ws.lookup(ws.squares, spec["square"], path, "square")
-    if catname != F.cat.name:
-        raise WorkspaceError(f"{path}: presheaf lives on {F.cat.name}, square on {catname}")
-    return cartesian_square_check(F, square), None
-
-
-def _check_squares_probe(ws, spec, path, budget):
-    F = ws.lookup(ws.presheaves, spec["presheaf"], path, "presheaf")
-    catname, assignment = ws.lookup(ws.coverings, spec["covering"], path, "covering")
-    if catname != F.cat.name:
-        raise WorkspaceError(f"{path}: presheaf lives on {F.cat.name}, covering on {catname}")
+def _squares_probe(r: _Resolver):
+    F, assignment = _presheaf_and(r, "covering")
     squares = []
-    for name in spec["squares"]:
-        sq_cat, square = ws.lookup(ws.squares, name, path, "square")
-        if sq_cat != F.cat.name:
-            raise WorkspaceError(f"{path}: square {name!r} lives on {sq_cat}")
+    for name in r.ids("squares"):
+        catname, square = r.lookup("square", name)
+        if catname != F.cat.name:
+            raise r.error(f"square {name!r} lives on {catname}")
         squares.append(square)
-    return squares_vs_sheaf_probe(F, assignment, squares, spec.get("asserted", True)), None
+    return squares_vs_sheaf_probe(F, assignment, squares, r.value("asserted", bool, True))
 
 
-def _check_enumerate_fes(ws, spec, path, budget):
-    source = ws.category(spec["source"], path)
-    model = ws.lookup(ws.model_cats, spec["model"], path, "model category")
-    family = enumerate_fes(source, model, budget=budget)
-    rows = [reports.info("member_count", (str(len(family.members)),), "full, essentially surjective functors")]
+def _enumerate_fes(r: _Resolver):
+    family = enumerate_fes(r.id("source", "category"), r.id("model"), budget=r.budget)
+    count = len(family.members)
+    rows = [reports.info("member_count", (str(count),), "full, essentially surjective functors")]
     for fun in family.members:
         image = ",".join(f"{k}>{v}" for k, v in sorted(fun.object_map.items()))
         rows.append(reports.info("member", (fun.name,), image))
-    if "expect_count" in spec and len(family.members) != spec["expect_count"]:
-        rows.append(
-            reports.law(
-                "expected_count",
-                (str(spec["expect_count"]), str(len(family.members))),
-                "member count differs from the expected count",
-            )
-        )
-    return Report.collect("enumerate_fes", rows), None
+    expected = r.value("expect_count", int, None)
+    if expected is not None and count != expected:
+        detail = "member count differs from the expected count"
+        rows.append(reports.law("expected_count", (str(expected), str(count)), detail))
+    return Report.collect("enumerate_fes", rows)
 
 
-def _check_precompose(ws, spec, path, budget):
-    inner = ws.lookup(ws.functors, spec["inner"], path, "functor")
-    outer = ws.lookup(ws.functors, spec["outer"], path, "functor")
-    model = ws.lookup(ws.model_cats, spec["model"], path, "model category")
+def _precompose(r: _Resolver):
+    inner = r.id("inner", "functor")
+    outer = r.id("outer", "functor")
+    model = r.id("model")
     if outer.target.name != model.base.name:
-        raise WorkspaceError(f"{path}: outer functor must land in the model's base")
-    family = enumerate_fes(outer.target, model, budget=budget)
+        raise r.error("outer functor must land in the model's base")
+    family = enumerate_fes(outer.target, model, budget=r.budget)
     direct = precompose(compose_functors(outer, inner), family)
     staged = precompose(inner, precompose(outer, family))
     rows = [
@@ -379,164 +332,136 @@ def _check_precompose(ws, spec, path, budget):
         reports.info("pulled_size", (str(len(direct.members)),), "after precomposition"),
     ]
     if direct.keys() != staged.keys():
-        rows.append(
-            reports.law(
-                "contravariance",
-                (spec["outer"], spec["inner"]),
-                "composite pullback differs from staged pullbacks",
-            )
-        )
-    return Report.collect("precompose", rows), None
+        names = (r.value("outer"), r.value("inner"))
+        rows.append(reports.law("contravariance", names, "composite pullback differs from staged pullbacks"))
+    return Report.collect("precompose", rows)
 
 
-def _check_model_axioms(ws, spec, path, budget):
-    model = ws.lookup(ws.model_cats, spec["model"], path, "model category")
-    return model_axiom_check(model, lifting=spec.get("lifting", False)), None
+def _model_and_partition(r: _Resolver):
+    model = r.id("model")
+    cat, rel = r.on("partition")
+    if cat.name != model.base.name:
+        raise r.error(f"partition lives on {cat.name!r}")
+    return model, rel
 
 
-def _check_class_types(ws, spec, path, budget):
-    model = ws.lookup(ws.model_cats, spec["model"], path, "model category")
-    relname, rel = ws.lookup(ws.partitions, spec["partition"], path, "partition")
-    if relname != model.base.name:
-        raise WorkspaceError(f"{path}: partition lives on {relname!r}")
-    types = class_types(model, rel, rel.block_id(spec["from_object"]), rel.block_id(spec["to_object"]))
+def _class_types(r: _Resolver):
+    model, rel = _model_and_partition(r)
+    source, target = rel.block_id(r.value("from_object", str)), rel.block_id(r.value("to_object", str))
+    types = class_types(model, rel, source, target)
     rows = [reports.info("types", tuple(sorted(types)), "labels carried by representatives")]
-    if "expect_types" in spec and frozenset(spec["expect_types"]) != types:
-        rows.append(
-            reports.law(
-                "expected_types",
-                tuple(sorted(spec["expect_types"])),
-                f"observed {sorted(types)}",
-            )
-        )
-    return Report.collect("class_types", rows), None
+    expected = r.values("expect_types", str, None)
+    if expected is not None and frozenset(expected) != types:
+        rows.append(reports.law("expected_types", tuple(sorted(expected)), f"observed {sorted(types)}"))
+    return Report.collect("class_types", rows)
 
 
-def _check_quotient_model(ws, spec, path, budget):
-    model = ws.lookup(ws.model_cats, spec["model"], path, "model category")
-    relname, rel = ws.lookup(ws.partitions, spec["partition"], path, "partition")
-    if relname != model.base.name:
-        raise WorkspaceError(f"{path}: partition lives on {relname!r}")
+def _quotient_model(r: _Resolver):
     try:
-        _labeled, report = quotient_model(model, rel)
+        return quotient_model(*_model_and_partition(r))[1]
     except QuotientRejected as exc:
-        return exc.report, None
-    return report, None
+        return exc.report
 
 
-def _check_invariant(ws, spec, path, budget):
-    obj = ws.lookup(ws.zobjects, spec["zobject"], path, "zobject")
-    table = ws.lookup(ws.fingerprints, spec["table"], path, "fingerprint table")
+def _invariant(r: _Resolver):
+    obj, table = r.id("zobject"), r.id("table")
     try:
         inv = invariant_of(obj, table)
     except InputError as exc:
-        return Report.collect("invariant", [reports.structural("fingerprint_known", (), str(exc))]), None
+        return Report.collect("invariant", [reports.structural("fingerprint_known", (), str(exc))])
     rows = [
         reports.info("part", (str(idx), str(coeff)), f"dims {list(dims.dims)}")
         for idx, coeff, dims in inv.parts
     ]
-    return Report.collect("invariant", rows), None
+    return Report.collect("invariant", rows)
 
 
-def _check_z_equiv(ws, spec, path, budget):
-    left = ws.lookup(ws.zobjects, spec["left"], path, "zobject")
-    right = ws.lookup(ws.zobjects, spec["right"], path, "zobject")
-    table = ws.lookup(ws.fingerprints, spec["table"], path, "fingerprint table")
+def _z_equiv(r: _Resolver):
+    left, right, table = r.id("left", "zobject"), r.id("right", "zobject"), r.id("table")
     try:
         verdict = z_equiv(left, right, table)
     except InputError as exc:
-        return Report.collect("z_equiv", [reports.structural("fingerprint_known", (), str(exc))]), None
+        return Report.collect("z_equiv", [reports.structural("fingerprint_known", (), str(exc))])
     rows = [reports.info("equivalent", (), str(verdict))]
-    if "expect" in spec and bool(spec["expect"]) != verdict:
-        rows.append(
-            reports.law("expected_outcome", (), f"expected {bool(spec['expect'])}, observed {verdict}")
-        )
-    return Report.collect("z_equiv", rows), None
+    if r.value("expect", bool, verdict) != verdict:
+        rows.append(reports.law("expected_outcome", (), f"expected {not verdict}, observed {verdict}"))
+    return Report.collect("z_equiv", rows)
 
 
-HANDLERS = {
-    "validate_category": _check_validate_category,
-    "validate_functor": _check_validate_functor,
-    "validate_partition": _check_validate_partition,
-    "validate_pointed_base": _check_validate_pointed_base,
-    "validate_presheaf": _check_validate_presheaf,
-    "validate_covering": _check_validate_covering,
-    "quotient": _check_quotient,
-    "z_validate": _check_z_validate,
-    "z_compose": _check_z_compose,
-    "grothendieck": _check_grothendieck,
-    "nisnevich": _check_nisnevich,
-    "component_lemma": _check_component_lemma,
-    "square": _check_square,
-    "powered_cover": _check_powered_cover,
-    "powered_stability": _check_powered_stability,
-    "gamma": _check_gamma,
-    "blurry_probe": _check_blurry_probe,
-    "powered_blurry": _check_powered_blurry,
-    "sheaf": _check_sheaf,
-    "additivity": _check_additivity,
-    "cartesian": _check_cartesian,
-    "squares_probe": _check_squares_probe,
-    "enumerate_fes": _check_enumerate_fes,
-    "precompose": _check_precompose,
-    "model_axioms": _check_model_axioms,
-    "class_types": _check_class_types,
-    "quotient_model": _check_quotient_model,
-    "invariant": _check_invariant,
-    "z_equiv": _check_z_equiv,
+# =====================================================================
+# the kind table
+# =====================================================================
+
+# kind -> (command, run, owns_expectation).  run(r) reads the spec through
+# the resolver r and returns the check's Report (z_compose: the Report and
+# its payload).  Checkers are called by their global name at call time, so
+# a wrapper installed on this module sees every call.  A kind that owns its
+# expectation reads ``expect`` itself; for the rest it is applied after.
+KINDS = {
+    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False),
+    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False),
+    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False),
+    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False),
+    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False),
+    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False),
+    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False),
+    "z_validate": (
+        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False
+    ),
+    "z_compose": ("z-compose", _z_compose, True),
+    "grothendieck": ("site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False),
+    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False),
+    "component_lemma": (
+        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False
+    ),
+    "square": ("site-check", _square, False),
+    "powered_cover": ("site-check", _powered_cover, False),
+    "powered_stability": ("site-check", _powered_stability, False),
+    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False),
+    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False),
+    "powered_blurry": ("blur-check", _powered_blurry, False),
+    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False),
+    "additivity": ("sheaf-check", _additivity, False),
+    "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False),
+    "squares_probe": ("sheaf-check", _squares_probe, False),
+    "enumerate_fes": ("parametrize", _enumerate_fes, True),
+    "precompose": ("parametrize", _precompose, False),
+    "model_axioms": (
+        "model-check",
+        lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
+        False,
+    ),
+    "class_types": ("model-check", _class_types, True),
+    "quotient_model": ("model-check", _quotient_model, False),
+    "invariant": ("fingerprint", _invariant, True),
+    "z_equiv": ("fingerprint", _z_equiv, True),
 }
 
-# kinds whose handler applies the expectation itself
-_OWN_EXPECTATION = {"z_compose", "enumerate_fes", "class_types", "z_equiv", "invariant"}
-
-
-class _Spec(dict):
-    """A check spec, or a dict inside one, whose missing fields are workspace errors.
-
-    Only a missing field of the spec itself aborts the run; a KeyError from
-    inside a checker is a dangling table id and fails that check alone.
-    """
-
-    path = ""
-
-    def __missing__(self, key):
-        raise WorkspaceError(f"{self.path}: missing field {key!r}")
-
-
-def _spec(value, path: str):
-    if isinstance(value, dict):
-        spec = _Spec({key: _spec(item, path) for key, item in value.items()})
-        spec.path = path
-        return spec
-    if isinstance(value, list):
-        return [_spec(item, path) for item in value]
-    return value
+# command -> the kinds it runs, in table order
+COMMAND_KINDS = {
+    command: tuple(kind for kind, row in KINDS.items() if row[0] == command)
+    for command in dict.fromkeys(row[0] for row in KINDS.values())
+}
 
 
 def _run_check(ws: Workspace, spec: dict, pos: int, budget: int):
-    path = f"checks[{pos}]"
     kind = spec["kind"]
-    handler = HANDLERS[kind]
+    _command, run, owns_expectation = KINDS[kind]
+    r = _Resolver(ws, spec, f"checks[{pos}]", budget)
+    payload = None
     try:
-        report, payload = handler(ws, _spec(spec, path), path, budget)
+        report = run(r)
+        if isinstance(report, tuple):
+            report, payload = report
     except KeyError as exc:
         missing = exc.args[0] if exc.args else ""
-        report, payload = (
-            Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")]),
-            None,
-        )
+        report = Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")])
     except ResourceBudgetError as exc:
-        report, payload = (
-            Report.collect(kind, [reports.structural("budget", (), str(exc))]),
-            None,
-        )
+        report = Report.collect(kind, [reports.structural("budget", (), str(exc))])
     except InputError as exc:
-        report, payload = (
-            Report.collect(kind, [reports.structural("inputs", (), str(exc))]),
-            None,
-        )
-    if kind not in _OWN_EXPECTATION:
-        report = _with_expectation(report, spec.get("expect"))
+        report = Report.collect(kind, [reports.structural("inputs", (), str(exc))])
+    if not owns_expectation:
+        report = _with_expectation(report, r.value("expect", bool, None))
     return report, payload
 
 

@@ -174,6 +174,11 @@ def block_label(block: frozenset[str]) -> str:
     return "[" + "+".join(sorted(block)) + "]"
 
 
+def class_morphism(bx: str, by: str) -> str:
+    """Id of the class morphism from block ``bx`` to block ``by`` in a thin quotient."""
+    return f"{bx}->{by}"
+
+
 def partition_from_blocks(blocks) -> ObjEquiv:
     """Canonicalize an iterable of member iterables into an ObjEquiv."""
     frozen = sorted((frozenset(b) for b in blocks), key=lambda b: sorted(b))
@@ -502,9 +507,6 @@ def quotient_category(cat: FinCat, rel: ObjEquiv) -> tuple[FinCat, Report]:
     for m, (a, b) in sorted(cat.morphisms.items()):
         inhabited.setdefault((labels[a], labels[b]), []).append(m)
 
-    def class_morphism(bx: str, by: str) -> str:
-        return f"{bx}->{by}"
-
     morphisms = {
         class_morphism(bx, by): (bx, by) for (bx, by) in inhabited
     }
@@ -597,7 +599,7 @@ def induced_functor(fun: Functor, rel: ObjEquiv) -> tuple[Functor, Report]:
     morphism_map: dict[str, str] = {}
     rows: list[reports.Finding] = []
     for cm, (bx, by) in sorted(q_src.morphisms.items()):
-        image = f"{object_map[bx]}->{object_map[by]}"
+        image = class_morphism(object_map[bx], object_map[by])
         if image not in q_tgt.morphisms:
             rows.append(
                 reports.law("induced_well_defined", (cm,), f"image class {image} is uninhabited")

@@ -179,6 +179,26 @@ def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...],
     return tuple(found), missing
 
 
+def bijection_findings(mapped, targets, injective, surjective, context=()) -> list:
+    """Law findings for a map that fails to be a bijection onto ``targets``.
+
+    ``mapped`` yields (source, image) pairs; ``injective`` and ``surjective``
+    are (rule, detail) pairs.  Two sources with one image are witnessed by
+    ``context``, the first source and the later one; a target that is no
+    image by ``context`` and the target's entries.
+    """
+    rows = []
+    first: dict = {}
+    for source, image in mapped:
+        if image in first:
+            rows.append(reports.law(injective[0], context + (first[image], source), injective[1]))
+        first.setdefault(image, source)
+    for target in targets:
+        if target not in first:
+            rows.append(reports.law(surjective[0], context + tuple(target), surjective[1]))
+    return rows
+
+
 def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
     """Equalizer condition for every assigned family.
 
@@ -205,27 +225,13 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
                         )
                     )
                 continue
-            image: dict[tuple[str, ...], str] = {}
-            for t in F.sections_of(obj):
-                restricted = tuple(F.restrict(m, t) for m in order)
-                if restricted in image:
-                    rows.append(
-                        reports.law(
-                            "separated",
-                            (obj, label, image[restricted], t),
-                            "two sections restrict identically over the family",
-                        )
-                    )
-                image.setdefault(restricted, t)
-            for tup in matching:
-                if tup not in image:
-                    rows.append(
-                        reports.law(
-                            "gluing",
-                            (obj, label) + tup,
-                            "matching family glues to no section",
-                        )
-                    )
+            rows += bijection_findings(
+                ((t, tuple(F.restrict(m, t) for m in order)) for t in F.sections_of(obj)),
+                matching,
+                ("separated", "two sections restrict identically over the family"),
+                ("gluing", "matching family glues to no section"),
+                context=(obj, label),
+            )
     return Report.collect(F.name, rows)
 
 
@@ -302,28 +308,14 @@ def additivity_check(zp: ZPresheaf, obj: ZObject) -> Report:
     pieces = [zp.component_piece(obj, idx) for idx in indices]
     piece_sections = [zp.sections_of(p) for p in pieces]
 
-    image: dict[tuple, int] = {}
     whole = zp.sections_of(obj)
-    for pos, section in enumerate(whole):
-        sliced = tuple(zp.slice_fn(obj, idx, section) for idx in indices)
-        if sliced in image:
-            rows.append(
-                reports.law(
-                    "additivity_injective",
-                    (str(image[sliced]), str(pos)),
-                    "two sections slice identically across components",
-                )
-            )
-        image.setdefault(sliced, pos)
-    for combo in itertools.product(*piece_sections):
-        if combo not in image:
-            rows.append(
-                reports.law(
-                    "additivity_surjective",
-                    tuple(str(c) for c in combo),
-                    "componentwise tuple is not the slicing of any section",
-                )
-            )
+    slicings = (tuple(zp.slice_fn(obj, idx, section) for idx in indices) for section in whole)
+    rows += bijection_findings(
+        enumerate(slicings),
+        itertools.product(*piece_sections),
+        ("additivity_injective", "two sections slice identically across components"),
+        ("additivity_surjective", "componentwise tuple is not the slicing of any section"),
+    )
     rows.append(
         reports.info(
             "section_counts",
@@ -362,27 +354,12 @@ def cartesian_square_check(F: Presheaf, square: Square) -> Report:
         for b in F.sections_of(v_obj)
         if F.restrict(square.w_to_u, a) == F.restrict(square.w_to_v, b)
     ]
-    image: dict[tuple[str, str], str] = {}
-    for t in F.sections_of(x_obj):
-        pair = (F.restrict(square.u_to_x, t), F.restrict(square.v_to_x, t))
-        if pair in image:
-            rows.append(
-                reports.law(
-                    "square_injective",
-                    (image[pair], t),
-                    "two sections restrict to the same (U, V) pair",
-                )
-            )
-        image.setdefault(pair, t)
-    for pair in fiber:
-        if pair not in image:
-            rows.append(
-                reports.law(
-                    "square_surjective",
-                    pair,
-                    "agreeing (U, V) pair comes from no section over X",
-                )
-            )
+    rows += bijection_findings(
+        ((t, (F.restrict(square.u_to_x, t), F.restrict(square.v_to_x, t))) for t in F.sections_of(x_obj)),
+        fiber,
+        ("square_injective", "two sections restrict to the same (U, V) pair"),
+        ("square_surjective", "agreeing (U, V) pair comes from no section over X"),
+    )
     return Report.collect(F.name, rows)
 
 

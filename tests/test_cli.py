@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -44,6 +45,14 @@ def test_green_workspaces_exit_zero(capsys, command, fixture, count):
     assert doc["ok"] is True
     assert len(doc["checks"]) == count
     assert all(entry["ok"] for entry in doc["checks"])
+
+
+def test_every_schema_kind_belongs_to_exactly_one_command():
+    schema = json.loads(resources.files("zsite").joinpath("schemas/workspace.schema.json").read_text())
+    kinds = schema["$defs"]["check"]["properties"]["kind"]["enum"]
+    for kind in kinds:
+        assert sum(kind in owned for owned in COMMAND_KINDS.values()) == 1, kind
+    assert sorted(k for owned in COMMAND_KINDS.values() for k in owned) == sorted(kinds)
 
 
 def test_law_failure_exits_one(capsys):
@@ -96,6 +105,11 @@ def test_dangling_projection_fails_only_its_checks(capsys, tmp_path):
     for entry in sheaf:
         assert {"kind": "structural", "rule": "inputs", "witnesses": ["ghost"],
                 "detail": "unknown id 'ghost'"} in entry["findings"]
+    # a check that never ran its law gets no verdict on its expectation
+    for entry in report["checks"]:
+        kinds = {f["kind"] for f in entry["findings"]}
+        rules = {f["rule"] for f in entry["findings"]}
+        assert not ("structural" in kinds and "expected_outcome" in rules), entry["label"]
 
 
 @pytest.mark.parametrize(
@@ -117,6 +131,35 @@ def test_missing_spec_field_is_still_a_workspace_error(capsys, tmp_path, command
     code, out, err = run(capsys, [command, str(path)])
     assert code == 2 and out == ""
     assert err == f"error: checks[{pos}]: missing field {field!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command,fixture,kind,field,value,expected",
+    [
+        ("site-check", "layered2.json", "powered_cover", "coverings", 5, "a list of ids"),
+        ("site-check", "etale2.json", "nisnevich", "family", 5, "a list of ids"),
+        ("model-check", "modular.json", "class_types", "expect_types", 3, "a list of strings"),
+        ("blur-check", "layered2.json", "powered_blurry", "arrows", 7, "a list of strings"),
+        ("blur-check", "layered2.json", "powered_blurry", "levels", ["K0"], "a list of objects"),
+        ("sheaf-check", "chain3.json", "squares_probe", "squares", "sq", "a list of ids"),
+        ("parametrize", "modular.json", "enumerate_fes", "expect_count", "3", "of type integer"),
+        ("blur-check", "poset2.json", "gamma", "expect", "false", "of type boolean"),
+        ("fingerprint", "fingerprint.json", "z_equiv", "expect", "true", "of type boolean"),
+    ],
+)
+def test_mistyped_spec_field_is_a_workspace_error(
+    capsys, tmp_path, command, fixture, kind, field, value, expected
+):
+    # a wrong JSON type in a check spec names the field instead of crashing
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pos, spec = next((pos, c) for pos, c in enumerate(doc["checks"]) if c["kind"] == kind and field in c)
+    spec[field] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: checks[{pos}]: field {field!r} must be {expected}\n"
 
 
 @pytest.mark.parametrize("command,fixture,count", PASSING)
