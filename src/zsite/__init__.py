@@ -91,18 +91,15 @@ from .site import (
     validate_pointed_base,
 )
 from .zlin import (
-    Correspondence,
     MarginalMismatch,
     RefinementTable,
     SignIncoherent,
     ZMorphism,
     ZObject,
     ZTerm,
-    correspondence,
     enumerate_correspondences,
     enumerate_hom,
     interval_refinement,
-    restrict_correspondence,
     sign_coherent,
     slice_correspondence,
     z_compose,

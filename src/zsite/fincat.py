@@ -120,9 +120,6 @@ class FinCat:
     def is_iso(self, m: str) -> bool:
         return self.inverse_of(m) is not None
 
-    def isos_into(self, tgt: str) -> tuple[str, ...]:
-        return tuple(m for m in self.morphisms_into(tgt) if self.is_iso(m))
-
     def isomorphic(self, a: str, b: str) -> bool:
         if a == b:
             return True
@@ -380,14 +377,6 @@ class FunctorReport:
     @property
     def ok(self) -> bool:
         return self.functorial and self.full and self.essentially_surjective
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functorial": self.functorial,
-            "full": self.full,
-            "essentially_surjective": self.essentially_surjective,
-            "findings": [f.to_json_dict() for f in self.report.findings],
-        }
 
 
 def check_functor(fun: Functor) -> FunctorReport:

@@ -155,6 +155,21 @@ def _functor_key(fun: Functor) -> tuple:
     )
 
 
+def _named_family(source: FinCat, model: ModelLabeledCat, members) -> ParamFamily:
+    """Members in canonical order, renamed fes0, fes1, ..."""
+    named = tuple(
+        Functor(
+            name=f"fes{pos}",
+            source=source,
+            target=model.base,
+            object_map=f.object_map,
+            morphism_map=f.morphism_map,
+        )
+        for pos, f in enumerate(sorted(members, key=_functor_key))
+    )
+    return ParamFamily(source=source, model=model, members=named)
+
+
 def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> ParamFamily:
     """Every full, essentially surjective functor from source into M's base.
 
@@ -193,29 +208,16 @@ def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> P
             for obj in source.objects:
                 mmap[source.identity(obj)] = tgt.identity(omap[obj])
             fun = Functor(name="candidate", source=source, target=tgt, object_map=omap, morphism_map=mmap)
-            verdict = check_functor(fun)
-            if verdict.functorial and verdict.full and verdict.essentially_surjective:
+            if check_functor(fun).ok:
                 members.append(fun)
-
-    members.sort(key=_functor_key)
-    named = tuple(
-        Functor(
-            name=f"fes{pos}",
-            source=source,
-            target=tgt,
-            object_map=f.object_map,
-            morphism_map=f.morphism_map,
-        )
-        for pos, f in enumerate(members)
-    )
-    return ParamFamily(source=source, model=M, members=named)
+    return _named_family(source, M, members)
 
 
 def validate_param_family(family: ParamFamily) -> Report:
     rows = []
     for fun in family.members:
         verdict = check_functor(fun)
-        if not (verdict.functorial and verdict.full and verdict.essentially_surjective):
+        if not verdict.ok:
             rows.append(
                 reports.law(
                     "member_fes",
@@ -249,7 +251,7 @@ def precompose(G: Functor, family: ParamFamily) -> ParamFamily:
     assumed to inherit both properties from its factors.
     """
     verdict = check_functor(G)
-    if not (verdict.functorial and verdict.full and verdict.essentially_surjective):
+    if not verdict.ok:
         raise InputError(
             "precomposition needs a full, essentially surjective functor; "
             f"got functorial={verdict.functorial} full={verdict.full} "
@@ -261,21 +263,9 @@ def precompose(G: Functor, family: ParamFamily) -> ParamFamily:
         )
     composed = [compose_functors(F, G) for F in family.members]
     for fun in composed:
-        sub = check_functor(fun)
-        if not (sub.functorial and sub.full and sub.essentially_surjective):
+        if not check_functor(fun).ok:
             raise InputError(f"precomposed member {fun.name} lost fullness or surjectivity")
-    composed.sort(key=_functor_key)
-    named = tuple(
-        Functor(
-            name=f"fes{pos}",
-            source=G.source,
-            target=family.model.base,
-            object_map=f.object_map,
-            morphism_map=f.morphism_map,
-        )
-        for pos, f in enumerate(composed)
-    )
-    return ParamFamily(source=G.source, model=family.model, members=named)
+    return _named_family(G.source, family.model, composed)
 
 
 # =====================================================================

@@ -76,13 +76,6 @@ class Report:
     def merged_with(self, other: "Report") -> "Report":
         return Report.collect(self.subject, self.findings + other.findings)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "findings": [f.to_json_dict() for f in self.findings],
-        }
-
     def render(self) -> str:
         head = f"{self.subject}: {'ok' if self.ok else 'FAIL'}"
         if not self.findings:

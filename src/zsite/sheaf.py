@@ -26,13 +26,7 @@ from . import reports
 from .fincat import FinCat, InputError
 from .reports import Report
 from .site import CoveringAssignment, Square, square_endpoint_findings, _family_label
-from .zlin import (
-    Correspondence,
-    ZObject,
-    enumerate_correspondences,
-    slice_correspondence,
-    z_object,
-)
+from .zlin import ZObject, enumerate_correspondences, slice_correspondence
 
 
 # =====================================================================
@@ -257,9 +251,6 @@ class ZPresheaf:
     def sections_of(self, obj: ZObject) -> tuple:
         return self.sections_fn(obj)
 
-    def component_piece(self, obj: ZObject, idx: int) -> ZObject:
-        return z_object([(idx, obj.base_object(idx), obj.coefficient(idx))])
-
 
 def representable_z(base: FinCat, target: ZObject) -> ZPresheaf:
     """Row-strict coefficient tables into a fixed formal sum.
@@ -271,8 +262,7 @@ def representable_z(base: FinCat, target: ZObject) -> ZPresheaf:
     def sections_fn(obj: ZObject):
         return enumerate_correspondences(base, obj, target)
 
-    def slice_fn(obj: ZObject, idx: int, section):
-        assert isinstance(section, Correspondence)
+    def slice_fn(_obj: ZObject, idx: int, section):
         return slice_correspondence(section, idx)
 
     return ZPresheaf(
@@ -305,7 +295,7 @@ def additivity_check(zp: ZPresheaf, obj: ZObject) -> Report:
     """
     rows = []
     indices = obj.indices()
-    pieces = [zp.component_piece(obj, idx) for idx in indices]
+    pieces = [obj.piece(idx) for idx in indices]
     piece_sections = [zp.sections_of(p) for p in pieces]
 
     whole = zp.sections_of(obj)

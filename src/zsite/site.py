@@ -454,10 +454,10 @@ def nisnevich_component_lemma_check(base: PointedBase, target: ZObject, family) 
     two sides disagree.
     """
     family = tuple(family)
-    rows = _family_preconditions(base, target, family)
     usable = [m for m in family if m.target == target]
 
     whole = nisnevich_cover_check(base, target, family)
+    rows = [f for f in whole.findings if f.kind == reports.STRUCTURAL]
     lhs = not any(f.rule == "point_covered" for f in whole.findings)
 
     rhs = True
@@ -754,14 +754,13 @@ def powered_stability_probe(
     family,
     test: LadderMorphism,
     assignments,
-    pullbacks=None,
 ) -> Report:
     """Levelwise base change of a ladder family along a test ladder.
 
-    Each member is pulled back level by level through declared pullbacks
-    (per-level overrides may be supplied); the apex chain must itself be
-    membership-compatible, and every pulled ladder must again pass
-    powered_cover_check.  Missing declared pullbacks are Unverifiable.
+    Each member is pulled back level by level through each level's declared
+    pullbacks; the apex chain must itself be membership-compatible, and
+    every pulled ladder must again pass powered_cover_check.  Missing
+    declared pullbacks are Unverifiable.
     """
     family = tuple(family)
     assignments = tuple(assignments)
@@ -791,10 +790,8 @@ def powered_stability_probe(
         apexes = []
         blocked = False
         for n in range(layered.depth()):
-            cat = layered.levels[n]
-            table = cat.pullbacks if pullbacks is None or pullbacks[n] is None else pullbacks[n]
             cospan = (member.arrows[n], test.arrows[n])
-            chosen = table.get(cospan)
+            chosen = layered.levels[n].pullbacks.get(cospan)
             if chosen is None:
                 rows.append(
                     reports.unverifiable(

@@ -6,7 +6,11 @@ terms ``(row, col, coefficient, arrow)`` where ``arrow`` is a base morphism
 from the row's base object to the column's.  Row marginals must reproduce the
 source coefficients and column marginals the target coefficients, so
 morphisms only exist between objects of equal total mass and composition is
-a mass transport through each shared middle component.
+a mass transport through each shared middle component.  Column-free tables
+(the sections of the presheaf layer) are ZMorphisms too: they keep the row
+marginal and skip the column one.  Only ``z_validate`` checks marginals and
+the presheaf layer never runs it on its sections, so such a table is
+restricted along a morphism by the same ``z_compose``.
 
 Composition and term order
 --------------------------
@@ -90,6 +94,10 @@ class ZObject:
             if i == idx:
                 return coeff
         raise InputError(f"no component with index {idx}")
+
+    def piece(self, idx: int) -> ZObject:
+        """The one-component sum holding component ``idx``."""
+        return ZObject(components=((idx, self.base_object(idx), self.coefficient(idx)),))
 
     def total_mass(self) -> int:
         return sum(coeff for _, _, coeff in self.components)
@@ -313,13 +321,6 @@ class RefinementTable:
             out[b - 1] += v
         return tuple(out)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "entries": {f"{a},{b}": v for (a, b), v in sorted(self.entries.items())},
-        }
-
 
 def interval_refinement(rows, cols) -> RefinementTable:
     """Overlap table of two sign-coherent partitions of one total.
@@ -413,16 +414,15 @@ def _middle_table(
     )
 
 
-def _couple(base: FinCat, outer_terms_of, inner: ZMorphism, middle: ZObject, explicit):
+def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit):
     """Pair inner's target-side layouts against outer's source-side layouts.
 
     Returns raw cells (inner term, outer term, value, composed arrow).
-    ``outer_terms_of`` maps a middle index to the outer layout at it.
     """
     cells: list[tuple[ZTerm, ZTerm, int, str]] = []
-    for idx, _obj, coeff in middle.components:
+    for idx, _obj, coeff in inner.target.components:
         row_terms = inner.terms_into(idx)
-        col_terms = outer_terms_of(idx)
+        col_terms = outer.terms_out_of(idx)
         table = _middle_table(
             idx,
             coeff,
@@ -485,7 +485,7 @@ def z_compose(
         diff = sorted(ours ^ theirs)
         what = f"first difference {diff[0]}" if diff else "same components"
         raise InputError(f"middle mismatch: target(inner) != source(outer); {what}")
-    cells = _couple(base, outer.terms_out_of, inner, inner.target, explicit)
+    cells = _couple(base, outer, inner, explicit)
     return ZMorphism(
         source=inner.source,
         target=outer.target,
@@ -494,72 +494,15 @@ def z_compose(
 
 
 # =====================================================================
-# correspondences (column-free tables)
+# column-free tables: ZMorphisms that skip the column marginal
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """Row-strict, column-free coefficient table into a target object.
-
-    Each source component is fully split over (target component, arrow)
-    slots, but no column marginal is imposed, so a table from a formal sum
-    is exactly an independent choice of table per component.  Tables restrict
-    along strict morphisms with the same coupling machinery (their rows
-    supply each middle exactly), which is what the presheaf layer needs.
-    """
-
-    source: ZObject
-    target: ZObject
-    terms: tuple[ZTerm, ...]
-
-    def normal_form(self) -> tuple[tuple[int, int, str, int], ...]:
-        return _normalize(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Correspondence):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.normal_form() == other.normal_form()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.normal_form()))
-
-    def terms_out_of(self, row: int) -> tuple[ZTerm, ...]:
-        return tuple(sorted((t for t in self.terms if t.row == row), key=lambda t: t.out_rank))
-
-
-def correspondence(source: ZObject, target: ZObject, terms) -> Correspondence:
-    merged: dict[tuple[int, int, str], int] = {}
-    for row, col, coeff, arrow in terms:
-        key = (int(row), int(col), str(arrow))
-        merged[key] = merged.get(key, 0) + int(coeff)
-    ranked = [
-        ZTerm(row=row, col=col, coefficient=coeff, arrow=arrow, in_rank=pos, out_rank=pos)
-        for pos, ((row, col, arrow), coeff) in enumerate(sorted(merged.items()))
-        if coeff != 0
-    ]
-    return Correspondence(source=source, target=target, terms=tuple(ranked))
-
-
-def restrict_correspondence(base: FinCat, table: Correspondence, phi: ZMorphism) -> Correspondence:
-    """Pull a table back along a strict morphism: table ∘ phi."""
-    if phi.target != table.source:
-        raise InputError("restriction needs target(phi) == source(table)")
-    cells = _couple(base, table.terms_out_of, phi, phi.target, None)
-    return Correspondence(source=phi.source, target=table.target, terms=_rank_cells(cells))
-
-
-def slice_correspondence(table: Correspondence, idx: int) -> Correspondence:
+def slice_correspondence(table: ZMorphism, idx: int) -> ZMorphism:
     """Component restriction: keep the rows of one source component."""
-    coeff = table.source.coefficient(idx)
-    piece = z_object([(idx, table.source.base_object(idx), coeff)])
-    kept = sorted((t for t in table.terms if t.row == idx), key=lambda t: t.out_rank)
-    return Correspondence(
-        source=piece,
+    kept = table.terms_out_of(idx)
+    return ZMorphism(
+        source=table.source.piece(idx),
         target=table.target,
         terms=tuple(
             ZTerm(row=t.row, col=t.col, coefficient=t.coefficient, arrow=t.arrow, in_rank=p, out_rank=p)
@@ -586,20 +529,20 @@ def _sign_splits(mass: int, slots: int):
             yield (sgn * head,) + rest
 
 
-def enumerate_hom(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[ZMorphism, ...]:
-    """All sign-coherent morphisms src -> tgt, in a canonical order.
+def _row_splits(base: FinCat, src: ZObject, tgt: ZObject, same_sign_cols: bool):
+    """Each row-strict choice of cells src -> tgt, one split per component.
 
-    Finite because sign coherence bounds each cell by its column mass.  The
-    hom-set is empty whenever the total masses differ.
+    A source component's mass is split over its (column, arrow) slots, every
+    part zero or of the row's sign; ``same_sign_cols`` keeps only the slots
+    whose column has that sign too.  Yields (row, col, coefficient, arrow)
+    cell lists; no column marginal is imposed.
     """
-    if src.total_mass() != tgt.total_mass():
-        return ()
-    per_component: list[list[tuple[tuple[int, int, str, int], ...]]] = []
+    per_component: list[list[tuple[tuple[int, int, int, str], ...]]] = []
     for idx, obj, coeff in src.components:
         slots = [
             (jdx, arrow)
             for jdx, jobj, jcoeff in tgt.components
-            if _sign(jcoeff) == _sign(coeff)
+            if not same_sign_cols or _sign(jcoeff) == _sign(coeff)
             for arrow in base.hom(obj, jobj)
         ]
         choices = [
@@ -611,10 +554,20 @@ def enumerate_hom(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[ZMorphism, 
             for split in _sign_splits(coeff, len(slots))
         ]
         per_component.append(choices)
-
-    out = []
     for combo in itertools.product(*per_component):
-        terms = [cell for group in combo for cell in group]
+        yield [cell for group in combo for cell in group]
+
+
+def enumerate_hom(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[ZMorphism, ...]:
+    """All sign-coherent morphisms src -> tgt, in a canonical order.
+
+    Finite because sign coherence bounds each cell by its column mass.  The
+    hom-set is empty whenever the total masses differ.
+    """
+    if src.total_mass() != tgt.total_mass():
+        return ()
+    out = []
+    for terms in _row_splits(base, src, tgt, same_sign_cols=True):
         cols: dict[int, int] = {}
         for _r, c, v, _a in terms:
             cols[c] = cols.get(c, 0) + v
@@ -624,27 +577,8 @@ def enumerate_hom(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[ZMorphism, 
     return tuple(out)
 
 
-def enumerate_correspondences(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[Correspondence, ...]:
-    """All row-strict sign-coherent tables src -> tgt (no column constraint)."""
-    per_component: list[list[tuple[tuple[int, int, str, int], ...]]] = []
-    for idx, obj, coeff in src.components:
-        slots = [
-            (jdx, arrow)
-            for jdx, jobj, _jc in tgt.components
-            for arrow in base.hom(obj, jobj)
-        ]
-        choices = [
-            tuple(
-                (idx, jdx, part, arrow)
-                for (jdx, arrow), part in zip(slots, split)
-                if part != 0
-            )
-            for split in _sign_splits(coeff, len(slots))
-        ]
-        per_component.append(choices)
-    out = [
-        correspondence(src, tgt, [cell for group in combo for cell in group])
-        for combo in itertools.product(*per_component)
-    ]
+def enumerate_correspondences(base: FinCat, src: ZObject, tgt: ZObject) -> tuple[ZMorphism, ...]:
+    """All row-strict column-free tables src -> tgt, in a canonical order."""
+    out = [z_morphism(src, tgt, terms) for terms in _row_splits(base, src, tgt, same_sign_cols=False)]
     out.sort(key=lambda m: m.normal_form())
     return tuple(out)

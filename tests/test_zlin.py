@@ -11,11 +11,9 @@ from zsite.zlin import (
     MarginalMismatch,
     RefinementTable,
     SignIncoherent,
-    correspondence,
     enumerate_correspondences,
     enumerate_hom,
     interval_refinement,
-    restrict_correspondence,
     sign_coherent,
     slice_correspondence,
     z_compose,
@@ -273,21 +271,45 @@ class TestEnumeration:
         tables = enumerate_correspondences(pp, src, tgt)
         assert len(tables) == 4  # one unit of mass over four (col, arrow) slots
 
+    def test_hom_is_the_strict_coherent_part_of_the_tables(self):
+        # enumerate_hom is enumerate_correspondences filtered by the column
+        # marginal and sign coherence, on mixed-sign sums of a parallel pair
+        rng = random.Random(523)
+        pp = parallel_pair()
+        coefficients = [c for c in range(-3, 4) if c != 0]
+
+        def rand_sum():
+            return z_object(
+                [(i, rng.choice("ab"), rng.choice(coefficients)) for i in range(1, rng.randint(0, 2) + 1)]
+            )
+
+        nonempty = 0
+        for _ in range(300):
+            src, tgt = rand_sum(), rand_sum()
+            homs = enumerate_hom(pp, src, tgt)
+            nonempty += bool(homs)
+            assert homs == tuple(
+                m
+                for m in enumerate_correspondences(pp, src, tgt)
+                if z_validate(pp, m).ok and sign_coherent(m)
+            )
+        assert nonempty >= 20
+
 
 class TestCorrespondences:
     def test_restriction_along_identity_is_identity(self, zbase):
         src = z_object([(1, "Y", 2), (2, "Y", 1)])
         tgt = z_object([(1, "Z1", 5)])
-        table = correspondence(src, tgt, [(1, 1, 2, "g1"), (2, 1, 1, "g1")])
-        back = restrict_correspondence(zbase, table, z_identity(zbase, src))
+        table = z_morphism(src, tgt, [(1, 1, 2, "g1"), (2, 1, 1, "g1")])
+        back = z_compose(zbase, table, z_identity(zbase, src))
         assert back == table
 
     def test_restriction_along_a_split(self, zbase, split_pair):
         phi, _psi = split_pair
-        table = correspondence(
+        table = z_morphism(
             phi.target, z_object([(1, "Z1", 7)]), [(1, 1, 3, "g1")]
         )
-        pulled = restrict_correspondence(zbase, table, phi)
+        pulled = z_compose(zbase, table, phi)
         # phi's layout (2, 1) refines the single row of mass 3
         assert pulled.normal_form() == (
             (1, 1, "g1f1", 2),
@@ -297,12 +319,33 @@ class TestCorrespondences:
 
     def test_slice_keeps_one_source_component(self, zbase):
         src = z_object([(1, "Y", 2), (2, "Y", 1)])
-        table = correspondence(
+        table = z_morphism(
             src, z_object([(1, "Z1", 9)]), [(1, 1, 2, "g1"), (2, 1, 1, "g1")]
         )
         piece = slice_correspondence(table, 2)
         assert piece.source == z_object([(2, "Y", 1)])
         assert piece.normal_form() == ((2, 1, "g1", 1),)
+
+    def test_column_free_table_is_a_z_morphism(self):
+        pp = parallel_pair()
+        src = z_object([(1, "a", 2)])
+        tgt = z_object([(1, "b", 1), (2, "b", -1)])
+        for table in enumerate_correspondences(pp, src, tgt):
+            assert not z_validate(pp, table).ok  # no column marginal holds
+            built = z_morphism(src, tgt, [(r, c, v, a) for r, c, a, v in table.normal_form()])
+            assert built == table
+            assert hash(built) == hash(table)
+
+    def test_restriction_along_the_wrong_target_is_input_error(self, zbase, split_pair):
+        phi, _psi = split_pair
+        table = z_morphism(
+            z_object([(1, "Y", 2), (2, "Y", 1)]),
+            z_object([(1, "Z1", 7)]),
+            [(1, 1, 2, "g1"), (2, 1, 1, "g1")],
+        )
+        assert phi.target != table.source
+        with pytest.raises(InputError):
+            z_compose(zbase, table, phi)
 
 
 class TestRandomChains:
