@@ -13,9 +13,10 @@ def _tool():
 
 
 def test_bundled_reports_match_the_pinned_digests():
-    # exit code, stdout and stderr of every bundled fixture x command x format
-    # are pinned by tools/report_digests.py; regenerate the file only when a
-    # report is meant to change
+    # exit code, stdout and stderr of every bundled fixture x command x format,
+    # and every output of the seeded checker sweep, are pinned by
+    # tools/report_digests.py; regenerate the file only when a report is meant
+    # to change
     pinned = json.loads((ROOT / "tests" / "report_digests.json").read_text(encoding="utf-8"))
     got = _tool().digests()
     assert sorted(got) == sorted(pinned)

@@ -1,31 +1,64 @@
-"""Digest the CLI's output on every bundled fixture, command and format.
+"""Digest the CLI's output on the bundled fixtures and a seeded checker sweep.
 
 Runs ``zsite.cli.main`` in-process on each bundled fixture under each
 command, once per ``--format``, and writes a JSON object that maps
 ``"FIXTURE COMMAND FORMAT"`` to the sha256 of the run's exit code, stdout
-and stderr.  Run from the repository root:
+and stderr.  It adds one ``"sweep CHECKER"`` entry per checker of a seeded
+in-process sweep over random poset sites (see ``sweep_outputs``): the
+sha256 of every report, result and exception text that checker gave.  Run
+from the repository root:
 
     python3 tools/report_digests.py [OUT]
 
 OUT defaults to tests/report_digests.json.  The test suite recomputes the
 digests and compares them with that file, so a byte change in any bundled
-report, error line or exit code fails a test.
+report, error line or exit code, or in any swept checker's output, fails a
+test.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from fuzz import rand_poset, rand_seeds  # noqa: E402
+from zsite.blur import blurry_axiom_probe, blurry_topology  # noqa: E402
 from zsite.cli import COMMAND_KINDS, main  # noqa: E402
+from zsite.fincat import (  # noqa: E402
+    Functor,
+    InputError,
+    ResourceBudgetError,
+    block_label,
+    chosen_limit_check,
+    induced_functor,
+    partition_from_blocks,
+    quotient_category,
+)
+from zsite.modular import ModelLabeledCat, class_types, quotient_model  # noqa: E402
+from zsite.site import generate_covering_assignment, grothendieck_axiom_check  # noqa: E402
 
 FIXTURES = ROOT / "src" / "zsite" / "fixtures"
 OUT = ROOT / "tests" / "report_digests.json"
+
+SWEEP_SEED = 20_240_611
+SWEEP_CASES = 300
+SWEPT = (
+    "grothendieck_axiom_check",
+    "blurry_axiom_probe",
+    "chosen_limit_check",
+    "quotient_category",
+    "class_types",
+    "quotient_model",
+    "induced_functor",
+)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -35,15 +68,180 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
 def digests() -> dict[str, str]:
     result = {}
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in COMMAND_KINDS:
             for fmt in ("json", "text"):
-                code, out, err = run([command, str(fixture), "--format", fmt])
-                blob = json.dumps([code, out, err], ensure_ascii=False).encode("utf-8")
-                result[f"{fixture.name} {command} {fmt}"] = hashlib.sha256(blob).hexdigest()
+                result[f"{fixture.name} {command} {fmt}"] = _sha(
+                    run([command, str(fixture), "--format", fmt])
+                )
+    for checker, outputs in sweep_outputs().items():
+        result[f"sweep {checker}"] = _sha(outputs)
     return result
+
+
+# =====================================================================
+# seeded checker sweep
+# =====================================================================
+#
+# Every random choice is drawn from a sorted view: poset_category's dict
+# order follows set iteration, so drawing from it directly would make the
+# digests depend on PYTHONHASHSEED.
+
+
+def _outcome(call):
+    """Result of ``call()`` or the text of the input error it raised."""
+    try:
+        return call()
+    except (InputError, ResourceBudgetError, KeyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _render(value):
+    return value.render() if hasattr(value, "render") else value
+
+
+def _drop(rng: random.Random, table: dict, keep) -> dict:
+    """``table`` without one to six random keys among those ``keep`` rejects."""
+    candidates = [k for k in sorted(table) if not keep(k)]
+    gone = set(rng.sample(candidates, min(len(candidates), rng.randint(1, 6))))
+    return {k: v for k, v in table.items() if k not in gone}
+
+
+def _mutated_covering(rng: random.Random, cat, assignment):
+    """The assignment with one random family removed or one random family added."""
+    pool = [(obj, fam) for obj in sorted(assignment.families) for fam in assignment.families_of(obj)]
+    if pool and rng.random() < 0.5:
+        return assignment.without_family(*pool[rng.randrange(len(pool))])
+    obj = rng.choice(sorted(cat.objects))
+    incoming = list(cat.morphisms_into(obj))
+    return assignment.with_family(obj, frozenset(rng.sample(incoming, rng.randint(1, len(incoming)))))
+
+
+def _partition(rng: random.Random, cat):
+    """Random blocks over the sorted objects.
+
+    One in four is the discrete partition; of the rest, one in eight is not a
+    partition (an object left out, or in two blocks).
+    """
+    objs = sorted(cat.objects)
+    if rng.random() < 0.25:
+        return partition_from_blocks([o] for o in objs)
+    k = rng.randint(1, len(objs))
+    blocks = [[] for _ in range(k)]
+    for obj in objs:
+        blocks[rng.randrange(k)].append(obj)
+    blocks = [b for b in blocks if b]
+    if rng.random() < 0.125:
+        if rng.random() < 0.5:
+            blocks[0] = blocks[0][1:]
+        else:
+            blocks.append([rng.choice(objs)])
+    return partition_from_blocks(blocks)
+
+
+def _monotone_map(rng: random.Random, cat) -> dict[str, str]:
+    """A random order-preserving object map of a poset category into itself."""
+    objs = sorted(cat.objects)
+    for _ in range(6):
+        omap = {o: rng.choice(objs) for o in objs}
+        if all(cat.hom(omap[a], omap[b]) for a, b in (cat.morphisms[m] for m in sorted(cat.morphisms))):
+            return omap
+    return {o: objs[0] for o in objs} if rng.random() < 0.5 else {o: o for o in objs}
+
+
+def _poset_functor(cat, omap) -> Functor:
+    mmap = {m: cat.hom(omap[a], omap[b])[0] for m, (a, b) in sorted(cat.morphisms.items())}
+    return Functor(name="f", source=cat, target=cat, object_map=omap, morphism_map=mmap)
+
+
+def _labels(rng: random.Random, cat) -> ModelLabeledCat:
+    arrows = sorted(cat.morphisms)
+    weq, cof, fib = (frozenset(m for m in arrows if rng.random() < 0.5) for _ in range(3))
+    return ModelLabeledCat(base=cat, weq=weq, cof=cof, fib=fib)
+
+
+def _dump_quotient(pair):
+    quotient, saturation = pair
+    return [
+        list(quotient.objects),
+        list(quotient.morphisms.items()),
+        list(quotient.identities.items()),
+        list(quotient.composition.items()),
+        saturation.render(),
+    ]
+
+
+def _dump_induced(pair):
+    induced, report = pair
+    return [list(induced.object_map.items()), list(induced.morphism_map.items()), report.render()]
+
+
+def _dump_model(pair):
+    labeled, report = pair
+    return [sorted(labeled.weq), sorted(labeled.cof), sorted(labeled.fib), report.render()]
+
+
+def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str, list]:
+    """Outputs of each swept checker on seeded random poset sites.
+
+    Each case draws a random poset (3-5 objects) and a copy with one to six
+    declared pullbacks dropped, and in half the cases one to six
+    non-identity composites dropped too.  The covering closure of random seeds on the
+    pullback-holed copy, with one family added or removed, is checked on the
+    holed copy, sometimes under a budget of 2.  A random partition (one in
+    eight invalid) drives the quotient, class-label and induced-functor
+    checks, and the blurry probe runs on the unmutated closure, then once per
+    class family with that family removed from the quotient assignment.
+    """
+    rng = random.Random(seed)
+    out: dict[str, list] = {name: [] for name in SWEPT}
+    for _ in range(cases):
+        cat = rand_poset(rng, n_objs=rng.randint(3, 5))
+        pulled = dataclasses.replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
+        holed = pulled
+        if rng.random() < 0.5:
+            ids = set(cat.identities.values())
+            composition = _drop(rng, cat.composition, lambda k: k[0] in ids or k[1] in ids)
+            holed = dataclasses.replace(pulled, composition=composition)
+        try:
+            closure = generate_covering_assignment(pulled, rand_seeds(rng, cat, 3), budget=400)
+        except (InputError, ResourceBudgetError):
+            continue
+        mutated = _mutated_covering(rng, cat, closure)
+        budget = 2 if rng.random() < 0.2 else None
+        rel = _partition(rng, cat)
+        model = _labels(rng, holed)
+        fun = _poset_functor(cat, _monotone_map(rng, cat))
+
+        out["grothendieck_axiom_check"].append(
+            _render(_outcome(lambda: grothendieck_axiom_check(holed, mutated, budget)))
+        )
+        out["chosen_limit_check"].append(_render(chosen_limit_check(holed)))
+        out["quotient_category"].append(_outcome(lambda: _dump_quotient(quotient_category(holed, rel))))
+        out["quotient_model"].append(_outcome(lambda: _dump_model(quotient_model(model, rel))))
+        out["induced_functor"].append(_outcome(lambda: _dump_induced(induced_functor(fun, rel))))
+        labels = sorted({block_label(b) for b in rel.blocks}) + ["[ghost]"]
+        out["class_types"].append(
+            [_outcome(lambda: sorted(class_types(model, rel, a, b))) for a in labels for b in labels]
+        )
+
+        site = _outcome(lambda: blurry_topology(pulled, closure, rel))
+        if isinstance(site, str):
+            out["blurry_axiom_probe"].append(site)
+            continue
+        out["blurry_axiom_probe"].append(_render(_outcome(lambda: blurry_axiom_probe(site))))
+        K = site.quotient_assignment
+        for block in sorted(K.families):
+            for fam in K.families_of(block):
+                broken = dataclasses.replace(site, quotient_assignment=K.without_family(block, fam))
+                out["blurry_axiom_probe"].append(_render(_outcome(lambda: blurry_axiom_probe(broken, budget))))
+    return out
 
 
 if __name__ == "__main__":
