@@ -4,9 +4,14 @@ A partition of a site's objects induces a thin quotient category; a class
 family covers a block exactly when some representative family covers a
 representative object.  The derivation of the covering axioms on the
 quotient needs the partition to respect declared products (the
-product-compatibility check here); the probe verifies the axioms instead of
-assuming them, and downgrades to Skipped when its preconditions fail, since
-a probe over a broken base proves nothing either way.
+product-compatibility check here, which judges only a valid partition).
+The probe verifies the axioms instead of assuming them: it runs the same
+kernel as the base site (``site.covering_axiom_findings``) on the quotient,
+with class base change read off representative base cospans
+(``fincat.class_representatives``).  It downgrades to Skipped when its
+preconditions fail, since a probe over a broken base proves nothing either
+way.  Powered composition bundles one blurry site per level; a loose level
+must name one of them.
 """
 
 from __future__ import annotations
@@ -15,9 +20,17 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import reports
-from .fincat import FinCat, InputError, ObjEquiv, class_morphism, quotient_category
+from .fincat import (
+    FinCat,
+    InputError,
+    ObjEquiv,
+    class_morphism,
+    class_representatives,
+    quotient_category,
+    validate_partition,
+)
 from .reports import Report
-from .site import CoveringAssignment, grothendieck_axiom_check, _family_label, refined_families
+from .site import CoveringAssignment, covering_axiom_findings, grothendieck_axiom_check
 
 
 # =====================================================================
@@ -32,6 +45,9 @@ def gamma_check(cat: FinCat, rel: ObjEquiv) -> Report:
     A2 x B2 must land in one block.  Pairs without both products declared
     are Unverifiable, naming the missing pair.
     """
+    partition = validate_partition(cat, rel)
+    if not partition.ok:
+        return Report.collect("gamma", partition.findings)
     rows = []
     for block_a in rel.blocks:
         for a, a2 in itertools.product(sorted(block_a), repeat=2):
@@ -114,79 +130,17 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
     )
 
 
-def _class_stability_findings(site: BlurrySite) -> list:
-    """Base-change check for class families, through base pullbacks.
-
-    The pulled-back class of a class cospan is computed from any
-    representative base cospan with a declared pullback; the quotient is
-    thin, so which representative is chosen cannot change the class-level
-    answer, and the chosen one is recorded.
-    """
-    rows = []
-    cat, rel, quotient = site.cat, site.relation, site.quotient
-    K = site.quotient_assignment
-    reps: dict[str, list[str]] = {}
-    for m, (a, b) in sorted(cat.morphisms.items()):
-        reps.setdefault(class_morphism(rel.block_id(a), rel.block_id(b)), []).append(m)
-
-    for block in sorted(K.families):
-        for class_family in K.families_of(block):
-            for cg, (bz, bx) in sorted(quotient.morphisms.items()):
-                if bx != block:
-                    continue
-                pulled = set()
-                blocked = False
-                for cf in sorted(class_family):
-                    found = None
-                    for f in reps.get(cf, ()):
-                        for g in reps.get(cg, ()):
-                            if cat.target(f) == cat.target(g) and (f, g) in cat.pullbacks:
-                                found = (f, g)
-                                break
-                        if found:
-                            break
-                    if found is None:
-                        rows.append(
-                            reports.unverifiable(
-                                "pullbackStability",
-                                (cf, cg),
-                                "no representative cospan has a declared pullback",
-                            )
-                        )
-                        blocked = True
-                        continue
-                    f, g = found
-                    to_b = cat.pullbacks[(f, g)][2]
-                    pulled.add(class_morphism(rel.block_id(cat.source(to_b)), rel.block_id(cat.target(to_b))))
-                    rows.append(
-                        reports.info(
-                            "stability_witness",
-                            (cf, cg, f, g),
-                            f"class pullback computed from the declared pullback of ({f}, {g})",
-                        )
-                    )
-                if blocked:
-                    continue
-                if not K.has(bz, frozenset(pulled)):
-                    rows.append(
-                        reports.law(
-                            "pullbackStability",
-                            (block, _family_label(class_family), cg),
-                            f"pulled-back class family {_family_label(frozenset(pulled))} not assigned to {bz}",
-                        )
-                    )
-    return rows
-
-
 def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
-    """Covering axioms on the quotient assignment.
+    """Covering axioms on the quotient assignment (site.covering_axiom_findings).
 
     Preconditions: the partition passes gamma_check, the base assignment
     passes grothendieck_axiom_check, and the quotient has no saturation
     failures.  Violated preconditions make the probe Skipped, not failed.
-    Class-level base change goes through declared base pullbacks.
-    ``budget`` caps the refinements of one family, on the base and the
-    quotient alike.
+    Class-level base change goes through declared base pullbacks: the class
+    pulled back along a class cospan is read off any representative base
+    cospan with a declared pullback (the quotient is thin, so the choice
+    cannot change the answer), and the chosen one is recorded.  ``budget``
+    caps the refinements of one family, on the base and the quotient alike.
     """
     rows = []
     gamma = gamma_check(site.cat, site.relation)
@@ -206,28 +160,46 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
     if rows:
         return Report.collect("blurry_probe", rows)
 
-    quotient = site.quotient
-    K = site.quotient_assignment
+    cat, rel, quotient = site.cat, site.relation, site.quotient
+    reps = class_representatives(cat, rel)
 
-    for cm in sorted(quotient.morphisms):
-        if quotient.is_iso(cm) and not K.has(quotient.target(cm), frozenset({cm})):
-            rows.append(
-                reports.law("isoAxiom", (cm,), "class isomorphism's singleton family not assigned")
+    def pull(class_family: frozenset[str], cg: str):
+        pulled = set()
+        found_rows = []
+        cg_reps = reps[quotient.morphisms[cg]]
+        for cf in sorted(class_family):
+            found = next(
+                (
+                    (f, g)
+                    for f in reps.get(quotient.morphisms.get(cf), ())
+                    for g in cg_reps
+                    if cat.target(f) == cat.target(g) and (f, g) in cat.pullbacks
+                ),
+                None,
             )
-
-    rows.extend(_class_stability_findings(site))
-
-    for block in sorted(K.families):
-        for fam in K.families_of(block):
-            for composite in refined_families(quotient, K, fam, budget):
-                if not K.has(block, composite):
-                    rows.append(
-                        reports.law(
-                            "transitivity",
-                            (block, _family_label(fam)),
-                            f"refined class family {_family_label(composite)} not assigned",
-                        )
+            if found is None:
+                found_rows.append(
+                    reports.unverifiable(
+                        "pullbackStability",
+                        (cf, cg),
+                        "no representative cospan has a declared pullback",
                     )
+                )
+                continue
+            f, g = found
+            to_b = cat.pullbacks[found][2]
+            pulled.add(class_morphism(rel.block_id(cat.source(to_b)), rel.block_id(cat.target(to_b))))
+            found_rows.append(
+                reports.info(
+                    "stability_witness",
+                    (cf, cg, f, g),
+                    f"class pullback computed from the declared pullback of ({f}, {g})",
+                )
+            )
+        blocked = any(r.kind == reports.UNVERIFIABLE for r in found_rows)
+        return (None if blocked else frozenset(pulled)), found_rows
+
+    rows = covering_axiom_findings(quotient, site.quotient_assignment, pull, "class ", budget)
     return Report.collect("blurry_probe", rows)
 
 
@@ -260,6 +232,9 @@ def powered_blurry_compose(
         raise InputError(
             f"level mismatch: {len(sites)} blurry sites for {layered.depth()} layers"
         )
+    unknown = sorted(n for n in loose if not 0 <= n < len(sites))
+    if unknown:
+        raise InputError(f"loose levels {unknown} name no level of {len(sites)} blurry sites")
     rows = []
     for n, site in enumerate(sites):
         if n in loose:

@@ -141,12 +141,6 @@ class Functor:
     object_map: dict[str, str]
     morphism_map: dict[str, str]
 
-    def apply_obj(self, obj: str) -> str:
-        return self.object_map[obj]
-
-    def apply_mor(self, m: str) -> str:
-        return self.morphism_map[m]
-
 
 @dataclass(frozen=True, eq=False)
 class ObjEquiv:
@@ -154,17 +148,24 @@ class ObjEquiv:
 
     blocks: tuple[frozenset[str], ...]
 
-    def block_of(self, obj: str) -> frozenset[str]:
+    @functools.cached_property
+    def labels(self) -> dict[str, str]:
+        """Object -> label of the first block that holds it."""
+        labels: dict[str, str] = {}
         for b in self.blocks:
-            if obj in b:
-                return b
-        raise InputError(f"object {obj!r} is in no block of the partition")
+            label = block_label(b)
+            for obj in b:
+                labels.setdefault(obj, label)
+        return labels
 
     def block_id(self, obj: str) -> str:
-        return block_label(self.block_of(obj))
+        try:
+            return self.labels[obj]
+        except KeyError:
+            raise InputError(f"object {obj!r} is in no block of the partition") from None
 
     def same(self, a: str, b: str) -> bool:
-        return self.block_of(a) is self.block_of(b)
+        return self.block_id(a) == self.block_id(b)
 
 
 def block_label(block: frozenset[str]) -> str:
@@ -174,6 +175,14 @@ def block_label(block: frozenset[str]) -> str:
 def class_morphism(bx: str, by: str) -> str:
     """Id of the class morphism from block ``bx`` to block ``by`` in a thin quotient."""
     return f"{bx}->{by}"
+
+
+def class_representatives(cat: FinCat, rel: ObjEquiv) -> dict[tuple[str, str], tuple[str, ...]]:
+    """(block, block) -> the base morphisms between the two blocks, sorted by id.
+
+    Only inhabited pairs are keys, in the order of their first morphism id.
+    """
+    return _index_sorted(cat.morphisms, lambda ends: (rel.block_id(ends[0]), rel.block_id(ends[1])))
 
 
 def partition_from_blocks(blocks) -> ObjEquiv:
@@ -300,6 +309,22 @@ def chosen_limit_check(cat: FinCat) -> Report:
     def comp(g: str, f: str) -> str | None:
         return cat.composition.get((g, f))
 
+    def cones(a: str, b: str):
+        """Every pair of arrows (u, v) from one tip into a and into b."""
+        return ((tip, u, v) for tip in cat.objects for u in cat.hom(tip, a) for v in cat.hom(tip, b))
+
+    def universal(rule: str, prefix: tuple, apex: str, to_a: str, to_b: str, legs) -> None:
+        """A law finding for each cone that does not factor through apex exactly once."""
+        for tip, u, v in legs:
+            mediators = [
+                m
+                for m in cat.hom(tip, apex)
+                if comp(to_a, m) == u and comp(to_b, m) == v
+            ]
+            if len(mediators) != 1:
+                why = "no mediator" if not mediators else f"mediators {mediators}"
+                rows.append(reports.law(rule, prefix + (tip, u, v), f"cone ({u}, {v}) from {tip}: {why}"))
+
     for (a, b), (prod, to_a, to_b) in sorted(cat.products.items()):
         tag = (a, b, prod)
         if a not in set(cat.objects) or b not in set(cat.objects):
@@ -311,19 +336,7 @@ def chosen_limit_check(cat: FinCat) -> Report:
         if cat.morphisms[to_a] != (prod, a) or cat.morphisms[to_b] != (prod, b):
             rows.append(reports.structural("product_projections", tag, "projection endpoints do not match the declared product"))
             continue
-        for tip in cat.objects:
-            for f in cat.hom(tip, a):
-                for g in cat.hom(tip, b):
-                    mediators = [
-                        m
-                        for m in cat.hom(tip, prod)
-                        if comp(to_a, m) == f and comp(to_b, m) == g
-                    ]
-                    if len(mediators) != 1:
-                        why = "no mediator" if not mediators else f"mediators {mediators}"
-                        rows.append(
-                            reports.law("product_universal", (a, b, tip, f, g), f"cone ({f}, {g}) from {tip}: {why}")
-                        )
+        universal("product_universal", (a, b), prod, to_a, to_b, cones(a, b))
 
     for (f, g), (apex, to_a, to_b) in sorted(cat.pullbacks.items()):
         tag = (f, g, apex)
@@ -343,21 +356,8 @@ def chosen_limit_check(cat: FinCat) -> Report:
         if comp(f, to_a) != comp(g, to_b) or comp(f, to_a) is None:
             rows.append(reports.law("pullback_square", tag, "chosen square does not commute"))
             continue
-        for tip in cat.objects:
-            for u in cat.hom(tip, a):
-                for v in cat.hom(tip, b):
-                    if comp(f, u) != comp(g, v) or comp(f, u) is None:
-                        continue
-                    mediators = [
-                        m
-                        for m in cat.hom(tip, apex)
-                        if comp(to_a, m) == u and comp(to_b, m) == v
-                    ]
-                    if len(mediators) != 1:
-                        why = "no mediator" if not mediators else f"mediators {mediators}"
-                        rows.append(
-                            reports.law("pullback_universal", (f, g, tip, u, v), f"cone ({u}, {v}) from {tip}: {why}")
-                        )
+        commuting = ((t, u, v) for t, u, v in cones(a, b) if comp(f, u) is not None and comp(f, u) == comp(g, v))
+        universal("pullback_universal", (f, g), apex, to_a, to_b, commuting)
 
     return Report.collect(cat.name, rows)
 
@@ -489,12 +489,8 @@ def quotient_category(cat: FinCat, rel: ObjEquiv) -> tuple[FinCat, Report]:
     if not bad.ok:
         raise InputError(f"invalid partition: {bad.render()}")
 
-    labels = {obj: rel.block_id(obj) for obj in cat.objects}
-    blocks = sorted({labels[o] for o in cat.objects})
-
-    inhabited: dict[tuple[str, str], list[str]] = {}
-    for m, (a, b) in sorted(cat.morphisms.items()):
-        inhabited.setdefault((labels[a], labels[b]), []).append(m)
+    blocks = sorted({rel.block_id(o) for o in cat.objects})
+    inhabited = class_representatives(cat, rel)
 
     morphisms = {
         class_morphism(bx, by): (bx, by) for (bx, by) in inhabited
@@ -585,6 +581,7 @@ def induced_functor(fun: Functor, rel: ObjEquiv) -> tuple[Functor, Report]:
         for obj in fun.source.objects
     }
 
+    reps = class_representatives(fun.source, rel)
     morphism_map: dict[str, str] = {}
     rows: list[reports.Finding] = []
     for cm, (bx, by) in sorted(q_src.morphisms.items()):
@@ -595,11 +592,7 @@ def induced_functor(fun: Functor, rel: ObjEquiv) -> tuple[Functor, Report]:
             )
             continue
         morphism_map[cm] = image
-        witnesses = sorted(
-            m
-            for m, (a, b) in fun.source.morphisms.items()
-            if rel.block_id(a) == bx and rel.block_id(b) == by
-        )
+        witnesses = list(reps[(bx, by)])
         images = sorted({fun.morphism_map[w] for w in witnesses})
         rows.append(
             reports.info(

@@ -27,8 +27,8 @@ from .fincat import (
     InputError,
     ObjEquiv,
     ResourceBudgetError,
-    block_label,
     check_functor,
+    class_representatives,
     quotient_category,
     validate_partition,
 )
@@ -284,17 +284,14 @@ def class_types(M: ModelLabeledCat, rel: ObjEquiv, block_a: str, block_b: str) -
     bad = validate_partition(M.base, rel)
     if not bad.ok:
         raise InputError(f"invalid partition: {bad.render()}")
-    members_a = next((b for b in rel.blocks if block_label(b) == block_a), None)
-    members_b = next((b for b in rel.blocks if block_label(b) == block_b), None)
-    if members_a is None or members_b is None:
-        raise InputError(f"unknown block: {block_a if members_a is None else block_b}")
-    out = set()
-    for m, (src, tgt) in M.base.morphisms.items():
-        if src in members_a and tgt in members_b:
-            for label, cls in M.classes().items():
-                if m in cls:
-                    out.add(label)
-    return frozenset(out)
+    for block in (block_a, block_b):
+        if block not in rel.labels.values():
+            raise InputError(f"unknown block: {block}")
+    return _labels_of(M, class_representatives(M.base, rel).get((block_a, block_b), ()))
+
+
+def _labels_of(M: ModelLabeledCat, morphisms) -> frozenset[str]:
+    return frozenset(label for label, cls in M.classes().items() if any(m in cls for m in morphisms))
 
 
 def quotient_model(M: ModelLabeledCat, rel: ObjEquiv) -> tuple[ModelLabeledCat, Report]:
@@ -309,9 +306,10 @@ def quotient_model(M: ModelLabeledCat, rel: ObjEquiv) -> tuple[ModelLabeledCat, 
     if not saturation.ok:
         raise QuotientRejected(saturation)
 
+    reps = class_representatives(M.base, rel)
     labels: dict[str, set[str]] = {name: set() for name in CLASS_NAMES}
-    for cm, (bx, by) in quotient.morphisms.items():
-        for label in class_types(M, rel, bx, by):
+    for cm, ends in quotient.morphisms.items():
+        for label in _labels_of(M, reps[ends]):
             labels[label].add(cm)
 
     labeled = ModelLabeledCat(

@@ -238,15 +238,15 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
 class ZPresheaf:
     """Set-valued data on formal sums with componentwise slicing.
 
-    sections_fn enumerates the sections over a ZObject; slice_fn restricts a
-    section of a sum to one component piece.  Both are total on the objects
-    any check visits.
+    sections_fn enumerates the sections over a ZObject; slice_fn(idx, section)
+    restricts a section of a sum to its piece at component idx.  Both are
+    total on the objects any check visits.
     """
 
     name: str
     base: FinCat
     sections_fn: Callable[[ZObject], tuple]
-    slice_fn: Callable[[ZObject, int, object], object]
+    slice_fn: Callable[[int, object], object]
 
     def sections_of(self, obj: ZObject) -> tuple:
         return self.sections_fn(obj)
@@ -262,7 +262,7 @@ def representable_z(base: FinCat, target: ZObject) -> ZPresheaf:
     def sections_fn(obj: ZObject):
         return enumerate_correspondences(base, obj, target)
 
-    def slice_fn(_obj: ZObject, idx: int, section):
+    def slice_fn(idx: int, section):
         return slice_correspondence(section, idx)
 
     return ZPresheaf(
@@ -280,7 +280,7 @@ def constant_z(base: FinCat, labels) -> ZPresheaf:
     def sections_fn(_obj: ZObject):
         return fixed
 
-    def slice_fn(_obj: ZObject, _idx: int, section):
+    def slice_fn(_idx: int, section):
         return section
 
     return ZPresheaf(name="constant", base=base, sections_fn=sections_fn, slice_fn=slice_fn)
@@ -299,7 +299,7 @@ def additivity_check(zp: ZPresheaf, obj: ZObject) -> Report:
     piece_sections = [zp.sections_of(p) for p in pieces]
 
     whole = zp.sections_of(obj)
-    slicings = (tuple(zp.slice_fn(obj, idx, section) for idx in indices) for section in whole)
+    slicings = (tuple(zp.slice_fn(idx, section) for idx in indices) for section in whole)
     rows += bijection_findings(
         enumerate(slicings),
         itertools.product(*piece_sections),

@@ -15,6 +15,7 @@ evidence against an axiom.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import reports
@@ -92,18 +93,20 @@ def validate_covering(cat: FinCat, assignment: CoveringAssignment) -> Report:
 def _pulled_family(cat: FinCat, family: frozenset[str], g: str):
     """Base change of a family along g, using declared pullbacks.
 
-    Returns (family, missing) where missing lists the cospans without a
-    declared pullback.
+    Returns (family, rows): family is None, and rows name each cospan
+    without a declared pullback, when some member has none.
     """
     legs = set()
-    missing = []
+    rows = []
     for f in sorted(family):
         chosen = cat.pullbacks.get((f, g))
         if chosen is None:
-            missing.append((f, g))
+            rows.append(
+                reports.unverifiable("pullbackStability", (f, g), "no declared pullback for this cospan")
+            )
         else:
             legs.add(chosen[2])
-    return frozenset(legs), missing
+    return (None if rows else frozenset(legs)), rows
 
 
 def refined_families(
@@ -163,48 +166,43 @@ def _raise_first_undefined(rows) -> None:
                 raise entry
 
 
-def grothendieck_axiom_check(
-    cat: FinCat, assignment: CoveringAssignment, budget: int | None = None
-) -> Report:
-    """Exhaustive check of the three covering axioms.
+def covering_axiom_findings(
+    cat: FinCat,
+    assignment: CoveringAssignment,
+    pull,
+    noun: str = "",
+    budget: int | None = None,
+) -> list:
+    """Findings of the three covering axioms, in the order iso, stability, transitivity.
 
     isoAxiom: every isomorphism's singleton family is assigned to its
     target.  pullbackStability: each assigned family pulls back, along every
-    morphism into its object, to an assigned family (missing declared
-    pullbacks are Unverifiable).  transitivity: refining every member of an
+    morphism into its object, to an assigned family; ``pull(family, g)``
+    returns the pulled family (None when it cannot be found) and the rows
+    that record how it was found.  transitivity: refining every member of an
     assigned family by assigned families of its source lands in the
-    assignment; ``budget`` caps the refinements of one family.
+    assignment; ``budget`` caps the refinements of one family.  ``noun``
+    ("" on a base site, "class " on a quotient) names the families in the
+    law details.
     """
-    rows = list(validate_covering(cat, assignment).findings)
-    if any(f.kind == reports.STRUCTURAL for f in rows):
-        return Report.collect("grothendieck", rows)
-
+    rows = []
     for m in sorted(cat.morphisms):
         if cat.is_iso(m) and not assignment.has(cat.target(m), frozenset({m})):
             rows.append(
-                reports.law("isoAxiom", (m,), "isomorphism's singleton family not assigned")
+                reports.law("isoAxiom", (m,), f"{noun}isomorphism's singleton family not assigned")
             )
 
     for obj in sorted(cat.objects):
         for fam in assignment.families_of(obj):
             for g in cat.morphisms_into(obj):
-                pulled, missing = _pulled_family(cat, fam, g)
-                for f, gg in missing:
-                    rows.append(
-                        reports.unverifiable(
-                            "pullbackStability",
-                            (f, gg),
-                            "no declared pullback for this cospan",
-                        )
-                    )
-                if missing:
-                    continue
-                if not assignment.has(cat.source(g), pulled):
+                pulled, found = pull(fam, g)
+                rows.extend(found)
+                if pulled is not None and not assignment.has(cat.source(g), pulled):
                     rows.append(
                         reports.law(
                             "pullbackStability",
                             (obj, _family_label(fam), g),
-                            f"pulled-back family {_family_label(pulled)} not assigned to {cat.source(g)}",
+                            f"pulled-back {noun}family {_family_label(pulled)} not assigned to {cat.source(g)}",
                         )
                     )
 
@@ -216,11 +214,26 @@ def grothendieck_axiom_check(
                         reports.law(
                             "transitivity",
                             (obj, _family_label(fam)),
-                            f"refined family {_family_label(composite)} not assigned",
+                            f"refined {noun}family {_family_label(composite)} not assigned",
                         )
                     )
+    return rows
 
-    return Report.collect("grothendieck", rows)
+
+def grothendieck_axiom_check(
+    cat: FinCat, assignment: CoveringAssignment, budget: int | None = None
+) -> Report:
+    """Exhaustive check of the three covering axioms (covering_axiom_findings).
+
+    Base change goes through declared pullbacks; a cospan without one is
+    Unverifiable.  A covering that names unknown ids gets only its
+    structural findings.
+    """
+    covering = validate_covering(cat, assignment)
+    if not covering.ok:
+        return Report.collect("grothendieck", covering.findings)
+    pull = functools.partial(_pulled_family, cat)
+    return Report.collect("grothendieck", covering_axiom_findings(cat, assignment, pull, "", budget))
 
 
 def generate_covering_assignment(
@@ -252,8 +265,8 @@ def generate_covering_assignment(
         for obj in sorted(list(assignment.families)):
             for fam in assignment.families_of(obj):
                 for g in cat.morphisms_into(obj):
-                    pulled, missing = _pulled_family(cat, fam, g)
-                    if missing:
+                    pulled, _rows = _pulled_family(cat, fam, g)
+                    if pulled is None:
                         continue
                     if not assignment.has(cat.source(g), pulled):
                         assignment = assignment.with_family(cat.source(g), pulled)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import fixture_path
@@ -60,6 +62,19 @@ class TestGamma:
         assert report.ok
         assert report.unverifiable
         assert all(f.rule == "product_compat" for f in report.unverifiable)
+
+    def test_partition_failing_validation_gets_only_its_structural_findings(self, poset2_ws):
+        # E in two blocks, and T in none: no product_compat verdict either way
+        cat = poset2_ws.categories["poset2"]
+        cases = [
+            ([["E", "P"], ["Q", "E"], ["T"]], "blocks_disjoint", ("E",)),
+            ([["E"], ["P"], ["Q"]], "blocks_exhaustive", ("T",)),
+        ]
+        for blocks, rule, witnesses in cases:
+            report = gamma_check(cat, partition_from_blocks(blocks))
+            assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
+                ("structural", rule, witnesses)
+            ]
 
 
 class TestBlurryTopology:
@@ -126,6 +141,39 @@ class TestBlurryProbe:
         report = blurry_axiom_probe(site)
         assert any(f.rule == "base_axioms_precondition" and f.kind == "skipped" for f in report.findings)
 
+    def _triv_without(self, poset2_ws, block, members):
+        cat = poset2_ws.categories["poset2"]
+        site = blurry_topology(cat, poset2_ws.coverings["K"][1], poset2_ws.partitions["triv"][1])
+        lost = site.quotient_assignment.without_family(block, frozenset(members))
+        return dataclasses.replace(site, quotient_assignment=lost)
+
+    def test_lost_identity_class_family_breaks_iso_and_stability(self, poset2_ws):
+        report = blurry_axiom_probe(self._triv_without(poset2_ws, "[E]", {"[E]->[E]"}))
+        pulled = "pulled-back class family {[E]->[E]} not assigned to [E]"
+        assert [(f.kind, f.rule, f.witnesses, f.detail) for f in report.failures()] == [
+            ("law", "isoAxiom", ("[E]->[E]",), "class isomorphism's singleton family not assigned"),
+            ("law", "pullbackStability", ("[P]", "{[E]->[P],[P]->[P]}", "[E]->[P]"), pulled),
+            ("law", "pullbackStability", ("[P]", "{[P]->[P]}", "[E]->[P]"), pulled),
+            ("law", "pullbackStability", ("[Q]", "{[E]->[Q],[Q]->[Q]}", "[E]->[Q]"), pulled),
+            ("law", "pullbackStability", ("[Q]", "{[Q]->[Q]}", "[E]->[Q]"), pulled),
+            ("law", "pullbackStability", ("[T]", "{[E]->[T],[P]->[T],[Q]->[T]}", "[E]->[T]"), pulled),
+            ("law", "pullbackStability", ("[T]", "{[P]->[T],[Q]->[T]}", "[E]->[T]"), pulled),
+            ("law", "pullbackStability", ("[T]", "{[T]->[T]}", "[E]->[T]"), pulled),
+        ]
+
+    def test_lost_refined_class_family_breaks_transitivity(self, poset2_ws):
+        # refining {[P]->[T],[Q]->[T]} by the [P] and [Q] families gives the lost one
+        site = self._triv_without(poset2_ws, "[T]", {"[E]->[T]", "[P]->[T]", "[Q]->[T]"})
+        report = blurry_axiom_probe(site)
+        assert [(f.kind, f.rule, f.witnesses, f.detail) for f in report.failures()] == [
+            (
+                "law",
+                "transitivity",
+                ("[T]", "{[P]->[T],[Q]->[T]}"),
+                "refined class family {[E]->[T],[P]->[T],[Q]->[T]} not assigned",
+            ),
+        ]
+
     def test_unsaturated_quotient_downgrades_to_skipped(self):
         cat = FinCat(
             name="v",
@@ -179,6 +227,10 @@ class TestPoweredBlurry:
     def test_level_count_must_match_the_layered_category(self, layered_ws):
         with pytest.raises(InputError):
             powered_blurry_compose(self._sites(layered_ws)[:1], layered=layered_ws.layered["L"])
+
+    def test_loose_level_must_name_a_level(self, layered_ws):
+        with pytest.raises(InputError, match=r"loose levels \[-1, 7\] name no level of 2 blurry sites"):
+            powered_blurry_compose(self._sites(layered_ws), loose_levels=[7, -1])
 
     def test_failing_level_must_be_declared_loose(self, poset2_ws, layered_ws):
         cat = poset2_ws.categories["poset2"]

@@ -112,6 +112,22 @@ def test_dangling_projection_fails_only_its_checks(capsys, tmp_path):
         assert not ("structural" in kinds and "expected_outcome" in rules), entry["label"]
 
 
+def test_loose_level_naming_no_level_is_structural(capsys, tmp_path):
+    with open(fixture_path("layered2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    (spec,) = [c for c in doc["checks"] if c["kind"] == "powered_blurry"]
+    spec["loose"] = [7, -1]
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["blur-check", str(path)])
+    assert code == 2 and err == ""
+    (entry,) = json.loads(out)["checks"]
+    assert entry["findings"] == [
+        {"kind": "structural", "rule": "inputs", "witnesses": [],
+         "detail": "loose levels [-1, 7] name no level of 2 blurry sites"}
+    ]
+
+
 @pytest.mark.parametrize(
     "command,fixture,label,inside,field",
     [
