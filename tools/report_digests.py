@@ -5,15 +5,16 @@ command, once per ``--format``, and writes a JSON object that maps
 ``"FIXTURE COMMAND FORMAT"`` to the sha256 of the run's exit code, stdout
 and stderr.  It adds one ``"sweep CHECKER"`` entry per checker of a seeded
 in-process sweep over random poset sites (see ``sweep_outputs``): the
-sha256 of every report, result and exception text that checker gave.  Run
-from the repository root:
+sha256 of every report, result and exception text that checker gave.  The
+``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
+(see ``layout_outputs``).  Run from the repository root:
 
     python3 tools/report_digests.py [OUT]
 
 OUT defaults to tests/report_digests.json.  The test suite recomputes the
 digests and compares them with that file, so a byte change in any bundled
-report, error line or exit code, or in any swept checker's output, fails a
-test.
+report, error line or exit code, in any swept checker's output, or in the
+order a composite lays out its terms, fails a test.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fuzz import rand_poset, rand_seeds  # noqa: E402
+from fuzz import layered_base, rand_chain, rand_poset, rand_seeds  # noqa: E402
 from zsite.blur import blurry_axiom_probe, blurry_topology  # noqa: E402
 from zsite.cli import COMMAND_KINDS, main  # noqa: E402
 from zsite.fincat import (  # noqa: E402
@@ -44,6 +45,7 @@ from zsite.fincat import (  # noqa: E402
 )
 from zsite.modular import ModelLabeledCat, class_types, quotient_model  # noqa: E402
 from zsite.site import generate_covering_assignment, grothendieck_axiom_check  # noqa: E402
+from zsite.zlin import z_compose  # noqa: E402
 
 FIXTURES = ROOT / "src" / "zsite" / "fixtures"
 OUT = ROOT / "tests" / "report_digests.json"
@@ -59,6 +61,10 @@ SWEPT = (
     "quotient_model",
     "induced_functor",
 )
+
+LAYOUT_SEED = 20_261_018
+LAYOUT_CASES = 300
+LAYOUT_SHAPES = ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 2, 2), (2, 1, 2, 1), (3, 1, 1, 1))
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -82,6 +88,7 @@ def digests() -> dict[str, str]:
                 )
     for checker, outputs in sweep_outputs().items():
         result[f"sweep {checker}"] = _sha(outputs)
+    result["layouts"] = _sha(layout_outputs())
     return result
 
 
@@ -241,6 +248,51 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
             for fam in K.families_of(block):
                 broken = dataclasses.replace(site, quotient_assignment=K.without_family(block, fam))
                 out["blurry_axiom_probe"].append(_render(_outcome(lambda: blurry_axiom_probe(broken, budget))))
+    return out
+
+
+# =====================================================================
+# seeded composite layouts
+# =====================================================================
+
+
+def _layout(phi) -> list:
+    """Normal form, then each target component's and source component's terms.
+
+    Terms are (row, col, coefficient, arrow) in the order ``terms_into`` and
+    ``terms_out_of`` give them, with no rank numbers, so the entry pins the
+    layouts whatever the terms store to keep them.
+    """
+    def cells(terms):
+        return [(t.row, t.col, t.coefficient, t.arrow) for t in terms]
+
+    return [
+        list(phi.normal_form()),
+        [cells(phi.terms_into(c)) for c in phi.target.indices()],
+        [cells(phi.terms_out_of(r)) for r in phi.source.indices()],
+    ]
+
+
+def layout_outputs(cases: int = LAYOUT_CASES, seed: int = LAYOUT_SEED) -> list:
+    """Layouts of every composite of seeded composable triples.
+
+    Each case draws a layered thin base and a chain phi, psi, chi from
+    ``rand_chain`` (half the cases carry a negative sector), and lays out
+    psi.phi, chi.psi and both bracketings of chi.psi.phi.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        base, levels = layered_base(rng.choice(LAYOUT_SHAPES), name="layouts")
+        phi, psi, chi = rand_chain(rng, base, levels, length=3)
+        inner, outer = z_compose(base, psi, phi), z_compose(base, chi, psi)
+        for composite in (
+            inner,
+            outer,
+            z_compose(base, outer, phi),
+            z_compose(base, chi, inner),
+        ):
+            out.append(_layout(composite))
     return out
 
 
