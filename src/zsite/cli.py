@@ -395,8 +395,8 @@ def _z_equiv(r: _Resolver):
 # kind -> (command, run, owns_expectation).  run(r) reads the spec through
 # the resolver r and returns the check's Report (z_compose: the Report and
 # its payload).  Checkers are called by their global name at call time, so
-# a wrapper installed on this module sees every call.  A kind that owns its
-# expectation reads ``expect`` itself; for the rest it is applied after.
+# a wrapper installed on this module sees every call.  Only z_equiv owns its
+# expectation and reads ``expect`` itself; for the rest it is applied after.
 KINDS = {
     "validate_category": ("validate", lambda r: validate_category(r.id("category")), False),
     "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False),
@@ -408,7 +408,7 @@ KINDS = {
     "z_validate": (
         "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False
     ),
-    "z_compose": ("z-compose", _z_compose, True),
+    "z_compose": ("z-compose", _z_compose, False),
     "grothendieck": ("site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False),
     "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False),
     "component_lemma": (
@@ -424,16 +424,16 @@ KINDS = {
     "additivity": ("sheaf-check", _additivity, False),
     "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False),
     "squares_probe": ("sheaf-check", _squares_probe, False),
-    "enumerate_fes": ("parametrize", _enumerate_fes, True),
+    "enumerate_fes": ("parametrize", _enumerate_fes, False),
     "precompose": ("parametrize", _precompose, False),
     "model_axioms": (
         "model-check",
         lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
         False,
     ),
-    "class_types": ("model-check", _class_types, True),
+    "class_types": ("model-check", _class_types, False),
     "quotient_model": ("model-check", _quotient_model, False),
-    "invariant": ("fingerprint", _invariant, True),
+    "invariant": ("fingerprint", _invariant, False),
     "z_equiv": ("fingerprint", _z_equiv, True),
 }
 

@@ -133,7 +133,7 @@ def refined_families(
         row = []
         for sub in subs:
             try:
-                row.append(frozenset(cat.compose(f, g) for g in sub))
+                row.append(frozenset(cat.compose(f, g) for g in sorted(sub)))
             except InputError as exc:
                 row.append(exc)
         rows.append(row)

@@ -16,17 +16,20 @@ Composition and term order
 --------------------------
 Per middle component, both coefficient splittings are laid out as
 consecutive intervals along ``[0, |n|)`` and each emitted term is an
-interval overlap (the transportation-problem northwest rule).  Freshly
-constructed morphisms are laid out in canonical ``(row, col, arrow)`` order.
-Composite terms however carry *provenance ranks*: the target-side layout of
-a composite orders its terms outer-major (each outer term's interval,
-subdivided by inner terms), the source-side layout inner-major.  Re-sorting
-composite terms by id would break associativity: two parallel arrows whose
-composites with a third arrow sort in the opposite order make the two
-bracketings pair different masses.  With provenance ranks every layout
-coincides with the positions the masses already occupy, so both bracketings
-of a triple perform literally the same atom-by-atom pairing and composition
-is associative by construction on sign-coherent inputs.
+interval overlap (the transportation-problem northwest rule).  A morphism
+keeps two layouts: the order of ``terms`` is its target-side layout (what
+``terms_into`` reads), and each term's ``out_rank`` orders its source-side
+layout (what ``terms_out_of`` reads).  Freshly constructed morphisms lay out
+both sides in canonical ``(row, col, arrow)`` order.  A composite keeps its
+provenance instead: its target-side layout is outer-major (each outer
+term's interval, subdivided by inner terms), its source-side layout
+inner-major.  Re-sorting composite terms by id would break associativity:
+two parallel arrows whose composites with a third arrow sort in the
+opposite order make the two bracketings pair different masses.  Keeping
+provenance, every layout coincides with the positions the masses already
+occupy, so both bracketings of a triple perform literally the same
+atom-by-atom pairing and composition is associative by construction on
+sign-coherent inputs.
 
 Equality, validation, and serialization use the normalized view (merge by
 ``(row, col, arrow)``, drop zeros, sort); provenance only affects how a
@@ -117,17 +120,17 @@ class ZTerm:
     col: int
     coefficient: int
     arrow: str
-    in_rank: int = 0
     out_rank: int = 0
 
     def key(self) -> tuple:
         return (self.row, self.col, self.arrow)
 
 
-def _normalize(terms) -> tuple[tuple[int, int, str, int], ...]:
+def _normalize(cells) -> tuple[tuple[int, int, str, int], ...]:
+    """Merge ((row, col, arrow), coefficient) cells by key, drop zeros, sort."""
     merged: dict[tuple[int, int, str], int] = {}
-    for t in terms:
-        merged[t.key()] = merged.get(t.key(), 0) + t.coefficient
+    for key, coeff in cells:
+        merged[key] = merged.get(key, 0) + coeff
     return tuple(
         (row, col, arrow, coeff)
         for (row, col, arrow), coeff in sorted(merged.items())
@@ -142,7 +145,7 @@ class ZMorphism:
     terms: tuple[ZTerm, ...]
 
     def normal_form(self) -> tuple[tuple[int, int, str, int], ...]:
-        return _normalize(self.terms)
+        return _normalize((t.key(), t.coefficient) for t in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZMorphism):
@@ -157,8 +160,8 @@ class ZMorphism:
         return hash((self.source, self.target, self.normal_form()))
 
     def terms_into(self, col: int) -> tuple[ZTerm, ...]:
-        """Target-side layout of the given component (provenance order)."""
-        return tuple(sorted((t for t in self.terms if t.col == col), key=lambda t: t.in_rank))
+        """Target-side layout of the given component (``terms`` order)."""
+        return tuple(t for t in self.terms if t.col == col)
 
     def terms_out_of(self, row: int) -> tuple[ZTerm, ...]:
         """Source-side layout of the given component (provenance order)."""
@@ -175,20 +178,17 @@ def z_morphism(source: ZObject, target: ZObject, terms) -> ZMorphism:
     """Canonical constructor: merge duplicate cells, drop zeros, rank terms.
 
     ``terms`` holds (row, col, coefficient, arrow) tuples.  Fresh morphisms
-    get canonical (row, col, arrow) provenance ranks on both sides.
+    lay out both sides in canonical (row, col, arrow) order.
     """
-    merged: dict[tuple[int, int, str], int] = {}
-    for row, col, coeff, arrow in terms:
-        key = (int(row), int(col), str(arrow))
-        merged[key] = merged.get(key, 0) + int(coeff)
-    ranked = []
-    for pos, ((row, col, arrow), coeff) in enumerate(sorted(merged.items())):
-        if coeff == 0:
-            continue
-        ranked.append(
-            ZTerm(row=row, col=col, coefficient=coeff, arrow=arrow, in_rank=pos, out_rank=pos)
-        )
-    return ZMorphism(source=source, target=target, terms=tuple(ranked))
+    cells = _normalize(((int(row), int(col), str(arrow)), int(coeff)) for row, col, coeff, arrow in terms)
+    return ZMorphism(
+        source=source,
+        target=target,
+        terms=tuple(
+            ZTerm(row=row, col=col, coefficient=coeff, arrow=arrow, out_rank=pos)
+            for pos, (row, col, arrow, coeff) in enumerate(cells)
+        ),
+    )
 
 
 # =====================================================================
@@ -364,20 +364,6 @@ def interval_refinement(rows, cols) -> RefinementTable:
     return RefinementTable(rows=rows, cols=cols, entries=entries)
 
 
-def _forced_table(rows: tuple[int, ...], cols: tuple[int, ...]) -> RefinementTable:
-    """Unique marginal-correct table when either side is a single interval."""
-    if sum(rows) != sum(cols):
-        raise MarginalMismatch(f"row sum {sum(rows)} != column sum {sum(cols)}")
-    entries: dict[tuple[int, int], int] = {}
-    if len(rows) == 1:
-        entries = {(1, b): v for b, v in enumerate(cols, start=1) if v != 0}
-    elif len(cols) == 1:
-        entries = {(a, 1): v for a, v in enumerate(rows, start=1) if v != 0}
-    else:
-        raise InputError("forced table needs a singleton side")
-    return RefinementTable(rows=rows, cols=cols, entries=entries)
-
-
 # =====================================================================
 # composition
 # =====================================================================
@@ -404,8 +390,11 @@ def _middle_table(
         raise MarginalMismatch(
             f"middle {middle_idx}: splittings {row_vals}/{col_vals} do not sum to {middle_coeff}"
         )
-    if len(row_vals) <= 1 or len(col_vals) <= 1:
-        return _forced_table(row_vals, col_vals)
+    # a single interval on either side forces the unique marginal-correct table
+    if len(row_vals) == 1:
+        return RefinementTable(row_vals, col_vals, {(1, b): v for b, v in enumerate(col_vals, start=1)})
+    if len(col_vals) == 1:
+        return RefinementTable(row_vals, col_vals, {(a, 1): v for a, v in enumerate(row_vals, start=1)})
     sgn = _sign(middle_coeff)
     if all(_sign(v) == sgn for v in row_vals) and all(_sign(v) == sgn for v in col_vals):
         return interval_refinement(row_vals, col_vals)
@@ -417,9 +406,14 @@ def _middle_table(
 def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit):
     """Pair inner's target-side layouts against outer's source-side layouts.
 
-    Returns raw cells (inner term, outer term, value, composed arrow).
+    Walks the middles in order and each table in entry order, so the first
+    missing composite raised does not depend on the layouts.  Returns the
+    raw cells (inner term, outer term, value, composed arrow) in the
+    composite's target-side layout: by outer term in ``outer.terms`` order,
+    then by inner term (entry row).
     """
-    cells: list[tuple[ZTerm, ZTerm, int, str]] = []
+    # the cells of each outer term object, in outer.terms order
+    by_outer: dict[int, list] = {id(t): [] for t in outer.terms}
     for idx, _obj, coeff in inner.target.components:
         row_terms = inner.terms_into(idx)
         col_terms = outer.terms_out_of(idx)
@@ -430,37 +424,27 @@ def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit):
             tuple(t.coefficient for t in col_terms),
             explicit,
         )
+        made = {}
         for (a, b), value in table.entries.items():
             if value == 0:
                 continue
             it, ot = row_terms[a - 1], col_terms[b - 1]
-            cells.append((it, ot, value, base.compose(ot.arrow, it.arrow)))
-    return cells
+            made[a, b] = (it, ot, value, base.compose(ot.arrow, it.arrow))
+        # computed tables list each column's entries by row already
+        for key in sorted(made) if explicit else made:
+            by_outer[id(made[key][1])].append(made[key])
+    return [cell for cells in by_outer.values() for cell in cells]
 
 
 def _rank_cells(cells) -> tuple[ZTerm, ...]:
-    order_in = sorted(
-        range(len(cells)),
-        key=lambda i: (cells[i][1].in_rank, cells[i][0].in_rank),
-    )
-    order_out = sorted(
-        range(len(cells)),
-        key=lambda i: (cells[i][0].out_rank, cells[i][1].out_rank),
-    )
-    in_pos = {cell: p for p, cell in enumerate(order_in)}
-    out_pos = {cell: p for p, cell in enumerate(order_out)}
+    """Composite terms from cells in target-side order; ``out_rank`` inner-major."""
+    order_out = sorted(range(len(cells)), key=lambda i: (cells[i][0].out_rank, cells[i][1].out_rank))
+    out_rank = [0] * len(cells)
+    for pos, i in enumerate(order_out):
+        out_rank[i] = pos
     return tuple(
-        ZTerm(
-            row=inner.row,
-            col=outer.col,
-            coefficient=value,
-            arrow=arrow,
-            in_rank=in_pos[i],
-            out_rank=out_pos[i],
-        )
-        for i, (inner, outer, value, arrow) in sorted(
-            enumerate(cells), key=lambda pair: in_pos[pair[0]]
-        )
+        ZTerm(row=inner.row, col=outer.col, coefficient=value, arrow=arrow, out_rank=out_rank[i])
+        for i, (inner, outer, value, arrow) in enumerate(cells)
     )
 
 
@@ -500,15 +484,7 @@ def z_compose(
 
 def slice_correspondence(table: ZMorphism, idx: int) -> ZMorphism:
     """Component restriction: keep the rows of one source component."""
-    kept = table.terms_out_of(idx)
-    return ZMorphism(
-        source=table.source.piece(idx),
-        target=table.target,
-        terms=tuple(
-            ZTerm(row=t.row, col=t.col, coefficient=t.coefficient, arrow=t.arrow, in_rank=p, out_rank=p)
-            for p, t in enumerate(kept)
-        ),
-    )
+    return ZMorphism(table.source.piece(idx), table.target, table.terms_out_of(idx))
 
 
 # =====================================================================

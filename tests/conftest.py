@@ -1,4 +1,7 @@
+import json
 from importlib import resources
+
+from zsite.jsonio import load_workspace
 
 
 def fixture_path(name: str) -> str:
@@ -17,3 +20,50 @@ FIXTURE_NAMES = [
     "failing.json",
     "malformed.json",
 ]
+
+
+def _slot(raw, path):
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    return raw, last
+
+
+def put(*path, value):
+    """Edit of a raw workspace: set the entry at ``path`` to ``value``."""
+
+    def edit(raw):
+        node, key = _slot(raw, path)
+        node[key] = value
+
+    return edit
+
+
+def drop(*path):
+    """Edit of a raw workspace: delete the entry at ``path``."""
+
+    def edit(raw):
+        node, key = _slot(raw, path)
+        del node[key]
+
+    return edit
+
+
+def mutated_workspace(tmp_path, name: str, *edits):
+    """Load a copy of a bundled fixture after applying ``edits`` to its JSON."""
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for edit in edits:
+        edit(raw)
+    path = tmp_path / f"mutated-{name}"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return load_workspace(str(path))
+
+
+def assert_rule_fires(tmp_path, name: str, edits, findings, finding):
+    """``findings(ws)`` has no failing row on the bundled fixture and holds
+    ``finding`` (kind, rule, witnesses) once ``edits`` are applied."""
+    failing = ("structural", "law")
+    assert not [f for f in findings(load_workspace(fixture_path(name))) if f.kind in failing]
+    got = findings(mutated_workspace(tmp_path, name, *edits))
+    assert finding in [(f.kind, f.rule, f.witnesses) for f in got]

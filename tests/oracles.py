@@ -163,12 +163,13 @@ def count_fes_bruteforce(source, target):
 def refinements_product(cat, assignment, family):
     """Refinements of a family by walking the full product of the choices.
 
-    One composite per choice tuple, members in sorted order, so the first
-    undefined composite raised is the one the tuple walk meets first.
+    One composite per choice tuple, members and each chosen family's arrows
+    in sorted order, so the first undefined composite raised is the one the
+    tuple walk meets first.
     """
     members = sorted(family)
     choices = [assignment.families_of(cat.source(f)) for f in members]
     return frozenset(
-        frozenset(cat.compose(f, g) for f, sub in zip(members, choice) for g in sub)
+        frozenset(cat.compose(f, g) for f, sub in zip(members, choice) for g in sorted(sub))
         for choice in itertools.product(*choices)
     )

@@ -249,6 +249,36 @@ def test_expectation_downgrades_laws_to_observations(capsys):
     assert "expected_outcome" in rules
 
 
+@pytest.mark.parametrize(
+    "command,fixture,kind",
+    [
+        ("z-compose", "zlin.json", "z_compose"),
+        ("parametrize", "modular.json", "enumerate_fes"),
+        ("model-check", "modular.json", "class_types"),
+        ("fingerprint", "fingerprint.json", "invariant"),
+    ],
+)
+def test_expect_is_applied_to_kinds_with_their_own_expectations(capsys, tmp_path, command, fixture, kind):
+    # these kinds check expect_terms/expect_count/expect_types (or nothing)
+    # themselves; a declared expect is still judged against their verdict
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    labels = [c["label"] for c in doc["checks"] if c["kind"] == kind]
+    for spec in doc["checks"]:
+        if spec["kind"] == kind:
+            spec["expect"] = False
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path), "--format", "json"])
+    assert code == 1 and err == ""
+    entries = [e for e in json.loads(out)["checks"] if e["label"] in labels]
+    assert len(entries) == len(labels) > 0
+    for entry in entries:
+        assert entry["ok"] is False
+        assert {"kind": "law", "rule": "expected_outcome", "witnesses": [],
+                "detail": "expected pass=False, observed pass=True"} in entry["findings"]
+
+
 def test_text_format_summarizes(capsys):
     code, out, _err = run(capsys, ["validate", fixture_path("zlin.json"), "--format", "text"])
     assert code == 0

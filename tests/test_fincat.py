@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, assert_rule_fires, drop, fixture_path, put
 from zsite.fincat import (
     FinCat,
     Functor,
@@ -294,3 +294,117 @@ def test_hom_indexes_match_the_sorted_filter(cat):
         assert cat.morphisms_into(b) == tuple(m for m in sorted(cat.morphisms) if cat.morphisms[m][1] == b)
         for a in sorted(ends):
             assert cat.hom(a, b) == tuple(m for m in sorted(cat.morphisms) if cat.morphisms[m] == (a, b))
+
+
+def _category(ws):
+    return validate_category(ws.categories["chain3"]).findings
+
+
+def _limits(ws):
+    return chosen_limit_check(ws.categories["chain3"]).findings
+
+
+def _swap(ws):
+    return check_functor(ws.functors["swap"]).report.findings
+
+
+CAT = ("categories", "chain3")
+SWAP = ("functors", "swap")
+
+# one mutation of a bundled fixture per rule: (fixture, edits, findings of
+# the checker on the loaded copy, the finding the edits must produce)
+VALIDATOR_RULES = [
+    pytest.param(
+        "chain3.json", [put(*CAT, "objects", value=["A", "B", "T", "A"])], _category,
+        ("structural", "object_ids_unique", ("A",)), id="object_ids_unique",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "morphisms", "A<B", value=["A", "ghost"])], _category,
+        ("structural", "morphism_endpoints", ("A<B", "ghost")), id="morphism_endpoints",
+    ),
+    pytest.param(
+        "chain3.json", [drop(*CAT, "identities", "B")], _category,
+        ("structural", "identity_total", ("B",)), id="identity_total-missing",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "identities", "B", value="ghost")], _category,
+        ("structural", "identity_total", ("B", "ghost")), id="identity_total-unknown",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "identities", "Z", value="id_A")], _category,
+        ("structural", "identity_total", ("Z",)), id="identity_total-object",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "identities", "B", value="id_A")], _category,
+        ("structural", "identity_endpoints", ("B", "id_A")), id="identity_endpoints",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "composition", "ghost|id_A", value="A<B")], _category,
+        ("structural", "composition_refs", ("ghost", "id_A", "ghost")), id="composition_refs",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "composition", "A<B|B<T", value="A<T")], _category,
+        ("law", "composition_domain", ("A<B", "B<T")), id="composition_domain",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "composition", "B<T|A<B", value="B<T")], _category,
+        ("law", "composite_endpoints", ("B<T", "A<B", "B<T")), id="composite_endpoints",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "composition", "id_B|A<B", value="A<T")], _category,
+        ("law", "identity_left", ("A<B",)), id="identity_left",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "products", "A|ghost", value=["A", "id_A", "id_A"])], _limits,
+        ("structural", "product_refs", ("A", "ghost", "A")), id="product_refs-factor",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "products", "A|B", value=["A", "id_A", "ghost"])], _limits,
+        ("structural", "product_refs", ("A", "B", "A")), id="product_refs-projection",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "products", "A|B", value=["A", "id_A", "id_A"])], _limits,
+        ("structural", "product_projections", ("A", "B", "A")), id="product_projections",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "pullbacks", "ghost|B<T", value=["A", "id_A", "A<B"])], _limits,
+        ("structural", "pullback_refs", ("ghost", "B<T", "A")), id="pullback_refs-leg",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "pullbacks", "A<T|B<T", value=["A", "id_A", "ghost"])], _limits,
+        ("structural", "pullback_refs", ("A<T", "B<T", "A")), id="pullback_refs-projection",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "pullbacks", "A<B|B<T", value=["A", "id_A", "id_A"])], _limits,
+        ("structural", "pullback_cospan", ("A<B", "B<T", "A")), id="pullback_cospan",
+    ),
+    pytest.param(
+        "chain3.json", [put(*CAT, "pullbacks", "A<T|B<T", value=["A", "id_A", "id_A"])], _limits,
+        ("structural", "pullback_projections", ("A<T", "B<T", "A")), id="pullback_projections",
+    ),
+    pytest.param(
+        "modular.json", [drop(*SWAP, "objects", "a")], _swap,
+        ("structural", "object_map_total", ("a",)), id="object_map_total",
+    ),
+    pytest.param(
+        "modular.json", [put(*SWAP, "objects", "a", value="ghost")], _swap,
+        ("structural", "object_map_range", ("a", "ghost")), id="object_map_range",
+    ),
+    pytest.param(
+        "modular.json", [drop(*SWAP, "morphisms", "u")], _swap,
+        ("structural", "morphism_map_total", ("u",)), id="morphism_map_total",
+    ),
+    pytest.param(
+        "modular.json", [put(*SWAP, "morphisms", "u", value="ghost")], _swap,
+        ("structural", "morphism_map_range", ("u", "ghost")), id="morphism_map_range",
+    ),
+    pytest.param(
+        "modular.json", [put(*SWAP, "morphisms", "id_a", value="id_a")], _swap,
+        ("law", "identity_preservation", ("a",)), id="identity_preservation",
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture,edits,findings,finding", VALIDATOR_RULES)
+def test_each_validator_rule_fires_on_a_mutated_fixture(tmp_path, fixture, edits, findings, finding):
+    assert_rule_fires(tmp_path, fixture, edits, findings, finding)

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -22,3 +25,26 @@ def test_bundled_reports_match_the_pinned_digests():
     assert sorted(got) == sorted(pinned)
     changed = sorted(key for key in pinned if got[key] != pinned[key])
     assert changed == []
+
+
+def test_sweeps_do_not_depend_on_the_hash_seed():
+    # refinement rows are built in sorted arrow order, so a family with two
+    # undefined composites raises the same error under every hash seed
+    script = (
+        "import json, sys; sys.path.insert(0, 'tools'); import report_digests as r; "
+        "print(json.dumps([r._sha(r.sweep_outputs(seed=s)) for s in range(5, 10)]))"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    outs = [proc.communicate() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _out, err in outs]
+    assert outs[0][0] == outs[1][0]

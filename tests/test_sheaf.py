@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import fixture_path
+from conftest import assert_rule_fires, drop, fixture_path, put
 from fuzz import chain_presheaves
 from oracles import matching_tuples_product, sheaf_verdict_bruteforce
+from zsite.fincat import FinCat
 from zsite.jsonio import load_workspace
 from zsite.sheaf import (
     Presheaf,
@@ -16,6 +17,7 @@ from zsite.sheaf import (
     squares_vs_sheaf_probe,
     validate_presheaf,
 )
+from zsite.site import CoveringAssignment
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +173,145 @@ class TestAdditivity:
         report = additivity_check(constant_z(cat, ["u", "v"]), zX)
         counts = next(f for f in report.findings if f.rule == "section_counts")
         assert counts.witnesses == ("2", "2", "2")
+
+
+def constant(cat, labels):
+    """The constant presheaf: every object carries ``labels``, every arrow acts as the identity."""
+    return Presheaf(
+        name="constant",
+        cat=cat,
+        sections={obj: tuple(labels) for obj in cat.objects},
+        restriction={m: {s: s for s in labels} for m in cat.morphisms},
+    )
+
+
+def two_legged_cospan():
+    """E has two arrows p1, p2 into P; the declared pullbacks of (f, g) and
+    (g, f) project to P along different ones, so each ordered pair constrains
+    a matching family differently."""
+    arrows = {"p1": ("E", "P"), "p2": ("E", "P"), "q": ("E", "Q"), "f": ("P", "T"), "g": ("Q", "T"), "e": ("E", "T")}
+    objects = ("E", "P", "Q", "T")
+    identities = {o: f"id_{o}" for o in objects}
+    morphisms = dict(arrows, **{i: (o, o) for o, i in identities.items()})
+    composition = {("f", "p1"): "e", ("f", "p2"): "e", ("g", "q"): "e"}
+    for m, (src, tgt) in morphisms.items():
+        composition[(m, identities[src])] = m
+        composition[(identities[tgt], m)] = m
+    cat = FinCat(
+        name="cospan2",
+        objects=objects,
+        morphisms=morphisms,
+        identities=identities,
+        composition=composition,
+        pullbacks={
+            ("f", "g"): ("E", "p1", "q"),
+            ("g", "f"): ("E", "q", "p2"),
+            ("f", "f"): ("P", "id_P", "id_P"),
+            ("g", "g"): ("Q", "id_Q", "id_Q"),
+        },
+    )
+    F = Presheaf(
+        name="twisted",
+        cat=cat,
+        sections={"E": ("x", "y"), "P": ("a", "b"), "Q": ("c",), "T": ()},
+        restriction={
+            "id_E": {"x": "x", "y": "y"},
+            "id_P": {"a": "a", "b": "b"},
+            "id_Q": {"c": "c"},
+            "id_T": {},
+            "p1": {"a": "x", "b": "y"},
+            "p2": {"a": "y", "b": "x"},
+            "q": {"c": "x"},
+            "f": {},
+            "g": {},
+            "e": {},
+        },
+    )
+    return cat, F
+
+
+class TestMatchingFamilyPruning:
+    """Cases whose matching families are a strict subset of the product of
+    section sets, so the enumerator has to discard candidates."""
+
+    def test_constant_presheaf_over_a_family_with_a_meet(self, poset2_ws):
+        cat = poset2_ws.categories["poset2"]
+        K = poset2_ws.coverings["K"][1]
+        F = constant(cat, ("a", "b"))
+        assert validate_presheaf(F).ok
+        pruned = 0
+        for obj in sorted(K.families):
+            for fam in K.families_of(obj):
+                ours, missing = matching_families(F, fam)
+                assert not missing
+                want = matching_tuples_product(F, cat, fam)
+                assert sorted(ours) == sorted(want)
+                pruned += 2 ** len(fam) - len(want)
+        # {P<T, Q<T} meet in E: only the two constant tuples match
+        assert matching_families(F, frozenset({"P<T", "Q<T"}))[0] == (("a", "a"), ("b", "b"))
+        assert pruned > 0
+        assert sheaf_verdict_bruteforce(F, cat, K)
+        assert sheaf_check(F, K).ok
+
+    def test_both_orders_of_a_pair_constrain_the_family(self):
+        cat, F = two_legged_cospan()
+        assert validate_presheaf(F).ok
+        fam = frozenset({"f", "g"})
+        # (f, g) forces the section a over P, (g, f) forces b: nothing matches
+        assert matching_tuples_product(F, cat, fam) == []
+        assert matching_families(F, fam) == ((), [])
+        K = CoveringAssignment(families={"T": frozenset({fam})})
+        assert sheaf_verdict_bruteforce(F, cat, K)
+        assert sheaf_check(F, K).ok
+
+
+def _glues(ws):
+    return validate_presheaf(ws.presheaves["glues"]).findings
+
+
+GLUES = ("presheaves", "glues")
+
+# one mutation of the bundled chain3 presheaf per rule: (edits, the finding
+# validate_presheaf must give on the loaded copy)
+PRESHEAF_RULES = [
+    pytest.param(
+        [drop(*GLUES, "sections", "A")], ("structural", "sections_declared", ("A",)), id="sections_declared"
+    ),
+    pytest.param(
+        [drop(*GLUES, "restrictions", "A<B")], ("structural", "restriction_declared", ("A<B",)),
+        id="restriction_declared",
+    ),
+    pytest.param(
+        [drop(*GLUES, "restrictions", "B<T", "t")], ("structural", "restriction_total", ("B<T", "t")),
+        id="restriction_total",
+    ),
+    pytest.param(
+        [put(*GLUES, "restrictions", "B<T", "t", value="ghost")], ("structural", "restriction_range", ("B<T", "t")),
+        id="restriction_range",
+    ),
+    pytest.param(
+        [put(*GLUES, "restrictions", "id_A", "y", value="x")], ("structural", "restriction_domain", ("id_A", "y")),
+        id="restriction_domain",
+    ),
+    pytest.param(
+        [put(*GLUES, "restrictions", "id_B", value={"s": "t", "t": "s"})],
+        ("law", "identity_sections", ("id_B", "s")),
+        id="identity_sections",
+    ),
+    pytest.param(
+        # a second section over A that only A<T reaches: F(A<T) no longer
+        # factors as F(A<B) after F(B<T)
+        [
+            put(*GLUES, "sections", "A", value=["x", "y"]),
+            put(*GLUES, "restrictions", "id_A", value={"x": "x", "y": "y"}),
+            put(*GLUES, "restrictions", "A<T", "s", value="y"),
+        ],
+        ("law", "contravariance", ("B<T", "A<B", "s")),
+        id="contravariance",
+    ),
+]
+
+
+@pytest.mark.parametrize("edits,finding", PRESHEAF_RULES)
+def test_each_presheaf_rule_fires_on_a_mutated_fixture(tmp_path, edits, finding):
+    assert_rule_fires(tmp_path, "chain3.json", edits, _glues, finding)

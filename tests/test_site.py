@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import fixture_path
+from conftest import assert_rule_fires, drop, fixture_path, put
 from fuzz import rand_poset, rand_seeds
 from oracles import refinements_product
 from zsite.fincat import InputError, ResourceBudgetError, poset_category
@@ -21,6 +21,7 @@ from zsite.site import (
     powered_cover_check,
     powered_stability_probe,
     refined_families,
+    square_endpoint_findings,
     validate_covering,
     validate_ladder,
     validate_layered,
@@ -390,3 +391,130 @@ class TestRefinementKernel:
             refined_families(cat, K, frozenset({"id_T"}), budget=1)
         with pytest.raises(ResourceBudgetError):
             grothendieck_axiom_check(cat, K, budget=1)
+
+
+def _pointed(ws):
+    return validate_pointed_base(ws.pointed_bases["base"]).findings
+
+
+def _covering(ws):
+    return validate_covering(ws.categories["chain3"], ws.coverings["K"][1]).findings
+
+
+def _square_sides(ws):
+    return square_endpoint_findings(ws.categories["chain3"], ws.squares["sq"][1])
+
+
+def _layered(ws):
+    return validate_layered(ws.layered["L"]).findings
+
+
+def _ladder(ws):
+    return validate_ladder(ws.layered["L"], ws.ladders["lad"][1]).findings
+
+
+BASE = ("pointed_bases", "base")
+SQ = ("squares", "sq")
+LAD = ("ladders", "lad", "arrows")
+
+# one mutation of a bundled fixture per rule: (fixture, edits, findings of
+# the checker on the loaded copy, the finding the edits must produce)
+SITE_RULES = [
+    pytest.param(
+        "chain3.json", [drop(*BASE, "points", "T")], _pointed,
+        ("structural", "points_declared", ("T",)), id="points_declared",
+    ),
+    pytest.param(
+        "chain3.json", [drop(*BASE, "point_map", "A<B")], _pointed,
+        ("structural", "point_map_declared", ("A<B",)), id="point_map_declared",
+    ),
+    pytest.param(
+        "chain3.json", [drop(*BASE, "point_map", "B<T", "2")], _pointed,
+        ("structural", "point_map_total", ("B<T", "2")), id="point_map_total",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "point_map", "B<T", "2", value="9")], _pointed,
+        ("structural", "point_map_range", ("B<T", "2")), id="point_map_range",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "point_map", "A<B", "7", value="1")], _pointed,
+        ("structural", "point_map_domain", ("A<B", "7")), id="point_map_domain",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "residue_preserving", "A<B", value=["1", "7"])], _pointed,
+        ("structural", "residue_subset", ("A<B", "7")), id="residue_subset",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "point_map", "id_B", value={"1": "2", "2": "1"})], _pointed,
+        ("law", "identity_points", ("id_B", "1")), id="identity_points",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "point_map", "B<T", value={"1": "2", "2": "1"})], _pointed,
+        ("law", "point_functoriality", ("B<T", "A<B", "1")), id="point_functoriality",
+    ),
+    pytest.param(
+        "chain3.json", [put("coverings", "K", "families", "ghost", value=[["id_A"]])], _covering,
+        ("structural", "covering_object_known", ("ghost",)), id="covering_object_known",
+    ),
+    pytest.param(
+        "chain3.json", [put("coverings", "K", "families", "T", value=[["A<B"]])], _covering,
+        ("structural", "covering_member_target", ("T", "A<B")), id="covering_member_target",
+    ),
+    pytest.param(
+        "chain3.json", [put(*SQ, "w_to_v", value="ghost")], _square_sides,
+        ("structural", "square_side_known", ("ghost",)), id="square_side_known",
+    ),
+    pytest.param(
+        "chain3.json", [put(*SQ, "w_to_u", value="id_B")], _square_sides,
+        ("structural", "square_apex", ("A<B", "id_B")), id="square_apex",
+    ),
+    pytest.param(
+        "chain3.json", [put(*SQ, "u_to_x", value="A<B")], _square_sides,
+        ("structural", "square_base", ("A<B", "B<T")), id="square_base",
+    ),
+    pytest.param(
+        "chain3.json", [put(*SQ, "w_to_v", value="A<T")], _square_sides,
+        ("structural", "square_v_side", ("A<T", "B<T")), id="square_v_side",
+    ),
+    pytest.param(
+        "chain3.json", [put(*SQ, "w_to_u", value="A<B")], _square_sides,
+        ("structural", "square_u_side", ("A<B", "A<T")), id="square_u_side",
+    ),
+    pytest.param(
+        "chain3.json", [drop("categories", "chain3", "composition", "B<T|A<B")], _square_sides,
+        ("structural", "square_commutes", ("A<B", "id_A", "A<T", "B<T")), id="square_commutes",
+    ),
+    pytest.param(
+        "layered2.json", [put("layered", "L", "membership", value=[])], _layered,
+        ("structural", "membership_count", ("0",)), id="membership_count",
+    ),
+    pytest.param(
+        "layered2.json", [drop("layered", "L", "membership", 0, "T'")], _layered,
+        ("structural", "membership_total", ("1", "T'")), id="membership_total",
+    ),
+    pytest.param(
+        "layered2.json", [put("layered", "L", "membership", 0, "T'", value="ghost")], _layered,
+        ("structural", "membership_range", ("1", "T'")), id="membership_range",
+    ),
+    pytest.param(
+        "layered2.json", [put(*LAD, value=["P<T"])], _ladder,
+        ("structural", "ladder_length", ("1",)), id="ladder_length",
+    ),
+    pytest.param(
+        "layered2.json", [put(*LAD, 1, value="ghost")], _ladder,
+        ("structural", "ladder_arrow_known", ("1", "ghost")), id="ladder_arrow_known",
+    ),
+    pytest.param(
+        "layered2.json", [put(*LAD, value=["E<T", "P'<T'"])], _ladder,
+        ("structural", "ladder_source_chain", ("0", "E<T", "P'<T'")), id="ladder_source_chain",
+    ),
+    pytest.param(
+        "layered2.json", [put(*LAD, value=["E<P", "E'<T'"])], _ladder,
+        ("structural", "ladder_target_chain", ("0", "E<P", "E'<T'")), id="ladder_target_chain",
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture,edits,findings,finding", SITE_RULES)
+def test_each_site_validator_rule_fires_on_a_mutated_fixture(tmp_path, fixture, edits, findings, finding):
+    assert_rule_fires(tmp_path, fixture, edits, findings, finding)

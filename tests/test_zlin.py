@@ -149,6 +149,21 @@ class TestMixedSignMiddles:
         )
         assert z_validate(self.base, composite).ok
 
+    def test_explicit_table_lays_out_each_column_by_inner_term(self):
+        # the entries list column 2's rows out of order; the composite's
+        # target-side layout still runs inner term by inner term
+        table = RefinementTable(
+            rows=(2, -1), cols=(3, -2),
+            entries={(2, 2): -1, (1, 1): 3, (1, 2): -1},
+        )
+        composite = z_compose(self.base, self.outer, self.inner, explicit={1: table})
+        layout = [[(t.row, t.col, t.coefficient, t.arrow) for t in composite.terms_into(c)] for c in (1, 2)]
+        assert layout == [
+            [(1, 1, 3, "a1<c1")],
+            [(1, 2, -1, "a1<c2"), (2, 2, -1, "a2<c2")],
+        ]
+        assert [t.arrow for t in composite.terms_out_of(1)] == ["a1<c1", "a1<c2"]
+
     def test_explicit_table_must_reproduce_marginals(self):
         table = RefinementTable(
             rows=(2, -1), cols=(3, -2),
