@@ -414,23 +414,12 @@ def _family_preconditions(base: PointedBase, target: ZObject, family) -> list:
 
 def _component_coverage(base: PointedBase, target: ZObject, family, component: int):
     """Uncovered points of one component, looking only at terms into it."""
-    obj = target.base_object(component)
-    uncovered = []
-    for x in base.points_of(obj):
-        hit = False
-        for member in family:
-            for t in member.terms:
-                if t.col != component:
-                    continue
-                pm = base.point_map.get(t.arrow, {})
-                if any(pm.get(u) == x for u in base.rp(t.arrow)):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            uncovered.append(x)
-    return uncovered
+    into = [t for member in family for t in member.terms_into(component)]
+    return [
+        x
+        for x in base.points_of(target.base_object(component))
+        if not any(base.point_map.get(t.arrow, {}).get(u) == x for t in into for u in base.rp(t.arrow))
+    ]
 
 
 def nisnevich_cover_check(base: PointedBase, target: ZObject, family) -> Report:
@@ -480,7 +469,7 @@ def nisnevich_component_lemma_check(base: PointedBase, target: ZObject, family) 
         covered = not uncovered
         rhs = rhs and covered
         carriers = sorted(
-            pos for pos, m in enumerate(usable) if any(t.col == idx for t in m.terms)
+            pos for pos, m in enumerate(usable) if m.terms_into(idx)
         )
         carrier_sets.append(set(carriers))
         rows.append(

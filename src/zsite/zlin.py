@@ -17,18 +17,19 @@ Composition and term order
 Per middle component, both coefficient splittings are laid out as
 consecutive intervals along ``[0, |n|)`` and each emitted term is an
 interval overlap (the transportation-problem northwest rule).  A morphism
-keeps two layouts: the order of ``terms`` is its target-side layout (what
-``terms_into`` reads), and each term's ``out_rank`` orders its source-side
-layout (what ``terms_out_of`` reads).  Freshly constructed morphisms lay out
-both sides in canonical ``(row, col, arrow)`` order.  A composite keeps its
-provenance instead: its target-side layout is outer-major (each outer
-term's interval, subdivided by inner terms), its source-side layout
-inner-major.  Re-sorting composite terms by id would break associativity:
-two parallel arrows whose composites with a third arrow sort in the
-opposite order make the two bracketings pair different masses.  Keeping
-provenance, every layout coincides with the positions the masses already
-occupy, so both bracketings of a triple perform literally the same
-atom-by-atom pairing and composition is associative by construction on
+stores its two layouts over the same ``ZTerm`` objects: ``into`` maps each
+target component to its terms in target-side order (what ``terms_into``
+reads), ``out_of`` maps each source component to its terms in source-side
+order (what ``terms_out_of`` reads), and ``terms`` lists every term once.
+Freshly constructed morphisms lay out both sides in canonical
+``(row, col, arrow)`` order.  A composite keeps its provenance instead: each
+column's layout is outer-major (each outer term's interval, subdivided by
+inner terms), each row's inner-major.  Re-sorting composite terms by id
+would break associativity: two parallel arrows whose composites with a third
+arrow sort in the opposite order make the two bracketings pair different
+masses.  Keeping provenance, every layout coincides with the positions the
+masses already occupy, so both bracketings of a triple perform literally the
+same atom-by-atom pairing and composition is associative by construction on
 sign-coherent inputs.
 
 Equality, validation, and serialization use the normalized view (merge by
@@ -86,21 +87,15 @@ class ZObject:
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _, _ in self.components)
 
-    def base_object(self, idx: int) -> str:
-        for i, obj, _ in self.components:
-            if i == idx:
-                return obj
-        raise InputError(f"no component with index {idx}")
-
-    def coefficient(self, idx: int) -> int:
-        for i, _, coeff in self.components:
-            if i == idx:
-                return coeff
-        raise InputError(f"no component with index {idx}")
-
     def piece(self, idx: int) -> ZObject:
         """The one-component sum holding component ``idx``."""
-        return ZObject(components=((idx, self.base_object(idx), self.coefficient(idx)),))
+        for component in self.components:
+            if component[0] == idx:
+                return ZObject(components=(component,))
+        raise InputError(f"no component with index {idx}")
+
+    def base_object(self, idx: int) -> str:
+        return self.piece(idx).components[0][1]
 
     def total_mass(self) -> int:
         return sum(coeff for _, _, coeff in self.components)
@@ -120,7 +115,6 @@ class ZTerm:
     col: int
     coefficient: int
     arrow: str
-    out_rank: int = 0
 
     def key(self) -> tuple:
         return (self.row, self.col, self.arrow)
@@ -138,11 +132,31 @@ def _normalize(cells) -> tuple[tuple[int, int, str, int], ...]:
     )
 
 
+def _group(terms, side: str) -> dict[int, tuple[ZTerm, ...]]:
+    """Terms by their ``side`` ("row" or "col") component, order kept."""
+    groups: dict[int, list[ZTerm]] = {}
+    for t in terms:
+        groups.setdefault(getattr(t, side), []).append(t)
+    return {idx: tuple(ts) for idx, ts in groups.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class ZMorphism:
+    """Coefficient table stored as its two layouts over the same terms.
+
+    ``into`` maps a column to its terms in target-side order, ``out_of`` a
+    row to its terms in source-side order.
+    """
+
     source: ZObject
     target: ZObject
-    terms: tuple[ZTerm, ...]
+    into: dict[int, tuple[ZTerm, ...]]
+    out_of: dict[int, tuple[ZTerm, ...]]
+
+    @property
+    def terms(self) -> tuple[ZTerm, ...]:
+        """Every term once, row group by row group."""
+        return tuple(t for group in self.out_of.values() for t in group)
 
     def normal_form(self) -> tuple[tuple[int, int, str, int], ...]:
         return _normalize((t.key(), t.coefficient) for t in self.terms)
@@ -160,12 +174,12 @@ class ZMorphism:
         return hash((self.source, self.target, self.normal_form()))
 
     def terms_into(self, col: int) -> tuple[ZTerm, ...]:
-        """Target-side layout of the given component (``terms`` order)."""
-        return tuple(t for t in self.terms if t.col == col)
+        """Target-side layout of the given component."""
+        return self.into.get(col, ())
 
     def terms_out_of(self, row: int) -> tuple[ZTerm, ...]:
-        """Source-side layout of the given component (provenance order)."""
-        return tuple(sorted((t for t in self.terms if t.row == row), key=lambda t: t.out_rank))
+        """Source-side layout of the given component."""
+        return self.out_of.get(row, ())
 
     def render(self) -> str:
         cells = ", ".join(
@@ -175,20 +189,14 @@ class ZMorphism:
 
 
 def z_morphism(source: ZObject, target: ZObject, terms) -> ZMorphism:
-    """Canonical constructor: merge duplicate cells, drop zeros, rank terms.
+    """Canonical constructor: merge duplicate cells, drop zeros, group terms.
 
     ``terms`` holds (row, col, coefficient, arrow) tuples.  Fresh morphisms
     lay out both sides in canonical (row, col, arrow) order.
     """
     cells = _normalize(((int(row), int(col), str(arrow)), int(coeff)) for row, col, coeff, arrow in terms)
-    return ZMorphism(
-        source=source,
-        target=target,
-        terms=tuple(
-            ZTerm(row=row, col=col, coefficient=coeff, arrow=arrow, out_rank=pos)
-            for pos, (row, col, arrow, coeff) in enumerate(cells)
-        ),
-    )
+    made = [ZTerm(row, col, coeff, arrow) for row, col, arrow, coeff in cells]
+    return ZMorphism(source, target, into=_group(made, "col"), out_of=_group(made, "row"))
 
 
 # =====================================================================
@@ -204,44 +212,34 @@ def z_validate(base: FinCat, phi: ZMorphism, subject: str = "zmorphism") -> Repo
     findings: a row marginal differing from the source coefficient or a
     column marginal differing from the target coefficient.
     """
+    src = {idx: obj for idx, obj, _ in phi.source.components}
+    tgt = {idx: obj for idx, obj, _ in phi.target.components}
     rows: list[reports.Finding] = []
-    src_idx = set(phi.source.indices())
-    tgt_idx = set(phi.target.indices())
-
-    structural_ok = True
     for t in phi.terms:
         tag = (str(t.row), str(t.col), t.arrow)
-        if t.row not in src_idx:
+        if t.row not in src:
             rows.append(reports.structural("term_row_known", tag, "unknown source component index"))
-            structural_ok = False
-        if t.col not in tgt_idx:
+        if t.col not in tgt:
             rows.append(reports.structural("term_col_known", tag, "unknown target component index"))
-            structural_ok = False
         if t.arrow not in base.morphisms:
             rows.append(reports.structural("term_arrow_known", tag, "unknown base arrow"))
-            structural_ok = False
 
-    if structural_ok:
+    # endpoints are compared only once every id resolves
+    if not rows:
         for t in phi.terms:
-            want = (phi.source.base_object(t.row), phi.target.base_object(t.col))
-            if base.morphisms[t.arrow] != want:
-                rows.append(
-                    reports.structural(
-                        "term_arrow_endpoints",
-                        (str(t.row), str(t.col), t.arrow),
-                        f"arrow endpoints {base.morphisms[t.arrow]} != {want}",
-                    )
-                )
+            got, want = base.morphisms[t.arrow], (src[t.row], tgt[t.col])
+            if got != want:
+                tag = (str(t.row), str(t.col), t.arrow)
+                rows.append(reports.structural("term_arrow_endpoints", tag, f"arrow endpoints {got} != {want}"))
 
-    norm = phi.normal_form()
     for idx, _obj, coeff in phi.source.components:
-        got = sum(v for r, _c, _a, v in norm if r == idx)
+        got = sum(t.coefficient for t in phi.terms_out_of(idx))
         if got != coeff:
             rows.append(
                 reports.law("row_marginal", (str(idx),), f"row sum {got} != source coefficient {coeff}")
             )
     for idx, _obj, coeff in phi.target.components:
-        got = sum(v for _r, c, _a, v in norm if c == idx)
+        got = sum(t.coefficient for t in phi.terms_into(idx))
         if got != coeff:
             rows.append(
                 reports.law("column_marginal", (str(idx),), f"column sum {got} != target coefficient {coeff}")
@@ -383,6 +381,12 @@ def _middle_table(
                 f"middle {middle_idx}: explicit table is for partitions "
                 f"{table.rows}/{table.cols}, not {row_vals}/{col_vals}"
             )
+        outside = [(a, b) for a, b in table.entries if not (0 < a <= len(row_vals) and 0 < b <= len(col_vals))]
+        if outside:
+            raise MarginalMismatch(
+                f"middle {middle_idx}: explicit table entry {outside[0]} lies outside "
+                f"{len(row_vals)} rows x {len(col_vals)} columns"
+            )
         if table.row_sums() != row_vals or table.col_sums() != col_vals:
             raise MarginalMismatch(f"middle {middle_idx}: explicit table does not reproduce its marginals")
         return table
@@ -403,48 +407,44 @@ def _middle_table(
     )
 
 
-def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit):
+def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit) -> ZMorphism:
     """Pair inner's target-side layouts against outer's source-side layouts.
 
     Walks the middles in order and each table in entry order, so the first
-    missing composite raised does not depend on the layouts.  Returns the
-    raw cells (inner term, outer term, value, composed arrow) in the
-    composite's target-side layout: by outer term in ``outer.terms`` order,
-    then by inner term (entry row).
+    missing composite raised does not depend on the layouts.  Each new term
+    joins the list of its outer term (by entry row) and of its inner term
+    (by entry column); the composite's ``into[col]`` joins those lists in
+    ``outer.into[col]`` order, its ``out_of[row]`` in ``inner.out_of[row]``
+    order.
     """
-    # the cells of each outer term object, in outer.terms order
-    by_outer: dict[int, list] = {id(t): [] for t in outer.terms}
+    by_outer: dict[int, list[ZTerm]] = {}
+    by_inner: dict[int, list[ZTerm]] = {}
     for idx, _obj, coeff in inner.target.components:
-        row_terms = inner.terms_into(idx)
-        col_terms = outer.terms_out_of(idx)
-        table = _middle_table(
-            idx,
-            coeff,
-            tuple(t.coefficient for t in row_terms),
-            tuple(t.coefficient for t in col_terms),
-            explicit,
-        )
+        row_terms, col_terms = inner.terms_into(idx), outer.terms_out_of(idx)
+        row_vals, col_vals = tuple(t.coefficient for t in row_terms), tuple(t.coefficient for t in col_terms)
+        table = _middle_table(idx, coeff, row_vals, col_vals, explicit)
         made = {}
         for (a, b), value in table.entries.items():
             if value == 0:
                 continue
             it, ot = row_terms[a - 1], col_terms[b - 1]
-            made[a, b] = (it, ot, value, base.compose(ot.arrow, it.arrow))
-        # computed tables list each column's entries by row already
+            made[a, b] = (it, ot, ZTerm(it.row, ot.col, value, base.compose(ot.arrow, it.arrow)))
+        # computed tables list their entries by row, then column, already
         for key in sorted(made) if explicit else made:
-            by_outer[id(made[key][1])].append(made[key])
-    return [cell for cells in by_outer.values() for cell in cells]
-
-
-def _rank_cells(cells) -> tuple[ZTerm, ...]:
-    """Composite terms from cells in target-side order; ``out_rank`` inner-major."""
-    order_out = sorted(range(len(cells)), key=lambda i: (cells[i][0].out_rank, cells[i][1].out_rank))
-    out_rank = [0] * len(cells)
-    for pos, i in enumerate(order_out):
-        out_rank[i] = pos
-    return tuple(
-        ZTerm(row=inner.row, col=outer.col, coefficient=value, arrow=arrow, out_rank=out_rank[i])
-        for i, (inner, outer, value, arrow) in enumerate(cells)
+            it, ot, term = made[key]
+            by_outer.setdefault(id(ot), []).append(term)
+            by_inner.setdefault(id(it), []).append(term)
+    return ZMorphism(
+        source=inner.source,
+        target=outer.target,
+        into={
+            col: tuple(t for ot in terms for t in by_outer.get(id(ot), ()))
+            for col, terms in outer.into.items()
+        },
+        out_of={
+            row: tuple(t for it in terms for t in by_inner.get(id(it), ()))
+            for row, terms in inner.out_of.items()
+        },
     )
 
 
@@ -469,12 +469,7 @@ def z_compose(
         diff = sorted(ours ^ theirs)
         what = f"first difference {diff[0]}" if diff else "same components"
         raise InputError(f"middle mismatch: target(inner) != source(outer); {what}")
-    cells = _couple(base, outer, inner, explicit)
-    return ZMorphism(
-        source=inner.source,
-        target=outer.target,
-        terms=_rank_cells(cells),
-    )
+    return _couple(base, outer, inner, explicit)
 
 
 # =====================================================================
@@ -484,7 +479,8 @@ def z_compose(
 
 def slice_correspondence(table: ZMorphism, idx: int) -> ZMorphism:
     """Component restriction: keep the rows of one source component."""
-    return ZMorphism(table.source.piece(idx), table.target, table.terms_out_of(idx))
+    row = table.terms_out_of(idx)
+    return ZMorphism(table.source.piece(idx), table.target, into=_group(row, "col"), out_of={idx: row})
 
 
 # =====================================================================

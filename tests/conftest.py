@@ -1,7 +1,11 @@
 import json
+import os
 from importlib import resources
+from pathlib import Path
 
 from zsite.jsonio import load_workspace
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def fixture_path(name: str) -> str:
@@ -20,6 +24,13 @@ FIXTURE_NAMES = [
     "failing.json",
     "malformed.json",
 ]
+
+
+def cli_env(**overrides) -> dict:
+    """Environment for a ``python -m zsite.cli`` child process: this one's,
+    with the repo's ``src`` first on PYTHONPATH so no install is needed."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def _slot(raw, path):

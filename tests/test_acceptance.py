@@ -7,7 +7,6 @@ run doubles as a performance smoke test.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -15,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import fixture_path
+from conftest import cli_env, fixture_path
 from fuzz import (
     chain_presheaves,
     composition_of,
@@ -452,7 +451,7 @@ def test_c12_cli_reports_are_deterministic_with_documented_exits(capsys):
         outs = []
         for seed in ("0", "1"):
             proc = subprocess.run(
-                argv, capture_output=True, env=dict(os.environ, PYTHONHASHSEED=seed), check=False
+                argv, capture_output=True, env=cli_env(PYTHONHASHSEED=seed), check=False
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)

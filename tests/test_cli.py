@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
-from conftest import fixture_path
+from conftest import cli_env, fixture_path
 from zsite.cli import COMMAND_KINDS, main
 
 # every (command, fixture) pair whose check list is non-empty and all green
@@ -194,7 +193,7 @@ def test_output_is_independent_of_hash_seed():
         proc = subprocess.run(
             argv,
             capture_output=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed),
+            env=cli_env(PYTHONHASHSEED=seed),
             check=False,
         )
         assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import fixture_path
+from conftest import assert_rule_fires, fixture_path, put
 from fuzz import layered_base, rand_chain
 from oracles import overlap_by_atoms
 from zsite.fincat import FinCat, InputError, poset_category
@@ -172,6 +172,21 @@ class TestMixedSignMiddles:
         with pytest.raises(MarginalMismatch):
             z_compose(self.base, self.outer, self.inner, explicit={1: table})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # position 0 would alias the last row and column
+            {(1, 1): 3, (1, 0): -1, (0, 0): -1},
+            # position len + 1 lies past the last row
+            {(1, 1): 3, (1, 2): -1, (3, 2): -1},
+        ],
+        ids=["zero", "past-the-end"],
+    )
+    def test_explicit_table_positions_are_range_checked(self, entries):
+        table = RefinementTable(rows=(2, -1), cols=(3, -2), entries=entries)
+        with pytest.raises(MarginalMismatch, match="lies outside"):
+            z_compose(self.base, self.outer, self.inner, explicit={1: table})
+
     def test_singleton_side_is_forced_without_a_table(self):
         # only the inner side mixes signs; the outer layout is a single
         # term, so the unique marginal-correct table applies
@@ -235,6 +250,42 @@ def _rand_split(rng, total, sgn):
     return tuple(parts)
 
 
+def _phi_findings(ws):
+    return z_validate(ws.categories["zbase"], ws.zmorphisms["phi"][1]).findings
+
+
+PHI_TERM = ("zmorphisms", "phi", "terms", 0)
+
+# one mutation of zlin.json per z_validate rule: (edits, the finding on phi);
+# phi's first term is [1, 1, 2, "f1"] from X1 (row 1) to Y (column 1)
+Z_VALIDATE_RULES = [
+    pytest.param(
+        [put(*PHI_TERM, value=[3, 1, 2, "f1"])],
+        ("structural", "term_row_known", ("3", "1", "f1")), id="term_row_known",
+    ),
+    pytest.param(
+        [put(*PHI_TERM, value=[1, 3, 2, "f1"])],
+        ("structural", "term_col_known", ("1", "3", "f1")), id="term_col_known",
+    ),
+    pytest.param(
+        [put(*PHI_TERM, value=[1, 1, 2, "ghost"])],
+        ("structural", "term_arrow_known", ("1", "1", "ghost")), id="term_arrow_known",
+    ),
+    pytest.param(
+        [put(*PHI_TERM, value=[1, 1, 2, "f2"])],
+        ("structural", "term_arrow_endpoints", ("1", "1", "f2")), id="term_arrow_endpoints",
+    ),
+    pytest.param(
+        [put(*PHI_TERM, value=[1, 1, 1, "f1"]), put("zobjects", "mid", "components", value=[[1, "Y", 2]])],
+        ("law", "row_marginal", ("1",)), id="row_marginal",
+    ),
+    pytest.param(
+        [put("zobjects", "mid", "components", value=[[1, "Y", 4]])],
+        ("law", "column_marginal", ("1",)), id="column_marginal",
+    ),
+]
+
+
 class TestValidation:
     def test_row_marginal_failure_is_law(self, zbase, split_pair):
         phi, _psi = split_pair
@@ -248,6 +299,10 @@ class TestValidation:
         bogus = z_morphism(phi.source, phi.target, [(1, 1, 2, "nope"), (2, 1, 1, "f2")])
         report = z_validate(zbase, bogus)
         assert any(f.rule == "term_arrow_known" and f.kind == "structural" for f in report.findings)
+
+    @pytest.mark.parametrize("edits,finding", Z_VALIDATE_RULES)
+    def test_each_rule_fires_on_a_mutated_fixture(self, tmp_path, edits, finding):
+        assert_rule_fires(tmp_path, "zlin.json", edits, _phi_findings, finding)
 
     def test_misrouted_arrow_is_structural(self, zbase, split_pair):
         phi, _psi = split_pair
@@ -340,6 +395,20 @@ class TestCorrespondences:
         piece = slice_correspondence(table, 2)
         assert piece.source == z_object([(2, "Y", 1)])
         assert piece.normal_form() == ((2, 1, "g1", 1),)
+
+        # a composite's slice keeps that row's source-side layout, and each
+        # column's target-side layout is the row's terms into it, in order
+        rng = random.Random(4)
+        base, levels = layered_base([2, 2, 2])
+        for _ in range(50):
+            f, g = rand_chain(rng, base, levels, length=2)
+            composite = z_compose(base, g, f)
+            for idx in composite.source.indices():
+                piece = slice_correspondence(composite, idx)
+                row = composite.terms_out_of(idx)
+                assert piece.terms_out_of(idx) == row
+                for c in composite.target.indices():
+                    assert piece.terms_into(c) == tuple(t for t in row if t.col == c)
 
     def test_column_free_table_is_a_z_morphism(self):
         pp = parallel_pair()
