@@ -101,11 +101,14 @@ class _Resolver:
     nested specs, ``value`` and ``values`` read plain data.  A missing or
     mistyped field, an unknown id, or inputs on different categories raise
     a WorkspaceError naming the check, which aborts the run; what a checker
-    raises on resolved inputs is a finding on that check alone.
+    raises on resolved inputs is a finding on that check alone.  ``verdicts``
+    is shared by every check of one run and holds the validation verdict of
+    each document a check needed valid.
     """
 
-    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int):
+    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
         self.ws, self.spec, self.path, self.budget = ws, spec, path, budget
+        self.verdicts = verdicts
 
     def error(self, message: str) -> WorkspaceError:
         return WorkspaceError(f"{self.path}: {message}")
@@ -131,7 +134,9 @@ class _Resolver:
 
     def objects(self, field: str) -> list:
         """The nested specs listed in ``field``, each read like the check's own."""
-        return [_Resolver(self.ws, item, self.path, self.budget) for item in self.values(field, dict)]
+        return [
+            _Resolver(self.ws, item, self.path, self.budget, self.verdicts) for item in self.values(field, dict)
+        ]
 
     def lookup(self, role: str, name):
         table, noun = _ROLES[role]
@@ -144,6 +149,14 @@ class _Resolver:
         """The category and the document of a (category name, document) entry."""
         catname, doc = self.id(field, role)
         return self.ws.categories[catname], doc
+
+    def valid(self, role: str, name: str, validate, *args, **kwargs) -> bool:
+        """Whether the ``role`` document ``name`` passes ``validate(*args, **kwargs)``,
+        which runs once per document and run."""
+        key = (role, name)
+        if key not in self.verdicts:
+            self.verdicts[key] = validate(*args, **kwargs).ok
+        return self.verdicts[key]
 
     def lives_on(self, a: str, x: str, b: str, y: str) -> None:
         """Raise unless ``a``, which lives on ``x``, and ``b``, on ``y``, share a category."""
@@ -189,7 +202,7 @@ def _z_compose(r: _Resolver):
     rows = [
         reports.structural("compose_inputs", (label,), "factor fails validation")
         for label, phi in zip(names, (outer, inner))
-        if not z_validate(base, phi, subject=label).ok
+        if not r.valid("zmorphism", label, z_validate, base, phi, subject=label)
     ]
     if rows:
         return Report.collect("z_compose", rows)
@@ -206,6 +219,15 @@ def _z_compose(r: _Resolver):
         if expected != got:
             rows.append(reports.law("expected_terms", (), f"expected {expected}, got {got}"))
     return Report.collect("z_compose", rows), zmorphism_to_doc(composite)
+
+
+def _grothendieck(r: _Resolver):
+    cat, assignment = r.on("covering")
+    if not r.valid("category", cat.name, validate_category, cat):
+        return Report.collect(
+            "grothendieck", [reports.structural("precondition", (cat.name,), "category fails validation")]
+        )
+    return grothendieck_axiom_check(cat, assignment, r.budget)
 
 
 def _nisnevich_inputs(r: _Resolver):
@@ -409,7 +431,7 @@ KINDS = {
         "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False
     ),
     "z_compose": ("z-compose", _z_compose, False),
-    "grothendieck": ("site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False),
+    "grothendieck": ("site-check", _grothendieck, False),
     "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False),
     "component_lemma": (
         "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False
@@ -444,10 +466,10 @@ COMMAND_KINDS = {
 }
 
 
-def _run_check(ws: Workspace, spec: dict, pos: int, budget: int):
+def _run_check(ws: Workspace, spec: dict, pos: int, budget: int, verdicts: dict):
     kind = spec["kind"]
     _command, run, owns_expectation = KINDS[kind]
-    r = _Resolver(ws, spec, f"checks[{pos}]", budget)
+    r = _Resolver(ws, spec, f"checks[{pos}]", budget, verdicts)
     payload = None
     try:
         report = run(r)
@@ -555,9 +577,9 @@ def main(argv=None) -> int:
             ]
         if args.only is not None:
             specs = [(pos, spec) for pos, spec in specs if spec.get("label") == args.only]
-        rows = []
+        rows, verdicts = [], {}
         for pos, spec in specs:
-            report, payload = _run_check(ws, spec, pos, args.budget)
+            report, payload = _run_check(ws, spec, pos, args.budget, verdicts)
             rows.append((spec["label"], spec["kind"], report, payload))
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

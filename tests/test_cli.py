@@ -5,7 +5,8 @@ from importlib import resources
 
 import pytest
 
-from conftest import cli_env, fixture_path
+from conftest import FIXTURE_NAMES, cli_env, fixture_path
+from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
 
 # every (command, fixture) pair whose check list is non-empty and all green
@@ -111,6 +112,56 @@ def test_dangling_projection_fails_only_its_checks(capsys, tmp_path):
         assert not ("structural" in kinds and "expected_outcome" in rules), entry["label"]
 
 
+def counting(monkeypatch, name, key):
+    """Replace ``cli.<name>`` by a wrapper; the list it returns gets ``key(*args, **kwargs)`` per call."""
+    calls, real = [], getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_site_check_on_a_holed_category_is_a_precondition_failure(capsys, tmp_path, monkeypatch):
+    # validate fails chain3 with composition_total once id_B|A<B is dropped;
+    # no covering axiom may then pass on it
+    with open(fixture_path("chain3.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["categories"]["chain3"]["composition"]["id_B|A<B"]
+    (spec,) = [c for c in doc["checks"] if c["kind"] == "grothendieck"]
+    doc["checks"].append(dict(spec, label="axioms-again"))
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = counting(monkeypatch, "validate_category", lambda cat: cat.name)
+    code, out, err = run(capsys, ["site-check", str(path)])
+    assert code == 2 and err == ""
+    entries = [e for e in json.loads(out)["checks"] if e["kind"] == "grothendieck"]
+    assert len(entries) == 2
+    for entry in entries:
+        assert entry["findings"] == [
+            {"kind": "structural", "rule": "precondition", "witnesses": ["chain3"],
+             "detail": "category fails validation"}
+        ]
+    assert calls == ["chain3"]
+
+
+def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypatch):
+    with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    (spec,) = [c for c in doc["checks"] if c["kind"] == "z_compose"]
+    doc["checks"] += [dict(spec, label="again"), dict(spec, label="swapped", outer="phi", inner="psi")]
+    path = tmp_path / "zlin3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = counting(monkeypatch, "z_validate", lambda base, phi, subject: subject)
+    for _run in range(2):
+        _code, out, err = run(capsys, ["z-compose", str(path)])
+        assert err == "" and len(json.loads(out)["checks"]) == 3
+    # one verdict per factor document and run; the verdicts do not outlive a run
+    assert sorted(calls) == ["phi", "phi", "psi", "psi"]
+
+
 def test_loose_level_naming_no_level_is_structural(capsys, tmp_path):
     with open(fixture_path("layered2.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -199,6 +250,35 @@ def test_output_is_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# runs every bundled fixture under validate with jsonschema made unimportable
+_WITHOUT_JSONSCHEMA = """
+import contextlib, io, json, sys
+import zsite.cli
+imported = sorted(name for name in sys.modules if name.startswith("jsonschema"))
+sys.modules["jsonschema"] = None
+runs = []
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = zsite.cli.main(["validate", path])
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"imported": imported, "runs": runs}))
+"""
+
+
+def test_the_command_line_needs_no_jsonschema(capsys):
+    paths = [fixture_path(name) for name in FIXTURE_NAMES]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_JSONSCHEMA, *paths],
+        capture_output=True,
+        env=cli_env(),
+        check=True,
+    )
+    child = json.loads(proc.stdout)
+    assert child["imported"] == []
+    assert child["runs"] == [list(run(capsys, ["validate", path])) for path in paths]
 
 
 def test_only_filter_selects_one_label(capsys):

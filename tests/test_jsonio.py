@@ -5,7 +5,8 @@ import random
 import jsonschema
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, drop, fixture_path, put
+from zsite import schema as stdlib_schema
 from zsite.jsonio import (
     WorkspaceError,
     _schema,
@@ -205,3 +206,133 @@ def test_inlined_schema_reports_what_the_referencing_one_does(name):
         assert _errors(inlined, doc) == want
         invalid += bool(want)
     assert invalid >= 10
+
+
+# =====================================================================
+# the stdlib validator against jsonschema
+# =====================================================================
+
+
+def both(*edits):
+    """One edit of a raw workspace made of ``edits`` in turn."""
+
+    def edit(raw):
+        for one in edits:
+            one(raw)
+
+    return edit
+
+
+# (fixture, edit, keywords whose errors it must produce): together they
+# reach every keyword the shipped schema uses
+TARGETED = [
+    ("zlin.json", put("checks", 0, "kind", value="no_such_kind"), {"enum"}),
+    ("zlin.json", put("checks", 0, "kind", value=7), {"enum"}),
+    ("zlin.json", put("checks", 0, "label", value=""), {"minLength"}),
+    ("zlin.json", drop("checks", 0, "label"), {"required"}),
+    ("fingerprint.json", put("fingerprints", "tab", "a", 0, value=0), set()),
+    ("fingerprint.json", put("fingerprints", "tab", "a", 0, value=-1), {"minimum"}),
+    ("fingerprint.json", put("fingerprints", "tab", "a", 0, value=-1.5), {"type", "minimum"}),
+    ("zlin.json", put("zobjects", "src", "components", 0, 0, value=1.0), set()),
+    ("zlin.json", put("zobjects", "src", "components", 0, 0, value=True), {"prefixItems", "type"}),
+    ("zlin.json", put("zmorphisms", "phi", "terms", 0, 2, value=1.5), {"prefixItems", "type"}),
+    ("zlin.json", put("zmorphisms", "phi", "terms", 0, value=[1, 1, 2]), {"minItems"}),
+    ("zlin.json", put("zobjects", "mid", "components", 0, value=[1, "Y", 3, 4]), {"maxItems"}),
+    ("zlin.json", put("zobjects", "mid", "components", 0, value=["Y", 1]), {"prefixItems", "minItems"}),
+    ("chain3.json", put("categories", "chain3", "pullbacks", "B<T|B<T", value=["B", "id_B"]), {"minItems"}),
+    ("chain3.json", put("categories", "chain3", "pullbacks", "B<T|B<T", value=["B", "id_B", "id_B", "B"]),
+     {"maxItems"}),
+    ("chain3.json", put("categories", "chain3", "pullbacks", "B<T|B<T", value=["B", "id|B", 7, ""]),
+     {"items", "pattern", "type", "minLength", "maxItems"}),
+    ("chain3.json", put("categories", "chain3", "composition", "A<B|id|A", value="A<B"), {"propertyNames"}),
+    ("chain3.json", put("categories", "chain3", "composition", "A<Bid_A", value="A<B"), {"propertyNames"}),
+    ("chain3.json", put("categories", "chain3", "morphisms", "id_A", value="A"), {"additionalProperties"}),
+    ("chain3.json", put("categories", "chain3", "extra_b", value=1), {"additionalProperties"}),
+    ("poset2.json", put("categories", "poset2", "objects", 0, value=""), {"minLength", "pattern"}),
+    ("poset2.json", put("partitions", "ep", "zz_a", value=1), {"additionalProperties"}),
+    ("zlin.json", both(put("zz_b", value=1), put("zz_a", value=2)), {"additionalProperties"}),
+]
+
+
+def _keywords(errors) -> set:
+    """The schema keywords on the schema paths of jsonschema's errors."""
+    return {k for e in errors for k in e.absolute_schema_path if k in stdlib_schema.KEYWORDS}
+
+
+def _targeted_mutant(name, edit):
+    doc = copy.deepcopy(raw_doc(name))
+    edit(doc)
+    return doc
+
+
+def test_targeted_mutants_reach_every_keyword():
+    oracle = jsonschema.Draft202012Validator(inlined_schema())
+    fired = set()
+    for name, edit, keywords in TARGETED:
+        reached = _keywords(oracle.iter_errors(_targeted_mutant(name, edit)))
+        assert keywords <= reached, (name, keywords - reached)
+        fired |= reached
+    assert fired == set(stdlib_schema.KEYWORDS)
+
+
+def _mutants(name):
+    rng = random.Random(name)
+    for _ in range(40):
+        doc = copy.deepcopy(raw_doc(name))
+        for _edit in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        yield doc
+    for fixture, edit, _keywords_reached in TARGETED:
+        if fixture == name:
+            yield _targeted_mutant(name, edit)
+
+
+def _where(path) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_stdlib_validator_reports_what_jsonschema_does(name, tmp_path):
+    oracle = jsonschema.Draft202012Validator(inlined_schema())
+    ours = stdlib_schema.Draft202012Validator(inlined_schema())
+    invalid = 0
+    for doc in _mutants(name):
+        want = _errors(oracle, doc)
+        assert _errors(ours, doc) == want
+        if not want:
+            continue
+        invalid += 1
+        # load_workspace prints the first error after a stable sort by path,
+        # so errors that share a path must come in jsonschema's order
+        first = sorted(oracle.iter_errors(doc), key=lambda e: list(e.absolute_path))[0]
+        with pytest.raises(WorkspaceError) as exc:
+            load_workspace(write_doc(tmp_path, doc))
+        assert str(exc.value) == f"{_where(first.absolute_path)}: {first.message}"
+    assert invalid >= 10
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "format": "date"},
+        {"properties": {"a": {"$ref": "#/$defs/a"}}},
+        {"items": False},
+    ],
+)
+def test_compiling_an_unsupported_keyword_raises(schema):
+    with pytest.raises(stdlib_schema.SchemaError):
+        stdlib_schema.compile_schema(schema)
+
+
+def test_errors_share_a_path_in_schema_order():
+    ours = stdlib_schema.Draft202012Validator({"type": "integer", "minimum": 0, "enum": [1, True]})
+    assert [e.message for e in ours.iter_errors(-1.5)] == [
+        "-1.5 is not of type 'integer'",
+        "-1.5 is less than the minimum of 0",
+        "-1.5 is not one of [1, True]",
+    ]
+    assert [e.message for e in ours.iter_errors(1.0)] == []
+    assert [e.message for e in ours.iter_errors(False)] == [
+        "False is not of type 'integer'",
+        "False is not one of [1, True]",
+    ]
