@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring
 
 from . import reports
 from .blur import (
@@ -221,13 +222,22 @@ def _z_compose(r: _Resolver):
     return Report.collect("z_compose", rows), zmorphism_to_doc(composite)
 
 
+def _on_valid(r: _Resolver, kind: str, cat, report: Report) -> Report:
+    """``report``, or a structural precondition finding when ``cat`` fails validation.
+
+    The laws these checks verify assume a category, so a verdict on tables
+    that fail ``validate_category`` is replaced.  The check runs first: an
+    unknown id or a blown budget it meets is reported as such, naming what
+    stopped it.
+    """
+    if r.valid("category", cat.name, validate_category, cat):
+        return report
+    return Report.collect(kind, [reports.structural("precondition", (cat.name,), "category fails validation")])
+
+
 def _grothendieck(r: _Resolver):
     cat, assignment = r.on("covering")
-    if not r.valid("category", cat.name, validate_category, cat):
-        return Report.collect(
-            "grothendieck", [reports.structural("precondition", (cat.name,), "category fails validation")]
-        )
-    return grothendieck_axiom_check(cat, assignment, r.budget)
+    return _on_valid(r, "grothendieck", cat, grothendieck_axiom_check(cat, assignment, r.budget))
 
 
 def _nisnevich_inputs(r: _Resolver):
@@ -246,7 +256,7 @@ def _square(r: _Resolver):
     base = r.id("pointed_base")
     cat, square = r.on("square")
     r.lives_on("square", cat.name, "base", base.cat.name)
-    return distinguished_square_check(base, square)
+    return _on_valid(r, "square", cat, distinguished_square_check(base, square))
 
 
 def _ladder(r: _Resolver, name):
@@ -285,6 +295,16 @@ def _blurry_site(r: _Resolver):
     return blurry_topology(cat, assignment, rel)
 
 
+def _blurry_probe(r: _Resolver):
+    site = _blurry_site(r)
+    return _on_valid(r, "blurry_probe", site.cat, blurry_axiom_probe(site, r.budget))
+
+
+def _gamma(r: _Resolver):
+    cat, rel = r.on("partition")
+    return _on_valid(r, "gamma", cat, gamma_check(cat, rel))
+
+
 def _powered_blurry(r: _Resolver):
     sites = [_blurry_site(level) for level in r.objects("levels")]
     layered = r.id("layered") if "layered" in r.spec else None
@@ -300,6 +320,16 @@ def _presheaf_and(r: _Resolver, field: str):
     cat, doc = r.on(field)
     r.lives_on("presheaf", F.cat.name, field, cat.name)
     return F, doc
+
+
+def _sheaf(r: _Resolver):
+    F, assignment = _presheaf_and(r, "covering")
+    return _on_valid(r, "sheaf", F.cat, sheaf_check(F, assignment))
+
+
+def _cartesian(r: _Resolver):
+    F, square = _presheaf_and(r, "square")
+    return _on_valid(r, "cartesian", F.cat, cartesian_square_check(F, square))
 
 
 def _additivity(r: _Resolver):
@@ -323,7 +353,8 @@ def _squares_probe(r: _Resolver):
         if catname != F.cat.name:
             raise r.error(f"square {name!r} lives on {catname}")
         squares.append(square)
-    return squares_vs_sheaf_probe(F, assignment, squares, r.value("asserted", bool, True))
+    asserted = r.value("asserted", bool, True)
+    return _on_valid(r, "squares_probe", F.cat, squares_vs_sheaf_probe(F, assignment, squares, asserted))
 
 
 def _enumerate_fes(r: _Resolver):
@@ -439,12 +470,12 @@ KINDS = {
     "square": ("site-check", _square, False),
     "powered_cover": ("site-check", _powered_cover, False),
     "powered_stability": ("site-check", _powered_stability, False),
-    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False),
-    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False),
+    "gamma": ("blur-check", _gamma, False),
+    "blurry_probe": ("blur-check", _blurry_probe, False),
     "powered_blurry": ("blur-check", _powered_blurry, False),
-    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False),
+    "sheaf": ("sheaf-check", _sheaf, False),
     "additivity": ("sheaf-check", _additivity, False),
-    "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False),
+    "cartesian": ("sheaf-check", _cartesian, False),
     "squares_probe": ("sheaf-check", _squares_probe, False),
     "enumerate_fes": ("parametrize", _enumerate_fes, False),
     "precompose": ("parametrize", _precompose, False),
@@ -503,6 +534,59 @@ def _exit_code(report_rows) -> int:
     return worst
 
 
+def _scalar_text(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == float("inf"):
+            return "Infinity"
+        if value == float("-inf"):
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dumps_indented(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``.
+
+    With ``indent`` set the stdlib encoder runs in pure Python, one
+    generator per nesting level; joining each level's items with
+    ``",\n" + indent`` and encoding strings with the C
+    ``encode_basestring`` gives the same text in about half the time.
+    Dict keys must be strings, as every key of a report is; any other key
+    raises TypeError, like a value ``json.dumps`` cannot encode.
+    """
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # plain strings and ints, most of a report, are encoded in place
+        items = [
+            encode_basestring(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else dumps_indented(v, inner)
+            for v in value
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring(k) + ": " + dumps_indented(v, inner) for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _scalar_text(value)
+
+
 def _emit_json(command: str, rows) -> str:
     doc = {
         "command": command,
@@ -519,7 +603,7 @@ def _emit_json(command: str, rows) -> str:
         if payload is not None:
             entry["result"] = payload
         doc["checks"].append(entry)
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dumps_indented(doc) + "\n"
 
 
 def _emit_text(command: str, rows) -> str:

@@ -32,9 +32,10 @@ masses already occupy, so both bracketings of a triple perform literally the
 same atom-by-atom pairing and composition is associative by construction on
 sign-coherent inputs.
 
-Equality, validation, and serialization use the normalized view (merge by
-``(row, col, arrow)``, drop zeros, sort); provenance only affects how a
-composite behaves inside further compositions.
+Equality, rendering, and serialization use the normalized view (merge by
+``(row, col, arrow)``, drop zeros, sort), computed once per morphism;
+provenance only affects how a composite behaves inside further
+compositions.
 
 When either side of a middle has a single term, the coupling table is the
 unique one with the required marginals, so it is used even without sign
@@ -44,6 +45,7 @@ two-sided units for every morphism, mixed signs included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -109,8 +111,12 @@ def z_object(parts) -> ZObject:
     return ZObject(components=tuple(sorted((int(i), str(o), int(c)) for i, o, c in parts)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ZTerm:
+    """One cell (row, col, coefficient, arrow).  Terms are never changed
+    after construction; they are not frozen only because a frozen dataclass
+    is several times slower to build, and composition builds many."""
+
     row: int
     col: int
     coefficient: int
@@ -156,10 +162,15 @@ class ZMorphism:
     @property
     def terms(self) -> tuple[ZTerm, ...]:
         """Every term once, row group by row group."""
-        return tuple(t for group in self.out_of.values() for t in group)
+        return tuple(itertools.chain.from_iterable(self.out_of.values()))
 
     def normal_form(self) -> tuple[tuple[int, int, str, int], ...]:
-        return _normalize((t.key(), t.coefficient) for t in self.terms)
+        return self._normal_form
+
+    @functools.cached_property
+    def _normal_form(self) -> tuple[tuple[int, int, str, int], ...]:
+        # computed once: rendering, equality, hashing and serialization all read it
+        return _normalize(((t.row, t.col, t.arrow), t.coefficient) for t in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZMorphism):
@@ -320,6 +331,30 @@ class RefinementTable:
         return tuple(out)
 
 
+def _overlaps(rows, cols):
+    """Northwest-corner walk of two runs of positive lengths with one total.
+
+    Lays both runs out as consecutive intervals from 0 and yields
+    ``(a, b, length)`` for each row interval ``a`` and column interval ``b``
+    (0-based) that overlap, row by row and, within a row, column by column.
+    """
+    a = b = 0
+    r, c = rows[0], cols[0]
+    while True:
+        length = r if r < c else c
+        yield a, b, length
+        r -= length
+        c -= length
+        if not r:
+            a += 1
+            if a == len(rows):
+                return
+            r = rows[a]
+        if not c:
+            b += 1
+            c = cols[b]
+
+
 def interval_refinement(rows, cols) -> RefinementTable:
     """Overlap table of two sign-coherent partitions of one total.
 
@@ -344,21 +379,8 @@ def interval_refinement(rows, cols) -> RefinementTable:
             if _sign(val) != sgn:
                 raise SignIncoherent(f"{label} entry {pos} ({val}) does not carry the sign of {total}")
 
-    entries: dict[tuple[int, int], int] = {}
-    r_start = 0
-    c_pos, c_start = 0, 0
-    for a, r in enumerate(rows, start=1):
-        r_end = r_start + abs(r)
-        while c_pos < len(cols):
-            c_end = c_start + abs(cols[c_pos])
-            lo, hi = max(r_start, c_start), min(r_end, c_end)
-            if hi > lo:
-                entries[(a, c_pos + 1)] = sgn * (hi - lo)
-            if c_end >= r_end:
-                break
-            c_pos += 1
-            c_start = c_end
-        r_start = r_end
+    overlaps = _overlaps([abs(r) for r in rows], [abs(c) for c in cols])
+    entries = {(a + 1, b + 1): sgn * length for a, b, length in overlaps}
     return RefinementTable(rows=rows, cols=cols, entries=entries)
 
 
@@ -367,53 +389,80 @@ def interval_refinement(rows, cols) -> RefinementTable:
 # =====================================================================
 
 
-def _middle_table(
-    middle_idx: int,
-    middle_coeff: int,
-    row_vals: tuple[int, ...],
-    col_vals: tuple[int, ...],
-    explicit: dict[int, RefinementTable] | None,
-) -> RefinementTable:
-    if explicit and middle_idx in explicit:
-        table = explicit[middle_idx]
-        if table.rows != row_vals or table.cols != col_vals:
-            raise MarginalMismatch(
-                f"middle {middle_idx}: explicit table is for partitions "
-                f"{table.rows}/{table.cols}, not {row_vals}/{col_vals}"
-            )
-        outside = [(a, b) for a, b in table.entries if not (0 < a <= len(row_vals) and 0 < b <= len(col_vals))]
-        if outside:
-            raise MarginalMismatch(
-                f"middle {middle_idx}: explicit table entry {outside[0]} lies outside "
-                f"{len(row_vals)} rows x {len(col_vals)} columns"
-            )
-        if table.row_sums() != row_vals or table.col_sums() != col_vals:
-            raise MarginalMismatch(f"middle {middle_idx}: explicit table does not reproduce its marginals")
-        return table
+def _middle_table(middle_idx: int, table: RefinementTable, row_vals, col_vals) -> RefinementTable:
+    """An explicit table for one middle, checked against both splittings."""
+    if table.rows != row_vals or table.cols != col_vals:
+        raise MarginalMismatch(
+            f"middle {middle_idx}: explicit table is for partitions "
+            f"{table.rows}/{table.cols}, not {row_vals}/{col_vals}"
+        )
+    outside = [(a, b) for a, b in table.entries if not (0 < a <= len(row_vals) and 0 < b <= len(col_vals))]
+    if outside:
+        raise MarginalMismatch(
+            f"middle {middle_idx}: explicit table entry {outside[0]} lies outside "
+            f"{len(row_vals)} rows x {len(col_vals)} columns"
+        )
+    if table.row_sums() != row_vals or table.col_sums() != col_vals:
+        raise MarginalMismatch(f"middle {middle_idx}: explicit table does not reproduce its marginals")
+    return table
+
+
+def _terms(base: FinCat, pairs) -> list:
+    """(inner term, outer term, composite term) for each nonzero (inner term, outer term, mass)."""
+    compose = base.compose
+    return [(it, ot, ZTerm(it.row, ot.col, v, compose(ot.arrow, it.arrow))) for it, ot, v in pairs if v]
+
+
+def _explicit_cells(base: FinCat, middle_idx: int, table: RefinementTable, row_terms, col_terms) -> list:
+    """(inner term, outer term, composite term) of each nonzero entry, by row then column.
+
+    Arrows are composed in entry order, so the first missing composite
+    raised is that of the first entry listed.
+    """
+    row_vals = tuple(t.coefficient for t in row_terms)
+    col_vals = tuple(t.coefficient for t in col_terms)
+    table = _middle_table(middle_idx, table, row_vals, col_vals)
+    positions = [pos for pos, v in table.entries.items() if v]
+    made = _terms(base, [(row_terms[a - 1], col_terms[b - 1], table.entries[a, b]) for a, b in positions])
+    return [cell for _pos, cell in sorted(zip(positions, made))]
+
+
+def _computed_cells(base: FinCat, middle_idx: int, middle_coeff: int, row_terms, col_terms) -> list:
+    """(inner term, outer term, composite term) of each cell of one middle's table, by row then column.
+
+    The table is the unique one when either side is a single term, else the
+    interval overlaps of the two sign-coherent splittings.  Both splittings
+    are checked before any arrow is composed.
+    """
+    row_vals = tuple(t.coefficient for t in row_terms)
+    col_vals = tuple(t.coefficient for t in col_terms)
     if sum(row_vals) != middle_coeff or sum(col_vals) != middle_coeff:
         raise MarginalMismatch(
             f"middle {middle_idx}: splittings {row_vals}/{col_vals} do not sum to {middle_coeff}"
         )
     # a single interval on either side forces the unique marginal-correct table
-    if len(row_vals) == 1:
-        return RefinementTable(row_vals, col_vals, {(1, b): v for b, v in enumerate(col_vals, start=1)})
-    if len(col_vals) == 1:
-        return RefinementTable(row_vals, col_vals, {(a, 1): v for a, v in enumerate(row_vals, start=1)})
-    sgn = _sign(middle_coeff)
-    if all(_sign(v) == sgn for v in row_vals) and all(_sign(v) == sgn for v in col_vals):
-        return interval_refinement(row_vals, col_vals)
-    raise SignIncoherent(
-        f"middle {middle_idx} mixes signs ({row_vals} against {col_vals}); supply an explicit table"
-    )
+    if len(row_terms) == 1:
+        pairs = [(row_terms[0], ot, ot.coefficient) for ot in col_terms]
+    elif len(col_terms) == 1:
+        pairs = [(it, col_terms[0], it.coefficient) for it in row_terms]
+    else:
+        vals = row_vals + col_vals
+        if (min(vals) <= 0) if middle_coeff > 0 else (max(vals) >= 0):
+            raise SignIncoherent(
+                f"middle {middle_idx} mixes signs ({row_vals} against {col_vals}); supply an explicit table"
+            )
+        sgn = _sign(middle_coeff)
+        overlaps = _overlaps([abs(v) for v in row_vals], [abs(v) for v in col_vals])
+        pairs = [(row_terms[a], col_terms[b], sgn * length) for a, b, length in overlaps]
+    return _terms(base, pairs)
 
 
 def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit) -> ZMorphism:
     """Pair inner's target-side layouts against outer's source-side layouts.
 
-    Walks the middles in order and each table in entry order, so the first
-    missing composite raised does not depend on the layouts.  Each new term
-    joins the list of its outer term (by entry row) and of its inner term
-    (by entry column); the composite's ``into[col]`` joins those lists in
+    Walks the middles in order, so the first error raised does not depend
+    on the layouts.  Each new term joins the list of its outer term and of
+    its inner term; the composite's ``into[col]`` joins those lists in
     ``outer.into[col]`` order, its ``out_of[row]`` in ``inner.out_of[row]``
     order.
     """
@@ -421,17 +470,11 @@ def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit) -> ZMorp
     by_inner: dict[int, list[ZTerm]] = {}
     for idx, _obj, coeff in inner.target.components:
         row_terms, col_terms = inner.terms_into(idx), outer.terms_out_of(idx)
-        row_vals, col_vals = tuple(t.coefficient for t in row_terms), tuple(t.coefficient for t in col_terms)
-        table = _middle_table(idx, coeff, row_vals, col_vals, explicit)
-        made = {}
-        for (a, b), value in table.entries.items():
-            if value == 0:
-                continue
-            it, ot = row_terms[a - 1], col_terms[b - 1]
-            made[a, b] = (it, ot, ZTerm(it.row, ot.col, value, base.compose(ot.arrow, it.arrow)))
-        # computed tables list their entries by row, then column, already
-        for key in sorted(made) if explicit else made:
-            it, ot, term = made[key]
+        if explicit and idx in explicit:
+            cells = _explicit_cells(base, idx, explicit[idx], row_terms, col_terms)
+        else:
+            cells = _computed_cells(base, idx, coeff, row_terms, col_terms)
+        for it, ot, term in cells:
             by_outer.setdefault(id(ot), []).append(term)
             by_inner.setdefault(id(it), []).append(term)
     return ZMorphism(

@@ -176,3 +176,63 @@ def rand_chain(rng: random.Random, base: FinCat, levels, length=3, max_total=6):
         chain.append(merge_steps(steps))
         sector_objs = [phi.target for phi in steps]
     return chain
+
+
+def cyclic_groupoid(objects: int, order: int, name="cyc") -> FinCat:
+    """Connected groupoid on X0..X{objects-1}; every hom-set is Z/order.
+
+    Arrow ``g{i}.{j}.{r}`` goes from Xi to Xj, and composing adds the
+    residues, so every pair of objects is joined by ``order`` parallel arrows.
+    """
+    def arrow(i, j, r):
+        return f"g{i}.{j}.{r % order}"
+
+    idx = range(objects)
+    return FinCat(
+        name=name,
+        objects=tuple(f"X{i}" for i in idx),
+        morphisms={arrow(i, j, r): (f"X{i}", f"X{j}") for i in idx for j in idx for r in range(order)},
+        identities={f"X{i}": arrow(i, i, 0) for i in idx},
+        composition={
+            (arrow(j, k, s), arrow(i, j, r)): arrow(i, k, r + s)
+            for i, j, k in itertools.product(idx, repeat=3)
+            for r in range(order)
+            for s in range(order)
+        },
+    )
+
+
+def wide_zobj(rng: random.Random, pool, positive: int, negative: int, coeff=(8, 14)):
+    """A positive sector of ``positive`` components, then a negative one."""
+    return z_object(
+        (idx, rng.choice(pool), (1 if idx <= positive else -1) * rng.randint(*coeff))
+        for idx in range(1, positive + negative + 1)
+    )
+
+
+def atom_coupling(rng: random.Random, base: FinCat, src, tgt) -> ZMorphism:
+    """Random sign-coherent morphism src -> tgt with both marginals exact.
+
+    Per sign, the unit atoms of the source components are dealt onto a
+    shuffled list of the target's atoms, each pair carried by a random
+    arrow; the two sums must have equal mass in each sign.
+    """
+    cells = []
+    for sign in (1, -1):
+        rows = [(i, o) for i, o, c in src.components if c * sign > 0 for _ in range(abs(c))]
+        cols = [(j, o) for j, o, c in tgt.components if c * sign > 0 for _ in range(abs(c))]
+        if len(rows) != len(cols):
+            raise ValueError("sector masses differ")
+        rng.shuffle(cols)
+        cells.extend((i, j, sign, rng.choice(base.hom(a, b))) for (i, a), (j, b) in zip(rows, cols))
+    return z_morphism(src, tgt, cells)
+
+
+def narrow_zobj(rng: random.Random, pool, wide, parts: int):
+    """``parts`` components per sign carrying the sector masses of ``wide``."""
+    comps = []
+    for sign in (1, -1):
+        mass = sum(abs(c) for _i, _o, c in wide.components if c * sign > 0)
+        for p in composition_of(rng, mass, parts):
+            comps.append((len(comps) + 1, rng.choice(pool), sign * p))
+    return z_object(comps)

@@ -173,3 +173,26 @@ def refinements_product(cat, assignment, family):
         frozenset(cat.compose(f, g) for f, sub in zip(members, choice) for g in sorted(sub))
         for choice in itertools.product(*choices)
     )
+
+
+def compose_by_atoms(base, outer, inner):
+    """Normal form of ``outer`` after ``inner``, paired unit atom by unit atom.
+
+    Per middle component, the inner cells into it and the outer cells out of
+    it, each in (row, col, arrow) order, are expanded into unit atoms; atom t
+    of one side meets atom t of the other and carries the composite of
+    their arrows.  That order is the layout of a freshly built morphism, so
+    this is the composite of fresh factors on sign-coherent middles.
+    """
+    into: dict[int, list] = {}
+    for row, col, arrow, v in inner.normal_form():
+        into.setdefault(col, []).extend([(row, arrow, 1 if v > 0 else -1)] * abs(v))
+    out_of: dict[int, list] = {}
+    for row, col, arrow, v in outer.normal_form():
+        out_of.setdefault(row, []).extend([(col, arrow)] * abs(v))
+    cells: dict[tuple[int, int, str], int] = {}
+    for middle, atoms in into.items():
+        for (row, a_in, sign), (col, a_out) in zip(atoms, out_of[middle], strict=True):
+            key = (row, col, base.compose(a_out, a_in))
+            cells[key] = cells.get(key, 0) + sign
+    return tuple((r, c, a, v) for (r, c, a), v in sorted(cells.items()) if v != 0)

@@ -4,6 +4,8 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES, cli_env, fixture_path
 from zsite import cli
@@ -144,6 +146,39 @@ def test_site_check_on_a_holed_category_is_a_precondition_failure(capsys, tmp_pa
             {"kind": "structural", "rule": "precondition", "witnesses": ["chain3"],
              "detail": "category fails validation"}
         ]
+    assert calls == ["chain3"]
+
+
+@pytest.mark.parametrize(
+    "command,gated",
+    [
+        ("blur-check", {"gamma", "blurry_probe"}),
+        ("sheaf-check", {"sheaf", "cartesian", "squares_probe"}),
+        ("site-check", {"grothendieck", "square"}),
+    ],
+    ids=["blur-check", "sheaf-check", "site-check"],
+)
+def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, monkeypatch, command, gated):
+    # every kind whose law assumes a valid category gives the precondition
+    # finding on chain3 without id_B|A<B; the rest run as before
+    with open(fixture_path("chain3.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["categories"]["chain3"]["composition"]["id_B|A<B"]
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = counting(monkeypatch, "validate_category", lambda cat: cat.name)
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and err == ""
+    entries = json.loads(out)["checks"]
+    assert gated <= {e["kind"] for e in entries}
+    for entry in entries:
+        if entry["kind"] in gated:
+            assert entry["findings"] == [
+                {"kind": "structural", "rule": "precondition", "witnesses": ["chain3"],
+                 "detail": "category fails validation"}
+            ]
+        else:
+            assert all(f["rule"] != "precondition" for f in entry["findings"])
     assert calls == ["chain3"]
 
 
@@ -363,3 +398,55 @@ def test_text_format_summarizes(capsys):
     assert code == 0
     assert "[PASS] cat (validate_category)" in out
     assert out.rstrip().endswith("validate: 3 checks, 3 passed, 0 failed")
+
+
+# strings a report can hold: quotes, backslashes, control characters,
+# non-ASCII and astral characters among arbitrary ones
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀'), st.characters()), max_size=8)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),
+    _TEXT,
+)
+
+
+def _trees(leaves, keys=_TEXT):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(keys, kids, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(_SCALARS))
+def test_indented_emitter_writes_what_json_dumps_writes(tree):
+    assert cli.dumps_indented(tree) == _json_dumps(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _trees(
+        st.one_of(_SCALARS, st.sampled_from([b"raw", 1j, frozenset({1})]), st.builds(object)),
+        keys=st.one_of(_TEXT, st.tuples(st.integers())),
+    )
+)
+def test_indented_emitter_rejects_what_json_dumps_rejects(tree):
+    try:
+        expected = _json_dumps(tree)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli.dumps_indented(tree)
+    else:
+        assert cli.dumps_indented(tree) == expected

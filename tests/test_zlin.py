@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import assert_rule_fires, fixture_path, put
-from fuzz import layered_base, rand_chain
-from oracles import overlap_by_atoms
+from fuzz import atom_coupling, cyclic_groupoid, layered_base, narrow_zobj, rand_chain, wide_zobj
+from oracles import compose_by_atoms, overlap_by_atoms
 from zsite.fincat import FinCat, InputError, poset_category
 from zsite.jsonio import load_workspace
 from zsite.zlin import (
@@ -186,6 +187,19 @@ class TestMixedSignMiddles:
         table = RefinementTable(rows=(2, -1), cols=(3, -2), entries=entries)
         with pytest.raises(MarginalMismatch, match="lies outside"):
             z_compose(self.base, self.outer, self.inner, explicit={1: table})
+
+    def test_explicit_entries_compose_in_the_order_listed(self):
+        # two entries lack a composite; the one listed first is raised,
+        # though the composite lays its cells out by row then column
+        holed = dataclasses.replace(
+            self.base,
+            composition={
+                k: v for k, v in self.base.composition.items() if k not in {("b<c1", "a1<b"), ("b<c2", "a2<b")}
+            },
+        )
+        table = RefinementTable(rows=(2, -1), cols=(3, -2), entries={(2, 2): -1, (1, 1): 3, (1, 2): -1})
+        with pytest.raises(InputError, match=r"^mx: no composite for \(b<c2 after a2<b\)$"):
+            z_compose(holed, self.outer, self.inner, explicit={1: table})
 
     def test_singleton_side_is_forced_without_a_table(self):
         # only the inner side mixes signs; the outer layout is a single
@@ -455,3 +469,138 @@ class TestRandomChains:
             composite = z_compose(base, g, f)
             assert composite.source.total_mass() == composite.target.total_mass()
             assert f.source.total_mass() == g.target.total_mass()
+
+
+class TestCoupler:
+    """The per-middle pairing of ``z_compose`` against atom-pairing oracles,
+    and the errors it raises on middles it cannot pair."""
+
+    line = poset_category("line", ["s", "m", "t"], [("s", "m"), ("m", "t")])
+
+    def _block_pair(self, blocks):
+        """Factors through middles 1..k with no shared rows or columns.
+
+        ``blocks`` holds one (rows, cols) pair of splittings per middle; each
+        splitting gets components of its own, so the composite's cell (row,
+        col) is entry (a, b) of that middle's table.
+        """
+        src, mid, tgt, inner, outer = [], [], [], [], []
+        for m, (rows, cols) in enumerate(blocks, start=1):
+            mid.append((m, "m", sum(rows)))
+            for v in rows:
+                src.append((len(src) + 1, "s", v))
+                inner.append((len(src), m, v, "s<m"))
+            for v in cols:
+                tgt.append((len(tgt) + 1, "t", v))
+                outer.append((m, len(tgt), v, "m<t"))
+        middle = z_object(mid)
+        return (
+            z_morphism(middle, z_object(tgt), outer),
+            z_morphism(z_object(src), middle, inner),
+        )
+
+    def test_computed_tables_are_atom_overlaps(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            blocks = []
+            for _m in range(rng.randint(1, 4)):
+                sgn, total = rng.choice((1, -1)), rng.randint(1, 12)
+                blocks.append((_rand_split(rng, total, sgn), _rand_split(rng, total, sgn)))
+            outer, inner = self._block_pair(blocks)
+            composite = z_compose(self.line, outer, inner)
+            row0 = col0 = 0
+            want = []
+            for rows, cols in blocks:
+                table = overlap_by_atoms(rows, cols)
+                assert interval_refinement(rows, cols).entries == table
+                want += [(row0 + a, col0 + b, "s<t", v) for (a, b), v in sorted(table.items())]
+                row0, col0 = row0 + len(rows), col0 + len(cols)
+            assert composite.normal_form() == tuple(want), blocks
+            # each row lays out its cells by column, each column by row
+            for r in composite.source.indices():
+                cols = [t.col for t in composite.terms_out_of(r)]
+                assert cols == sorted(cols)
+            for c in composite.target.indices():
+                rows = [t.row for t in composite.terms_into(c)]
+                assert rows == sorted(rows)
+
+    def test_wide_sums_compose_by_atom_pairing(self):
+        rng = random.Random(20261020)
+        base = cyclic_groupoid(3, 3)
+        pool = sorted(base.objects)
+        for positive, negative in ((16, 16), (20, 17)):
+            wide = wide_zobj(rng, pool, positive, negative)
+            endos = [atom_coupling(rng, base, wide, wide) for _ in range(4)]
+            onto = atom_coupling(rng, base, wide, narrow_zobj(rng, pool, wide, 3))
+            for outer in endos + [onto]:
+                for inner in endos:
+                    composite = z_compose(base, outer, inner)
+                    assert composite.normal_form() == compose_by_atoms(base, outer, inner)
+                    assert z_validate(base, composite).ok
+
+    def _pair(self, inner_vals, middle, outer_vals):
+        """Factors through the one middle component ``(1, "m", middle)``."""
+        mid = z_object([(1, "m", middle)])
+        outer = z_morphism(
+            mid,
+            z_object((b, "t", v) for b, v in enumerate(outer_vals, start=1)),
+            [(1, b, v, "m<t") for b, v in enumerate(outer_vals, start=1)],
+        )
+        inner = z_morphism(
+            z_object((a, "s", v) for a, v in enumerate(inner_vals, start=1)),
+            mid,
+            [(a, 1, v, "s<m") for a, v in enumerate(inner_vals, start=1)],
+        )
+        return outer, inner
+
+    @pytest.mark.parametrize(
+        "inner_vals,middle,outer_vals,entries,error,message",
+        [
+            ((1, 2), 4, (2, 2), None, MarginalMismatch,
+             "middle 1: splittings (1, 2)/(2, 2) do not sum to 4"),
+            ((1, 2), 4, (2, 2), {(1, 1): 1, (2, 1): 1, (2, 2): 1}, MarginalMismatch,
+             "middle 1: explicit table does not reproduce its marginals"),
+            ((2, -1), 1, (3, -2), None, SignIncoherent,
+             "middle 1 mixes signs ((2, -1) against (3, -2)); supply an explicit table"),
+            ((2, -1), 1, (3, -2), {(1, 1): 3, (2, 2): -2}, MarginalMismatch,
+             "middle 1: explicit table does not reproduce its marginals"),
+        ],
+        ids=["sum-computed", "sum-explicit", "signs-computed", "signs-explicit"],
+    )
+    def test_unpairable_middles_raise_pinned_errors(self, inner_vals, middle, outer_vals, entries, error, message):
+        outer, inner = self._pair(inner_vals, middle, outer_vals)
+        explicit = None if entries is None else {1: RefinementTable(inner_vals, outer_vals, entries)}
+        with pytest.raises(error) as info:
+            z_compose(self.line, outer, inner, explicit=explicit)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "blocks,error,message",
+        [
+            # the first middle that cannot be paired raises, whatever follows it
+            ([((1, 1), (2,)), ((2, -1), (3, -2)), ((1,), (2,))], SignIncoherent,
+             "middle 2 mixes signs ((2, -1) against (3, -2)); supply an explicit table"),
+            ([((1, 1), (2,)), ((1,), (2,)), ((2, -1), (3, -2))], MarginalMismatch,
+             "middle 2: splittings (1,)/(2,) do not sum to 1"),
+        ],
+        ids=["signs-first", "sum-first"],
+    )
+    def test_the_first_unpairable_middle_raises(self, blocks, error, message):
+        outer, inner = self._block_pair(blocks)
+        with pytest.raises(error) as info:
+            z_compose(self.line, outer, inner)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_a_middle_pairs_before_its_arrows_compose(self):
+        # middle 1 has no composite arrow and middle 2 mixes signs: the
+        # missing composite of middle 1 is met first
+        composition = {k: v for k, v in self.line.composition.items() if k != ("m<t", "s<m")}
+        holed = dataclasses.replace(self.line, composition=composition)
+        outer, inner = self._block_pair([((1, 1), (2,)), ((2, -1), (3, -2))])
+        with pytest.raises(InputError, match=r"^line: no composite for \(m<t after s<m\)$"):
+            z_compose(holed, outer, inner)
+        outer, inner = self._block_pair([((2, -1), (3, -2)), ((1, 1), (2,))])
+        with pytest.raises(SignIncoherent):
+            z_compose(holed, outer, inner)

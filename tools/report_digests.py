@@ -7,7 +7,10 @@ and stderr.  It adds one ``"sweep CHECKER"`` entry per checker of a seeded
 in-process sweep over random poset sites (see ``sweep_outputs``): the
 sha256 of every report, result and exception text that checker gave.  The
 ``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
-(see ``layout_outputs``).  Run from the repository root:
+(see ``layout_outputs``), and the ``"wide z-compose"`` entry that of the exit
+code, stdout and stderr of ``z-compose``, in both formats, on a seeded
+workspace of wide sums (see ``wide_workspace``).  Run from the repository
+root:
 
     python3 tools/report_digests.py [OUT]
 
@@ -25,12 +28,23 @@ import json
 import pathlib
 import random
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fuzz import layered_base, rand_chain, rand_poset, rand_seeds  # noqa: E402
+from fuzz import (  # noqa: E402
+    atom_coupling,
+    cyclic_groupoid,
+    layered_base,
+    narrow_zobj,
+    rand_chain,
+    rand_poset,
+    rand_seeds,
+    wide_zobj,
+)
+from oracles import compose_by_atoms  # noqa: E402
 from zsite.blur import blurry_axiom_probe, blurry_topology  # noqa: E402
 from zsite.cli import COMMAND_KINDS, main  # noqa: E402
 from zsite.fincat import (  # noqa: E402
@@ -43,9 +57,10 @@ from zsite.fincat import (  # noqa: E402
     partition_from_blocks,
     quotient_category,
 )
+from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc  # noqa: E402
 from zsite.modular import ModelLabeledCat, class_types, quotient_model  # noqa: E402
 from zsite.site import generate_covering_assignment, grothendieck_axiom_check  # noqa: E402
-from zsite.zlin import z_compose  # noqa: E402
+from zsite.zlin import z_compose, z_morphism  # noqa: E402
 
 FIXTURES = ROOT / "src" / "zsite" / "fixtures"
 OUT = ROOT / "tests" / "report_digests.json"
@@ -65,6 +80,9 @@ SWEPT = (
 LAYOUT_SEED = 20_261_018
 LAYOUT_CASES = 300
 LAYOUT_SHAPES = ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 2, 2), (2, 1, 2, 1), (3, 1, 1, 1))
+
+WIDE_SEED = 20_261_019
+WIDE_ENDOS = 10
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -89,6 +107,7 @@ def digests() -> dict[str, str]:
     for checker, outputs in sweep_outputs().items():
         result[f"sweep {checker}"] = _sha(outputs)
     result["layouts"] = _sha(layout_outputs())
+    result["wide z-compose"] = _sha(wide_outputs())
     return result
 
 
@@ -294,6 +313,79 @@ def layout_outputs(cases: int = LAYOUT_CASES, seed: int = LAYOUT_SEED) -> list:
         ):
             out.append(_layout(composite))
     return out
+
+
+# =====================================================================
+# seeded wide-sum compositions
+# =====================================================================
+
+
+def _wide_cells(phi) -> list:
+    return [(r, c, v, a) for r, c, a, v in phi.normal_form()]
+
+
+def wide_workspace(seed: int = WIDE_SEED) -> dict:
+    """A z-compose workspace of wide sums over a cyclic groupoid (3 objects, Z/3).
+
+    W has 16 positive and 16 negative components of mass 8-14; e0..e9 are
+    random atom couplings W -> W (about 300 terms each) and p one onto a
+    narrower sum V.  Every pair ei.ej and every p.ej is composed with its
+    atom-pairing normal form as ``expect_terms`` (one pair, e3.e7, expects
+    one term too few).  x is e0 with one atom pair sent across a sign
+    boundary, so its marginals hold but a middle mixes signs, and b is e0
+    with one coefficient raised, so it fails validation; x.e1, e1.x and
+    b.e2 are composed too.
+    """
+    rng = random.Random(seed)
+    base = cyclic_groupoid(3, 3, name="G")
+    pool = sorted(base.objects)
+    wide = wide_zobj(rng, pool, 16, 16)
+    narrow = narrow_zobj(rng, pool, wide, 4)
+    maps = {f"e{i}": atom_coupling(rng, base, wide, wide) for i in range(WIDE_ENDOS)}
+    maps["p"] = atom_coupling(rng, base, wide, narrow)
+    e0 = _wide_cells(maps["e0"])
+    pos = [i for i, _o, c in wide.components if c > 0]
+    neg = [i for i, _o, c in wide.components if c < 0]
+    (r1, r2), c1, c2 = rng.sample(pos, 2), rng.choice(pos), rng.choice(neg)
+    obj = {i: o for i, o, _c in wide.components}
+    swap = [
+        (row, col, v, rng.choice(base.hom(obj[row], obj[col])))
+        for row, col, v in ((r1, c2, 1), (r1, c1, -1), (r2, c2, -1), (r2, c1, 1))
+    ]
+    maps["x"] = z_morphism(wide, wide, e0 + swap)
+    row, col, _v, arrow = e0[0]
+    maps["b"] = z_morphism(wide, wide, e0 + [(row, col, 1, arrow)])
+    pairs = [(f"e{i}", f"e{j}") for i in range(WIDE_ENDOS) for j in range(WIDE_ENDOS)]
+    pairs += [("p", f"e{j}") for j in range(WIDE_ENDOS)]
+    checks = []
+    for outer, inner in pairs:
+        expected = [[r, c, v, a] for r, c, a, v in compose_by_atoms(base, maps[outer], maps[inner])]
+        if (outer, inner) == ("e3", "e7"):
+            expected.pop()
+        checks.append({"kind": "z_compose", "label": f"{outer}.{inner}", "outer": outer, "inner": inner,
+                       "expect_terms": expected})
+    checks += [
+        {"kind": "z_compose", "label": f"{outer}.{inner}", "outer": outer, "inner": inner}
+        for outer, inner in (("x", "e1"), ("e1", "x"), ("b", "e2"))
+    ]
+    return {
+        "categories": {"G": cat_to_doc(base)},
+        "zobjects": {"W": zobject_to_doc(wide), "V": zobject_to_doc(narrow)},
+        "zmorphisms": {
+            name: {"category": "G", "source": "W", "target": "V" if name == "p" else "W",
+                   "terms": zmorphism_to_doc(phi)["terms"]}
+            for name, phi in maps.items()
+        },
+        "checks": checks,
+    }
+
+
+def wide_outputs(seed: int = WIDE_SEED) -> list:
+    """Exit code, stdout and stderr of ``z-compose`` on ``wide_workspace``, per format."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "wide.json"
+        path.write_text(json.dumps(wide_workspace(seed)), encoding="utf-8")
+        return [run(["z-compose", str(path), "--format", fmt]) for fmt in ("json", "text")]
 
 
 if __name__ == "__main__":
