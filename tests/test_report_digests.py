@@ -18,9 +18,10 @@ def _tool():
 def test_bundled_reports_match_the_pinned_digests():
     # exit code, stdout and stderr of every bundled fixture x command x format,
     # every output of the seeded checker sweep, the term layouts of
-    # seeded z-composites and z-compose on a seeded wide-sum workspace are
-    # pinned by tools/report_digests.py; regenerate
-    # the file only when a report or a layout is meant to change
+    # seeded z-composites, z-compose on a seeded wide-sum workspace and every
+    # command on each fixture with one composite deleted are pinned by
+    # tools/report_digests.py; regenerate the file only when a report or a
+    # layout is meant to change
     pinned = json.loads((ROOT / "tests" / "report_digests.json").read_text(encoding="utf-8"))
     got = _tool().digests()
     assert sorted(got) == sorted(pinned)

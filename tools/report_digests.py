@@ -9,7 +9,10 @@ sha256 of every report, result and exception text that checker gave.  The
 ``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
 (see ``layout_outputs``), and the ``"wide z-compose"`` entry that of the exit
 code, stdout and stderr of ``z-compose``, in both formats, on a seeded
-workspace of wide sums (see ``wide_workspace``).  Run from the repository
+workspace of wide sums (see ``wide_workspace``).  Each ``"holed
+FIXTURE-CATEGORY COMMAND"`` entry is the sha256 of the exit code, stdout and
+stderr of COMMAND, in both formats, on a copy of the fixture whose category
+lacks one composite (see ``holed_fixtures``).  Run from the repository
 root:
 
     python3 tools/report_digests.py [OUT]
@@ -108,7 +111,43 @@ def digests() -> dict[str, str]:
         result[f"sweep {checker}"] = _sha(outputs)
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in holed_fixtures():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for command in COMMAND_KINDS:
+                result[f"holed {name} {command}"] = _sha(
+                    [run([command, str(path), "--format", fmt]) for fmt in ("json", "text")]
+                )
     return result
+
+
+# =====================================================================
+# holed fixtures
+# =====================================================================
+
+
+def holed_fixtures():
+    """``("FIXTURE-CATEGORY", workspace)`` per bundled fixture and category.
+
+    The workspace is the fixture with one composite of that category
+    deleted: the first in sorted key order whose factors are not both
+    identities, so the category fails ``validate_category``.  The malformed
+    fixture and categories with no such composite are skipped.
+    """
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        if fixture.name == "malformed.json":
+            continue
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        for catname in sorted(doc.get("categories", {})):
+            cat = doc["categories"][catname]
+            ids = set(cat["identities"].values())
+            holes = [k for k in sorted(cat["composition"]) if not set(k.split("|")) <= ids]
+            if not holes:
+                continue
+            holed = json.loads(json.dumps(doc))
+            del holed["categories"][catname]["composition"][holes[0]]
+            yield f"{fixture.stem}-{catname}", holed
 
 
 # =====================================================================
