@@ -4,10 +4,11 @@ Subcommands partition the check kinds: validate covers structural checks of
 every document, z-compose prints composites, site-check / blur-check /
 sheaf-check / parametrize / model-check / fingerprint run their modules'
 checks.  One table, ``KINDS``, maps each kind to its command, to the
-function that runs it and to whether that function reads ``expect``
-itself; ``COMMAND_KINDS`` is derived from it.  Each run function reads its
-spec through a ``_Resolver``, which resolves ids in the workspace table of
-their role and turns a missing or mistyped field into a WorkspaceError.
+function that runs it, to whether that function reads ``expect`` itself
+and to whether its law needs valid categories; ``COMMAND_KINDS`` is derived
+from it.  Each run function reads its spec through a ``_Resolver``, which
+resolves ids in the workspace table of their role, records the categories
+they live on and turns a missing or mistyped field into a WorkspaceError.
 Reports are byte-deterministic for identical inputs (canonical finding
 order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some check
 failed a law, 2 structural trouble (schema violation, unresolved reference,
@@ -73,21 +74,28 @@ from .zlin import MarginalMismatch, SignIncoherent, z_compose, z_validate
 
 _REQUIRED = object()
 
-# role of a spec field -> (Workspace table it names an entry of, noun in diagnostics)
+
+def _named(ws: Workspace, entry) -> tuple:
+    """The category of a (category name, document) entry."""
+    return (ws.categories[entry[0]],)
+
+
+# role of a spec field -> (Workspace table it names an entry of, noun in
+# diagnostics, the categories an entry of that table lives on)
 _ROLES = {
-    "category": ("categories", "category"),
-    "functor": ("functors", "functor"),
-    "partition": ("partitions", "partition"),
-    "pointed_base": ("pointed_bases", "pointed base"),
-    "presheaf": ("presheaves", "presheaf"),
-    "covering": ("coverings", "covering"),
-    "zobject": ("zobjects", "zobject"),
-    "zmorphism": ("zmorphisms", "zmorphism"),
-    "square": ("squares", "square"),
-    "layered": ("layered", "layered category"),
-    "ladder": ("ladders", "ladder"),
-    "model": ("model_cats", "model category"),
-    "table": ("fingerprints", "fingerprint table"),
+    "category": ("categories", "category", lambda ws, cat: (cat,)),
+    "functor": ("functors", "functor", lambda ws, fun: (fun.source, fun.target)),
+    "partition": ("partitions", "partition", _named),
+    "pointed_base": ("pointed_bases", "pointed base", lambda ws, base: (base.cat,)),
+    "presheaf": ("presheaves", "presheaf", lambda ws, F: (F.cat,)),
+    "covering": ("coverings", "covering", _named),
+    "zobject": ("zobjects", "zobject", lambda ws, obj: ()),
+    "zmorphism": ("zmorphisms", "zmorphism", _named),
+    "square": ("squares", "square", _named),
+    "layered": ("layered", "layered category", lambda ws, layered: layered.levels),
+    "ladder": ("ladders", "ladder", lambda ws, entry: ws.layered[entry[0]].levels),
+    "model": ("model_cats", "model category", lambda ws, model: (model.base,)),
+    "table": ("fingerprints", "fingerprint table", lambda ws, table: ()),
 }
 
 # JSON type of a plain field or list item; an untyped list item is an id
@@ -102,14 +110,16 @@ class _Resolver:
     nested specs, ``value`` and ``values`` read plain data.  A missing or
     mistyped field, an unknown id, or inputs on different categories raise
     a WorkspaceError naming the check, which aborts the run; what a checker
-    raises on resolved inputs is a finding on that check alone.  ``verdicts``
-    is shared by every check of one run and holds the validation verdict of
-    each document a check needed valid.
+    raises on resolved inputs is a finding on that check alone.  ``cats``
+    maps the name of every category a resolved document lives on to that
+    category; nested resolvers share it.  ``verdicts`` is shared by every
+    check of one run and holds the validation verdict of each document a
+    check needed valid.
     """
 
-    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
+    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict, cats: dict):
         self.ws, self.spec, self.path, self.budget = ws, spec, path, budget
-        self.verdicts = verdicts
+        self.verdicts, self.cats = verdicts, cats
 
     def error(self, message: str) -> WorkspaceError:
         return WorkspaceError(f"{self.path}: {message}")
@@ -136,12 +146,16 @@ class _Resolver:
     def objects(self, field: str) -> list:
         """The nested specs listed in ``field``, each read like the check's own."""
         return [
-            _Resolver(self.ws, item, self.path, self.budget, self.verdicts) for item in self.values(field, dict)
+            _Resolver(self.ws, item, self.path, self.budget, self.verdicts, self.cats)
+            for item in self.values(field, dict)
         ]
 
     def lookup(self, role: str, name):
-        table, noun = _ROLES[role]
-        return self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
+        table, noun, lives_on = _ROLES[role]
+        entry = self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
+        for cat in lives_on(self.ws, entry):
+            self.cats[cat.name] = cat
+        return entry
 
     def id(self, field: str, role: str | None = None):
         return self.lookup(role or field, self.value(field))
@@ -222,24 +236,6 @@ def _z_compose(r: _Resolver):
     return Report.collect("z_compose", rows), zmorphism_to_doc(composite)
 
 
-def _on_valid(r: _Resolver, kind: str, cat, report: Report) -> Report:
-    """``report``, or a structural precondition finding when ``cat`` fails validation.
-
-    The laws these checks verify assume a category, so a verdict on tables
-    that fail ``validate_category`` is replaced.  The check runs first: an
-    unknown id or a blown budget it meets is reported as such, naming what
-    stopped it.
-    """
-    if r.valid("category", cat.name, validate_category, cat):
-        return report
-    return Report.collect(kind, [reports.structural("precondition", (cat.name,), "category fails validation")])
-
-
-def _grothendieck(r: _Resolver):
-    cat, assignment = r.on("covering")
-    return _on_valid(r, "grothendieck", cat, grothendieck_axiom_check(cat, assignment, r.budget))
-
-
 def _nisnevich_inputs(r: _Resolver):
     base = r.id("pointed_base")
     target = r.id("target", "zobject")
@@ -256,7 +252,7 @@ def _square(r: _Resolver):
     base = r.id("pointed_base")
     cat, square = r.on("square")
     r.lives_on("square", cat.name, "base", base.cat.name)
-    return _on_valid(r, "square", cat, distinguished_square_check(base, square))
+    return distinguished_square_check(base, square)
 
 
 def _ladder(r: _Resolver, name):
@@ -295,16 +291,6 @@ def _blurry_site(r: _Resolver):
     return blurry_topology(cat, assignment, rel)
 
 
-def _blurry_probe(r: _Resolver):
-    site = _blurry_site(r)
-    return _on_valid(r, "blurry_probe", site.cat, blurry_axiom_probe(site, r.budget))
-
-
-def _gamma(r: _Resolver):
-    cat, rel = r.on("partition")
-    return _on_valid(r, "gamma", cat, gamma_check(cat, rel))
-
-
 def _powered_blurry(r: _Resolver):
     sites = [_blurry_site(level) for level in r.objects("levels")]
     layered = r.id("layered") if "layered" in r.spec else None
@@ -320,16 +306,6 @@ def _presheaf_and(r: _Resolver, field: str):
     cat, doc = r.on(field)
     r.lives_on("presheaf", F.cat.name, field, cat.name)
     return F, doc
-
-
-def _sheaf(r: _Resolver):
-    F, assignment = _presheaf_and(r, "covering")
-    return _on_valid(r, "sheaf", F.cat, sheaf_check(F, assignment))
-
-
-def _cartesian(r: _Resolver):
-    F, square = _presheaf_and(r, "square")
-    return _on_valid(r, "cartesian", F.cat, cartesian_square_check(F, square))
 
 
 def _additivity(r: _Resolver):
@@ -354,7 +330,7 @@ def _squares_probe(r: _Resolver):
             raise r.error(f"square {name!r} lives on {catname}")
         squares.append(square)
     asserted = r.value("asserted", bool, True)
-    return _on_valid(r, "squares_probe", F.cat, squares_vs_sheaf_probe(F, assignment, squares, asserted))
+    return squares_vs_sheaf_probe(F, assignment, squares, asserted)
 
 
 def _enumerate_fes(r: _Resolver):
@@ -445,49 +421,55 @@ def _z_equiv(r: _Resolver):
 # the kind table
 # =====================================================================
 
-# kind -> (command, run, owns_expectation).  run(r) reads the spec through
-# the resolver r and returns the check's Report (z_compose: the Report and
-# its payload).  Checkers are called by their global name at call time, so
-# a wrapper installed on this module sees every call.  Only z_equiv owns its
-# expectation and reads ``expect`` itself; for the rest it is applied after.
+# kind -> (command, run, owns_expectation, needs_categories).  run(r) reads
+# the spec through the resolver r and returns the check's Report (z_compose:
+# the Report and its payload).  Checkers are called by their global name at
+# call time, so a wrapper installed on this module sees every call.  Only
+# z_equiv owns its expectation and reads ``expect`` itself; for the rest it
+# is applied after.  A kind that needs categories has a law that assumes a
+# category: its verdict stands only if every category its documents live on
+# passes ``validate_category``.
 KINDS = {
-    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False),
-    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False),
-    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False),
-    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False),
-    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False),
-    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False),
-    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False),
+    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False, False),
+    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False, False),
+    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False, False),
+    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False, False),
+    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False, False),
+    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False, False),
+    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, False),
     "z_validate": (
-        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False
+        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, False
     ),
-    "z_compose": ("z-compose", _z_compose, False),
-    "grothendieck": ("site-check", _grothendieck, False),
-    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False),
+    "z_compose": ("z-compose", _z_compose, False, False),
+    "grothendieck": (
+        "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, True
+    ),
+    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False, False),
     "component_lemma": (
-        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False
+        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, False
     ),
-    "square": ("site-check", _square, False),
-    "powered_cover": ("site-check", _powered_cover, False),
-    "powered_stability": ("site-check", _powered_stability, False),
-    "gamma": ("blur-check", _gamma, False),
-    "blurry_probe": ("blur-check", _blurry_probe, False),
-    "powered_blurry": ("blur-check", _powered_blurry, False),
-    "sheaf": ("sheaf-check", _sheaf, False),
-    "additivity": ("sheaf-check", _additivity, False),
-    "cartesian": ("sheaf-check", _cartesian, False),
-    "squares_probe": ("sheaf-check", _squares_probe, False),
-    "enumerate_fes": ("parametrize", _enumerate_fes, False),
-    "precompose": ("parametrize", _precompose, False),
+    "square": ("site-check", _square, False, True),
+    "powered_cover": ("site-check", _powered_cover, False, False),
+    "powered_stability": ("site-check", _powered_stability, False, False),
+    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, True),
+    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, True),
+    "powered_blurry": ("blur-check", _powered_blurry, False, False),
+    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False, True),
+    "additivity": ("sheaf-check", _additivity, False, False),
+    "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, True),
+    "squares_probe": ("sheaf-check", _squares_probe, False, True),
+    "enumerate_fes": ("parametrize", _enumerate_fes, False, False),
+    "precompose": ("parametrize", _precompose, False, False),
     "model_axioms": (
         "model-check",
         lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
         False,
+        False,
     ),
-    "class_types": ("model-check", _class_types, False),
-    "quotient_model": ("model-check", _quotient_model, False),
-    "invariant": ("fingerprint", _invariant, False),
-    "z_equiv": ("fingerprint", _z_equiv, True),
+    "class_types": ("model-check", _class_types, False, False),
+    "quotient_model": ("model-check", _quotient_model, False, False),
+    "invariant": ("fingerprint", _invariant, False, False),
+    "z_equiv": ("fingerprint", _z_equiv, True, False),
 }
 
 # command -> the kinds it runs, in table order
@@ -498,9 +480,12 @@ COMMAND_KINDS = {
 
 
 def _run_check(ws: Workspace, spec: dict, pos: int, budget: int, verdicts: dict):
+    """The check's report and payload.  A category gate applies only when the
+    run returns: what it raises (an unknown id, a blown budget) names what
+    stopped the check."""
     kind = spec["kind"]
-    _command, run, owns_expectation = KINDS[kind]
-    r = _Resolver(ws, spec, f"checks[{pos}]", budget, verdicts)
+    _command, run, owns_expectation, needs_categories = KINDS[kind]
+    r = _Resolver(ws, spec, f"checks[{pos}]", budget, verdicts, {})
     payload = None
     try:
         report = run(r)
@@ -513,6 +498,14 @@ def _run_check(ws: Workspace, spec: dict, pos: int, budget: int, verdicts: dict)
         report = Report.collect(kind, [reports.structural("budget", (), str(exc))])
     except InputError as exc:
         report = Report.collect(kind, [reports.structural("inputs", (), str(exc))])
+    else:
+        invalid = [
+            reports.structural("precondition", (name,), "category fails validation")
+            for name, cat in r.cats.items()
+            if needs_categories and not r.valid("category", name, validate_category, cat)
+        ]
+        if invalid:
+            report = Report.collect(kind, invalid)
     if not owns_expectation:
         report = _with_expectation(report, r.value("expect", bool, None))
     return report, payload
