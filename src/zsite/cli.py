@@ -151,9 +151,9 @@ class _Resolver:
         ]
 
     def lookup(self, role: str, name):
-        table, noun, lives_on = _ROLES[role]
+        table, noun, cats_of = _ROLES[role]
         entry = self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
-        for cat in lives_on(self.ws, entry):
+        for cat in cats_of(self.ws, entry):
             self.cats[cat.name] = cat
         return entry
 
@@ -458,16 +458,16 @@ KINDS = {
     "additivity": ("sheaf-check", _additivity, False, False),
     "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, True),
     "squares_probe": ("sheaf-check", _squares_probe, False, True),
-    "enumerate_fes": ("parametrize", _enumerate_fes, False, False),
-    "precompose": ("parametrize", _precompose, False, False),
+    "enumerate_fes": ("parametrize", _enumerate_fes, False, True),
+    "precompose": ("parametrize", _precompose, False, True),
     "model_axioms": (
         "model-check",
         lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
         False,
-        False,
+        True,
     ),
-    "class_types": ("model-check", _class_types, False, False),
-    "quotient_model": ("model-check", _quotient_model, False, False),
+    "class_types": ("model-check", _class_types, False, True),
+    "quotient_model": ("model-check", _quotient_model, False, True),
     "invariant": ("fingerprint", _invariant, False, False),
     "z_equiv": ("fingerprint", _z_equiv, True, False),
 }
@@ -479,13 +479,13 @@ COMMAND_KINDS = {
 }
 
 
-def _run_check(ws: Workspace, spec: dict, pos: int, budget: int, verdicts: dict):
+def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
     """The check's report and payload.  A category gate applies only when the
     run returns: what it raises (an unknown id, a blown budget) names what
     stopped the check."""
     kind = spec["kind"]
     _command, run, owns_expectation, needs_categories = KINDS[kind]
-    r = _Resolver(ws, spec, f"checks[{pos}]", budget, verdicts, {})
+    r = _Resolver(ws, spec, path, budget, verdicts, {})
     payload = None
     try:
         report = run(r)
@@ -527,29 +527,6 @@ def _exit_code(report_rows) -> int:
     return worst
 
 
-def _scalar_text(value) -> str:
-    """A JSON scalar as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def dumps_indented(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``.
 
@@ -577,7 +554,9 @@ def dumps_indented(value, indent: str = "") -> str:
             return "{}"
         items = [encode_basestring(k) + ": " + dumps_indented(v, inner) for k, v in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return _scalar_text(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _emit_json(command: str, rows) -> str:
@@ -619,6 +598,16 @@ def _emit_text(command: str, rows) -> str:
 # =====================================================================
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zsite",
@@ -629,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run {command} checks from a workspace")
         p.add_argument("workspace", help="path to a workspace JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--budget", type=int, default=50_000, help="enumeration guard")
+        p.add_argument("--budget", type=_budget, default=50_000, help="enumeration guard")
         p.add_argument("--only", default=None, help="run only the check with this label")
         if command == "z-compose":
             p.add_argument("--outer", default=None, help="zmorphism applied second")
@@ -642,21 +631,20 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace)
         specs = [
-            (pos, spec)
+            (f"checks[{pos}]", spec)
             for pos, spec in enumerate(ws.checks)
             if spec["kind"] in COMMAND_KINDS[args.command]
         ]
         if args.command == "z-compose" and (args.outer or args.inner):
             if not (args.outer and args.inner):
                 raise WorkspaceError("z-compose needs both --outer and --inner")
-            specs = [
-                (0, {"kind": "z_compose", "label": "cli", "outer": args.outer, "inner": args.inner})
-            ]
+            spec = {"kind": "z_compose", "label": "cli", "outer": args.outer, "inner": args.inner}
+            specs = [("--outer/--inner", spec)]
         if args.only is not None:
-            specs = [(pos, spec) for pos, spec in specs if spec.get("label") == args.only]
+            specs = [(path, spec) for path, spec in specs if spec.get("label") == args.only]
         rows, verdicts = [], {}
-        for pos, spec in specs:
-            report, payload = _run_check(ws, spec, pos, args.budget, verdicts)
+        for path, spec in specs:
+            report, payload = _run_check(ws, spec, path, args.budget, verdicts)
             rows.append((spec["label"], spec["kind"], report, payload))
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

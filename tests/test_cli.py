@@ -182,6 +182,35 @@ def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, 
     assert calls == ["chain3"]
 
 
+def test_parametrizations_on_a_holed_category_are_precondition_failures(capsys, tmp_path, monkeypatch):
+    # m2 without id_a|v fails validate_category; no functor enumeration,
+    # precomposition or model law may then give a verdict on it, while a
+    # check stopped by an unknown composite still names what stopped it
+    with open(fixture_path("modular.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["categories"]["m2"]["composition"]["id_a|v"]
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = counting(monkeypatch, "validate_category", lambda cat: cat.name)
+    entries = {}
+    for command, read in (("parametrize", ["chain2", "m2", "one"]), ("model-check", ["chain2", "m2", "m3"])):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and err == ""
+        entries.update((e["label"], e) for e in json.loads(out)["checks"])
+        # every category a gated check read is validated once per run
+        assert sorted(calls) == read
+        calls.clear()
+    for label in ("collapse-pair", "point-into-pair", "pair-onto-point"):
+        assert entries[label]["findings"] == [
+            {"kind": "structural", "rule": "precondition", "witnesses": ["m2"],
+             "detail": "category fails validation"}
+        ]
+    for label in ("axioms-M2", "pullback-chain"):
+        assert [f["rule"] for f in entries[label]["findings"]] == ["inputs"]
+    for label in ("chain-into-chain", "point-into-chain", "axioms-MC2", "axioms-M3", "mixed-types"):
+        assert entries[label]["ok"] is True
+
+
 def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypatch):
     with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -346,6 +375,25 @@ def test_z_compose_needs_both_flags(capsys):
     assert code == 2
     assert out == ""
     assert "--outer and --inner" in err
+
+
+def test_z_compose_flag_errors_name_the_flags(capsys):
+    # the spec built from --outer/--inner is no check of the workspace
+    code, out, err = run(capsys, ["z-compose", fixture_path("zlin.json"), "--outer", "psi", "--inner", "nosuch"])
+    assert code == 2 and out == ""
+    assert err == "error: --outer/--inner: unknown zmorphism 'nosuch'\n"
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parametrize", fixture_path("modular.json"), "--budget", "-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --budget: must be non-negative, got -5" in captured.err
+    # a zero budget is a budget every enumeration overruns
+    code, out, _err = run(capsys, ["parametrize", fixture_path("modular.json"), "--budget", "0"])
+    assert code == 2
+    assert "budget" in {f["rule"] for entry in json.loads(out)["checks"] for f in entry["findings"]}
 
 
 def test_expectation_downgrades_laws_to_observations(capsys):
