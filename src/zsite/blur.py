@@ -17,7 +17,6 @@ must name one of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import reports
 from .fincat import (
@@ -29,6 +28,7 @@ from .fincat import (
     quotient_category,
     validate_partition,
 )
+from .records import Record
 from .reports import Report
 from .site import CoveringAssignment, covering_axiom_findings, grothendieck_axiom_check
 
@@ -83,23 +83,28 @@ def gamma_check(cat: FinCat, rel: ObjEquiv) -> Report:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class BlurrySite:
+class BlurrySite(Record):
     """A site, a partition, and the induced class-level covering assignment.
 
     quotient_assignment lives on the thin quotient category; witnesses maps
     each (block, class family) to the first base family that produced it.
     """
 
-    cat: FinCat
-    assignment: CoveringAssignment
-    relation: ObjEquiv
-    quotient: FinCat
-    quotient_report: Report
-    quotient_assignment: CoveringAssignment
-    witnesses: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] = field(
-        default_factory=dict
-    )
+    def __init__(
+        self,
+        cat: FinCat,
+        assignment: CoveringAssignment,
+        relation: ObjEquiv,
+        quotient: FinCat,
+        quotient_report: Report,
+        quotient_assignment: CoveringAssignment,
+        witnesses: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] | None = None,
+    ):
+        vars(self).update(
+            cat=cat, assignment=assignment, relation=relation, quotient=quotient,
+            quotient_report=quotient_report, quotient_assignment=quotient_assignment,
+            witnesses={} if witnesses is None else witnesses,
+        )
 
 
 def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) -> BlurrySite:
@@ -208,13 +213,11 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class PoweredBlurry:
+class PoweredBlurry(Record):
     """Levelwise class-level assignments, with loose levels exempt from probing."""
 
-    sites: tuple[BlurrySite, ...]
-    loose_levels: frozenset[int]
-    precondition_findings: tuple = ()
+    def __init__(self, sites: tuple[BlurrySite, ...], loose_levels: frozenset[int], precondition_findings=()):
+        vars(self).update(sites=sites, loose_levels=loose_levels, precondition_findings=precondition_findings)
 
 
 def powered_blurry_compose(

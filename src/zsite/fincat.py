@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import reports
+from .records import Record, Value
 from .reports import Report
 
 
@@ -45,15 +45,21 @@ class ResourceBudgetError(RuntimeError):
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class FinCat:
-    name: str
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]
-    identities: dict[str, str]
-    composition: dict[tuple[str, str], str]
-    pullbacks: dict[tuple[str, str], tuple[str, str, str]] = field(default_factory=dict)
-    products: dict[tuple[str, str], tuple[str, str, str]] = field(default_factory=dict)
+class FinCat(Record):
+    def __init__(
+        self,
+        name: str,
+        objects: tuple[str, ...],
+        morphisms: dict[str, tuple[str, str]],
+        identities: dict[str, str],
+        composition: dict[tuple[str, str], str],
+        pullbacks: dict[tuple[str, str], tuple[str, str, str]] | None = None,
+        products: dict[tuple[str, str], tuple[str, str, str]] | None = None,
+    ):
+        vars(self).update(
+            name=name, objects=objects, morphisms=morphisms, identities=identities, composition=composition,
+            pullbacks={} if pullbacks is None else pullbacks, products={} if products is None else products,
+        )
 
     # --- lookups ------------------------------------------------------
 
@@ -133,20 +139,18 @@ def _index_sorted(morphisms: dict[str, tuple[str, str]], key) -> dict:
     return {k: tuple(ms) for k, ms in index.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class Functor:
-    name: str
-    source: FinCat
-    target: FinCat
-    object_map: dict[str, str]
-    morphism_map: dict[str, str]
+class Functor(Record):
+    def __init__(self, name: str, source: FinCat, target: FinCat, object_map: dict, morphism_map: dict):
+        vars(self).update(
+            name=name, source=source, target=target, object_map=object_map, morphism_map=morphism_map
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class ObjEquiv:
+class ObjEquiv(Record):
     """Partition of a category's objects into equivalence blocks."""
 
-    blocks: tuple[frozenset[str], ...]
+    def __init__(self, blocks: tuple[frozenset[str], ...]):
+        vars(self).update(blocks=blocks)
 
     @functools.cached_property
     def labels(self) -> dict[str, str]:
@@ -367,12 +371,11 @@ def chosen_limit_check(cat: FinCat) -> Report:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class FunctorReport:
-    functorial: bool
-    full: bool
-    essentially_surjective: bool
-    report: Report
+class FunctorReport(Value):
+    def __init__(self, functorial: bool, full: bool, essentially_surjective: bool, report: Report):
+        vars(self).update(
+            functorial=functorial, full=full, essentially_surjective=essentially_surjective, report=report
+        )
 
     @property
     def ok(self) -> bool:

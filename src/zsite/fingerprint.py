@@ -11,23 +11,20 @@ meaning here, so requests to evaluate one are refused loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fincat import InputError
+from .records import Value
 from .zlin import ZObject
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Value):
     """Dimension per degree, trailing zeros stripped; () is the zero object."""
 
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
-            raise InputError(f"negative dimension in {self.dims}")
-        if self.dims and self.dims[-1] == 0:
-            raise InputError(f"unnormalized dims {self.dims}; use graded_dims()")
+    def __init__(self, dims: tuple[int, ...]):
+        if any(d < 0 for d in dims):
+            raise InputError(f"negative dimension in {dims}")
+        if dims and dims[-1] == 0:
+            raise InputError(f"unnormalized dims {dims}; use graded_dims()")
+        vars(self).update(dims=dims)
 
     def top_degree(self) -> int:
         return len(self.dims) - 1
@@ -57,11 +54,11 @@ def tensor_dims(a: GradedDims, b: GradedDims) -> GradedDims:
     return graded_dims(out)
 
 
-@dataclass(frozen=True)
-class ZInvariant:
+class ZInvariant(Value):
     """Per-component (coefficient, fingerprint) data of a formal sum."""
 
-    parts: tuple[tuple[int, int, GradedDims], ...]
+    def __init__(self, parts: tuple[tuple[int, int, GradedDims], ...]):
+        vars(self).update(parts=parts)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _c, _d in self.parts)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+import os
 
 from . import schema as jsonschema  # the name clibench's tracer wraps to time validation
-from .fincat import FinCat, Functor, ObjEquiv, partition_from_blocks
+from .fincat import FinCat, Functor, InputError, ObjEquiv, partition_from_blocks
 from .modular import ModelLabeledCat
 from .sheaf import Presheaf
 from .site import CoveringAssignment, LadderMorphism, LayeredCategory, PointedBase, Square
@@ -37,8 +36,9 @@ class WorkspaceError(Exception):
 
 
 def _schema() -> dict:
-    text = resources.files("zsite").joinpath("schemas/workspace.schema.json").read_text()
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "schemas", "workspace.schema.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _inline_refs(node, defs: dict):
@@ -131,22 +131,40 @@ def zmorphism_to_doc(phi: ZMorphism, category: str = "", source: str = "", targe
 # =====================================================================
 
 
-@dataclass
 class Workspace:
-    categories: dict[str, FinCat] = field(default_factory=dict)
-    functors: dict[str, Functor] = field(default_factory=dict)
-    partitions: dict[str, tuple[str, ObjEquiv]] = field(default_factory=dict)
-    zobjects: dict[str, ZObject] = field(default_factory=dict)
-    zmorphisms: dict[str, tuple[str, ZMorphism]] = field(default_factory=dict)
-    pointed_bases: dict[str, PointedBase] = field(default_factory=dict)
-    coverings: dict[str, tuple[str, CoveringAssignment]] = field(default_factory=dict)
-    presheaves: dict[str, Presheaf] = field(default_factory=dict)
-    model_cats: dict[str, ModelLabeledCat] = field(default_factory=dict)
-    fingerprints: dict[str, dict[str, GradedDims]] = field(default_factory=dict)
-    squares: dict[str, tuple[str, Square]] = field(default_factory=dict)
-    layered: dict[str, LayeredCategory] = field(default_factory=dict)
-    ladders: dict[str, tuple[str, LadderMorphism]] = field(default_factory=dict)
-    checks: tuple[dict, ...] = ()
+    """Decoded documents by kind and name; ``_decode`` fills the tables in place."""
+
+    def __init__(
+        self,
+        categories: dict[str, FinCat] | None = None,
+        functors: dict[str, Functor] | None = None,
+        partitions: dict[str, tuple[str, ObjEquiv]] | None = None,
+        zobjects: dict[str, ZObject] | None = None,
+        zmorphisms: dict[str, tuple[str, ZMorphism]] | None = None,
+        pointed_bases: dict[str, PointedBase] | None = None,
+        coverings: dict[str, tuple[str, CoveringAssignment]] | None = None,
+        presheaves: dict[str, Presheaf] | None = None,
+        model_cats: dict[str, ModelLabeledCat] | None = None,
+        fingerprints: dict[str, dict[str, GradedDims]] | None = None,
+        squares: dict[str, tuple[str, Square]] | None = None,
+        layered: dict[str, LayeredCategory] | None = None,
+        ladders: dict[str, tuple[str, LadderMorphism]] | None = None,
+        checks: tuple[dict, ...] = (),
+    ):
+        self.categories = {} if categories is None else categories
+        self.functors = {} if functors is None else functors
+        self.partitions = {} if partitions is None else partitions
+        self.zobjects = {} if zobjects is None else zobjects
+        self.zmorphisms = {} if zmorphisms is None else zmorphisms
+        self.pointed_bases = {} if pointed_bases is None else pointed_bases
+        self.coverings = {} if coverings is None else coverings
+        self.presheaves = {} if presheaves is None else presheaves
+        self.model_cats = {} if model_cats is None else model_cats
+        self.fingerprints = {} if fingerprints is None else fingerprints
+        self.squares = {} if squares is None else squares
+        self.layered = {} if layered is None else layered
+        self.ladders = {} if ladders is None else ladders
+        self.checks = checks
 
     def category(self, name: str, path: str) -> FinCat:
         return self.lookup(self.categories, name, path, "category")
@@ -178,7 +196,10 @@ def _decode(raw: dict) -> Workspace:
         ws.partitions[name] = (doc["category"], partition_from_blocks(doc["blocks"]))
 
     for name, doc in raw.get("zobjects", {}).items():
-        ws.zobjects[name] = z_object(tuple(tuple(c) for c in doc["components"]))
+        try:
+            ws.zobjects[name] = z_object(tuple(tuple(c) for c in doc["components"]))
+        except InputError as exc:
+            raise WorkspaceError(f"zobjects.{name}: {exc}") from exc
 
     for name, doc in raw.get("zmorphisms", {}).items():
         path = f"zmorphisms.{name}"

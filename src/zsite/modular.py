@@ -18,7 +18,6 @@ rather than assumed to survive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import reports
 from .fincat import (
@@ -32,6 +31,7 @@ from .fincat import (
     quotient_category,
     validate_partition,
 )
+from .records import Record
 from .reports import Report
 
 CLASS_NAMES = ("cof", "fib", "weq")
@@ -45,12 +45,12 @@ class QuotientRejected(InputError):
         self.report = report
 
 
-@dataclass(frozen=True, eq=False)
-class ModelLabeledCat:
-    base: FinCat
-    weq: frozenset[str] = frozenset()
-    cof: frozenset[str] = frozenset()
-    fib: frozenset[str] = frozenset()
+class ModelLabeledCat(Record):
+    def __init__(
+        self, base: FinCat, weq: frozenset[str] = frozenset(), cof: frozenset[str] = frozenset(),
+        fib: frozenset[str] = frozenset(),
+    ):
+        vars(self).update(base=base, weq=weq, cof=cof, fib=fib)
 
     def classes(self) -> dict[str, frozenset[str]]:
         return {"cof": self.cof, "fib": self.fib, "weq": self.weq}
@@ -136,13 +136,11 @@ def _lifting_findings(M: ModelLabeledCat, left, right, rule: str):
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class ParamFamily:
+class ParamFamily(Record):
     """All parametrizations of a labeled category by a fixed source."""
 
-    source: FinCat
-    model: ModelLabeledCat
-    members: tuple[Functor, ...]
+    def __init__(self, source: FinCat, model: ModelLabeledCat, members: tuple[Functor, ...]):
+        vars(self).update(source=source, model=model, members=members)
 
     def keys(self) -> tuple:
         return tuple(_functor_key(f) for f in self.members)

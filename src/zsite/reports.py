@@ -10,7 +10,7 @@ identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Value
 
 # Finding kinds.  STRUCTURAL and LAW make a report failing; the other kinds
 # are informational and leave `ok` untouched.
@@ -24,14 +24,15 @@ _FAILING_KINDS = frozenset({STRUCTURAL, LAW})
 _KIND_ORDER = {STRUCTURAL: 0, LAW: 1, UNVERIFIABLE: 2, SKIPPED: 3, INFO: 4}
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
     """One verdict row: which rule, on what witnesses, with a readable detail."""
 
-    kind: str
-    rule: str
-    witnesses: tuple[str, ...]
-    detail: str
+    def __init__(self, kind: str, rule: str, witnesses: tuple[str, ...], detail: str):
+        vars(self).update(kind=kind, rule=rule, witnesses=witnesses, detail=detail)
+
+    def _values(self) -> tuple:
+        # spelled out: Report.collect hashes every finding
+        return (self.kind, self.rule, self.witnesses, self.detail)
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,12 +51,11 @@ def _finding_key(f: Finding) -> tuple:
     return (_KIND_ORDER.get(f.kind, 9), f.rule, f.witnesses, f.detail)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     """Ordered bundle of findings for one checked subject."""
 
-    subject: str
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+    def __init__(self, subject: str, findings: tuple[Finding, ...] = ()):
+        vars(self).update(subject=subject, findings=findings)
 
     @classmethod
     def collect(cls, subject: str, findings) -> "Report":

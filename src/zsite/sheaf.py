@@ -19,11 +19,10 @@ is for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
 
 from . import reports
 from .fincat import FinCat, InputError
+from .records import Record
 from .reports import Report
 from .site import CoveringAssignment, Square, square_endpoint_findings, _family_label
 from .zlin import ZObject, enumerate_correspondences, slice_correspondence
@@ -34,17 +33,16 @@ from .zlin import ZObject, enumerate_correspondences, slice_correspondence
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class Presheaf:
+class Presheaf(Record):
     """Finite contravariant set-valued data on a finite category.
 
     restriction[f] maps sections over target(f) to sections over source(f).
     """
 
-    name: str
-    cat: FinCat
-    sections: dict[str, tuple[str, ...]]
-    restriction: dict[str, dict[str, str]]
+    def __init__(
+        self, name: str, cat: FinCat, sections: dict[str, tuple[str, ...]], restriction: dict[str, dict[str, str]]
+    ):
+        vars(self).update(name=name, cat=cat, sections=sections, restriction=restriction)
 
     def sections_of(self, obj: str) -> tuple[str, ...]:
         return self.sections.get(obj, ())
@@ -234,8 +232,7 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class ZPresheaf:
+class ZPresheaf(Record):
     """Set-valued data on formal sums with componentwise slicing.
 
     sections_fn enumerates the sections over a ZObject; slice_fn(idx, section)
@@ -243,10 +240,8 @@ class ZPresheaf:
     total on the objects any check visits.
     """
 
-    name: str
-    base: FinCat
-    sections_fn: Callable[[ZObject], tuple]
-    slice_fn: Callable[[int, object], object]
+    def __init__(self, name: str, base: FinCat, sections_fn, slice_fn):
+        vars(self).update(name=name, base=base, sections_fn=sections_fn, slice_fn=slice_fn)
 
     def sections_of(self, obj: ZObject) -> tuple:
         return self.sections_fn(obj)

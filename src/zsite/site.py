@@ -16,10 +16,10 @@ evidence against an axiom.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from . import reports
 from .fincat import FinCat, InputError, ResourceBudgetError
+from .records import Record, Value
 from .reports import Report
 from .zlin import ZMorphism, ZObject, z_validate
 
@@ -37,11 +37,11 @@ def _ordered_families(families) -> tuple[frozenset[str], ...]:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringAssignment:
+class CoveringAssignment(Record):
     """K: object id -> set of covering families (sets of morphism ids)."""
 
-    families: dict[str, frozenset[frozenset[str]]] = field(default_factory=dict)
+    def __init__(self, families: dict[str, frozenset[frozenset[str]]] | None = None):
+        vars(self).update(families={} if families is None else families)
 
     def families_of(self, obj: str) -> tuple[frozenset[str], ...]:
         return _ordered_families(self.families.get(obj, frozenset()))
@@ -287,8 +287,7 @@ def generate_covering_assignment(
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class PointedBase:
+class PointedBase(Record):
     """A finite category with point sets, point maps, and residue data.
 
     point_map is covariant: for f: U -> X it maps points(U) into points(X).
@@ -296,11 +295,18 @@ class PointedBase:
     residue structure; etale_marked flags the morphisms usable in covers.
     """
 
-    cat: FinCat
-    points: dict[str, tuple[str, ...]]
-    point_map: dict[str, dict[str, str]]
-    residue_preserving: dict[str, frozenset[str]] = field(default_factory=dict)
-    etale_marked: frozenset[str] = frozenset()
+    def __init__(
+        self,
+        cat: FinCat,
+        points: dict[str, tuple[str, ...]],
+        point_map: dict[str, dict[str, str]],
+        residue_preserving: dict[str, frozenset[str]] | None = None,
+        etale_marked: frozenset[str] = frozenset(),
+    ):
+        vars(self).update(
+            cat=cat, points=points, point_map=point_map, etale_marked=etale_marked,
+            residue_preserving={} if residue_preserving is None else residue_preserving,
+        )
 
     def points_of(self, obj: str) -> tuple[str, ...]:
         return self.points.get(obj, ())
@@ -505,18 +511,15 @@ def nisnevich_component_lemma_check(base: PointedBase, target: ZObject, family) 
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Value):
     """Commuting square named by its four sides.
 
     w_to_v: W -> V, w_to_u: W -> U, u_to_x: U -> X (the open-embedding leg),
     v_to_x: V -> X (the etale leg).
     """
 
-    w_to_v: str
-    w_to_u: str
-    u_to_x: str
-    v_to_x: str
+    def __init__(self, w_to_v: str, w_to_u: str, u_to_x: str, v_to_x: str):
+        vars(self).update(w_to_v=w_to_v, w_to_u=w_to_u, u_to_x=u_to_x, v_to_x=v_to_x)
 
     def sides(self) -> tuple[str, str, str, str]:
         return (self.w_to_v, self.w_to_u, self.u_to_x, self.v_to_x)
@@ -621,16 +624,15 @@ def distinguished_square_check(base: PointedBase, square: Square) -> Report:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class LayeredCategory:
+class LayeredCategory(Record):
     """A finite tower of categories with object membership between levels.
 
     membership[n] sends level n+1 objects to level n objects; it is the
     "lives over" map that makes cross-level families meaningful.
     """
 
-    levels: tuple[FinCat, ...]
-    membership: tuple[dict[str, str], ...]
+    def __init__(self, levels: tuple[FinCat, ...], membership: tuple[dict[str, str], ...]):
+        vars(self).update(levels=levels, membership=membership)
 
     def depth(self) -> int:
         return len(self.levels)
@@ -663,11 +665,11 @@ def validate_layered(layered: LayeredCategory) -> Report:
     return Report.collect("layered", rows)
 
 
-@dataclass(frozen=True)
-class LadderMorphism:
+class LadderMorphism(Value):
     """One morphism per level, membership-compatible endpoint chains."""
 
-    arrows: tuple[str, ...]
+    def __init__(self, arrows: tuple[str, ...]):
+        vars(self).update(arrows=arrows)
 
 
 def validate_ladder(layered: LayeredCategory, ladder: LadderMorphism) -> Report:

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import reports
 from .fincat import FinCat, InputError
+from .records import Record, Value
 from .reports import Report
 
 
@@ -71,20 +71,18 @@ def _sign(x: int) -> int:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class ZObject:
+class ZObject(Value):
     """Formal sum: tuple of (component index, base object id, coefficient)."""
 
-    components: tuple[tuple[int, str, int], ...]
-
-    def __post_init__(self):
+    def __init__(self, components: tuple[tuple[int, str, int], ...]):
         seen = set()
-        for idx, obj, coeff in self.components:
+        for idx, obj, coeff in components:
             if coeff == 0:
                 raise InputError(f"component {idx} of [{obj}] has zero coefficient")
             if idx in seen:
                 raise InputError(f"duplicate component index {idx}")
             seen.add(idx)
+        vars(self).update(components=components)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _, _ in self.components)
@@ -111,16 +109,20 @@ def z_object(parts) -> ZObject:
     return ZObject(components=tuple(sorted((int(i), str(o), int(c)) for i, o, c in parts)))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ZTerm:
+class ZTerm(Value):
     """One cell (row, col, coefficient, arrow).  Terms are never changed
-    after construction; they are not frozen only because a frozen dataclass
-    is several times slower to build, and composition builds many."""
+    after construction; they are left unfrozen for build speed, since plain
+    slot assignment is the cheapest constructor and composition builds many."""
 
-    row: int
-    col: int
-    coefficient: int
-    arrow: str
+    __slots__ = ("row", "col", "coefficient", "arrow")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, row: int, col: int, coefficient: int, arrow: str):
+        self.row = row
+        self.col = col
+        self.coefficient = coefficient
+        self.arrow = arrow
 
     def key(self) -> tuple:
         return (self.row, self.col, self.arrow)
@@ -146,18 +148,15 @@ def _group(terms, side: str) -> dict[int, tuple[ZTerm, ...]]:
     return {idx: tuple(ts) for idx, ts in groups.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class ZMorphism:
+class ZMorphism(Record):
     """Coefficient table stored as its two layouts over the same terms.
 
     ``into`` maps a column to its terms in target-side order, ``out_of`` a
     row to its terms in source-side order.
     """
 
-    source: ZObject
-    target: ZObject
-    into: dict[int, tuple[ZTerm, ...]]
-    out_of: dict[int, tuple[ZTerm, ...]]
+    def __init__(self, source: ZObject, target: ZObject, into: dict, out_of: dict):
+        vars(self).update(source=source, target=target, into=into, out_of=out_of)
 
     @property
     def terms(self) -> tuple[ZTerm, ...]:
@@ -306,17 +305,15 @@ def z_scalar_embed(base: FinCat, arrow: str, coefficient: int) -> ZMorphism:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class RefinementTable:
+class RefinementTable(Value):
     """Joint splitting of two partitions of the same total.
 
     ``entries`` maps 1-based (row position, column position) to the signed
     mass shared by that row and column.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...], entries: dict | None = None):
+        vars(self).update(rows=rows, cols=cols, entries={} if entries is None else entries)
 
     def row_sums(self) -> tuple[int, ...]:
         out = [0] * len(self.rows)

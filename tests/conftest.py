@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from importlib import resources
@@ -24,6 +25,14 @@ FIXTURE_NAMES = [
     "failing.json",
     "malformed.json",
 ]
+
+
+def replace(obj, **changes):
+    """A new record of ``obj``'s class: its constructor's parameters read off
+    ``obj``, with ``changes`` applied.  It never copies ``vars(obj)``, which
+    would carry cached lookups of the old fields into the new record."""
+    params = inspect.signature(type(obj)).parameters
+    return type(obj)(**{**{name: getattr(obj, name) for name in params}, **changes})
 
 
 def cli_env(**overrides) -> dict:

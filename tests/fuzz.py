@@ -236,3 +236,93 @@ def narrow_zobj(rng: random.Random, pool, wide, parts: int):
         for p in composition_of(rng, mass, parts):
             comps.append((len(comps) + 1, rng.choice(pool), sign * p))
     return z_object(comps)
+
+
+# =====================================================================
+# damaged workspace documents
+# =====================================================================
+
+
+def _entries(node):
+    """(container, key) of every entry under a raw JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out.extend(_entries(value))
+    return out
+
+
+def _drop_key(rng, raw):
+    slots = [(node, key) for node, key in _entries(raw) if isinstance(node, dict)]
+    if slots:
+        node, key = rng.choice(slots)
+        del node[key]
+
+
+def _dangle_id(rng, raw):
+    """Point a reference at a missing id, or rename an id out from under its references."""
+    if rng.random() < 0.5:
+        slots = [(node, key) for node, key in _entries(raw) if isinstance(node[key], str)]
+        if slots:
+            node, key = rng.choice(slots)
+            node[key] = "ghost"
+    else:
+        slots = [(node, key) for node, key in _entries(raw) if isinstance(node, dict)]
+        if slots:
+            node, key = rng.choice(slots)
+            node["ghost"] = node.pop(key)
+
+
+def _truncate(rng, raw):
+    nodes = [node[key] for node, key in _entries(raw) if isinstance(node[key], (list, dict)) and node[key]]
+    if nodes:
+        node = rng.choice(nodes)
+        keep = rng.randrange(len(node))
+        if isinstance(node, list):
+            del node[keep:]
+        else:
+            for key in list(node)[keep:]:
+                del node[key]
+
+
+def _delete_composites(rng, raw):
+    tables = [doc["composition"] for doc in raw.get("categories", {}).values() if doc.get("composition")]
+    if tables:
+        table = rng.choice(tables)
+        for key in rng.sample(sorted(table), rng.randint(1, len(table))):
+            del table[key]
+
+
+def _zobject_components(raw):
+    """Each zobject's components that are still (index, object, coefficient) triples."""
+    sums = [doc.get("components", []) for doc in raw.get("zobjects", {}).values()]
+    return [[c for c in comps if isinstance(c, list) and len(c) == 3] for comps in sums]
+
+
+def _duplicate_index(rng, raw):
+    sums = [comps for comps in _zobject_components(raw) if len(comps) > 1]
+    if sums:
+        first, second = rng.sample(rng.choice(sums), 2)
+        second[0] = first[0]
+
+
+def _zero_coefficient(rng, raw):
+    sums = [comps for comps in _zobject_components(raw) if comps]
+    if sums:
+        rng.choice(rng.choice(sums))[2] = 0
+
+
+_MUTATIONS = (_drop_key, _dangle_id, _truncate, _delete_composites, _duplicate_index, _zero_coefficient)
+
+
+def damage_workspace(rng: random.Random, raw: dict, edits: int = 3) -> dict:
+    """Apply ``edits`` random mutations to a raw workspace document in place.
+
+    Mutations drop a key, leave an id dangling, truncate a list or table,
+    delete composites, duplicate a zobject's component index or zero one of
+    its coefficients; one that finds nothing to change does nothing.
+    """
+    for _ in range(edits):
+        rng.choice(_MUTATIONS)(rng, raw)
+    return raw

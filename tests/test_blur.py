@@ -1,8 +1,6 @@
-import dataclasses
-
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, replace
 from zsite.blur import (
     blurry_axiom_probe,
     blurry_topology,
@@ -145,7 +143,7 @@ class TestBlurryProbe:
         cat = poset2_ws.categories["poset2"]
         site = blurry_topology(cat, poset2_ws.coverings["K"][1], poset2_ws.partitions["triv"][1])
         lost = site.quotient_assignment.without_family(block, frozenset(members))
-        return dataclasses.replace(site, quotient_assignment=lost)
+        return replace(site, quotient_assignment=lost)
 
     def test_lost_identity_class_family_breaks_iso_and_stability(self, poset2_ws):
         report = blurry_axiom_probe(self._triv_without(poset2_ws, "[E]", {"[E]->[E]"}))

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES, cli_env, fixture_path
+from fuzz import damage_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
 
@@ -72,6 +76,56 @@ def test_malformed_workspace_exits_two(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: $.categories.broken.morphisms.id_x: ['x'] is too short\n"
+
+
+@pytest.mark.parametrize(
+    "command,fixture,zobject,components,message",
+    [
+        ("z-compose", "fingerprint.json", "fY", [[2, "b", -1], [2, "a", 2]], "duplicate component index 2"),
+        ("validate", "zlin.json", "mid", [[1, "Y", 0]], "component 1 of [Y] has zero coefficient"),
+    ],
+)
+def test_a_bad_zobject_is_a_workspace_error(tmp_path, command, fixture, zobject, components, message):
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["zobjects"][zobject]["components"] = components
+    path = tmp_path / fixture
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsite.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: zobjects.{zobject}: {message}\n")
+
+
+def _has_structural_finding(out: str) -> bool:
+    return any(f["kind"] == "structural" for check in json.loads(out)["checks"] for f in check["findings"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), seed=st.integers(0, 2**32 - 1), edits=st.integers(1, 3))
+def test_damaged_workspaces_keep_the_exit_table(tmp_path_factory, name, seed, edits):
+    # every command on a damaged fixture ends by the documented exit table:
+    # no traceback; 0 and 1 with a report and empty stderr; 2 with either
+    # one error line and no report, or a report holding a structural finding
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        raw = damage_workspace(random.Random(seed), json.load(fh), edits)
+    path = tmp_path_factory.mktemp("damaged") / name
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    for command in COMMAND_KINDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--budget", "2000"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2 and not out:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+            assert code != 2 or _has_structural_finding(out)
 
 
 def test_budget_overrun_is_structural(capsys):
@@ -343,6 +397,20 @@ def test_the_command_line_needs_no_jsonschema(capsys):
     child = json.loads(proc.stdout)
     assert child["imported"] == []
     assert child["runs"] == [list(run(capsys, ["validate", path])) for path in paths]
+
+
+def test_the_command_line_imports_nothing_it_only_annotates_or_reflects_with():
+    # -S keeps site-packages' .pth hooks from importing these on their own
+    probe = "import sys, zsite.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    unwanted = ["dataclasses", "importlib.resources", "inspect", "typing"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *unwanted],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_only_filter_selects_one_label(capsys):

@@ -1,9 +1,8 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-from conftest import assert_rule_fires, drop, fixture_path, put
+from conftest import assert_rule_fires, drop, fixture_path, put, replace
 from fuzz import rand_poset, rand_seeds
 from oracles import refinements_product
 from zsite.fincat import InputError, ResourceBudgetError, poset_category

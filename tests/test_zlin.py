@@ -1,9 +1,8 @@
-import dataclasses
 import random
 
 import pytest
 
-from conftest import assert_rule_fires, fixture_path, put
+from conftest import assert_rule_fires, fixture_path, put, replace
 from fuzz import atom_coupling, cyclic_groupoid, layered_base, narrow_zobj, rand_chain, wide_zobj
 from oracles import compose_by_atoms, overlap_by_atoms
 from zsite.fincat import FinCat, InputError, poset_category
@@ -191,7 +190,7 @@ class TestMixedSignMiddles:
     def test_explicit_entries_compose_in_the_order_listed(self):
         # two entries lack a composite; the one listed first is raised,
         # though the composite lays its cells out by row then column
-        holed = dataclasses.replace(
+        holed = replace(
             self.base,
             composition={
                 k: v for k, v in self.base.composition.items() if k not in {("b<c1", "a1<b"), ("b<c2", "a2<b")}
@@ -597,7 +596,7 @@ class TestCoupler:
         # middle 1 has no composite arrow and middle 2 mixes signs: the
         # missing composite of middle 1 is met first
         composition = {k: v for k, v in self.line.composition.items() if k != ("m<t", "s<m")}
-        holed = dataclasses.replace(self.line, composition=composition)
+        holed = replace(self.line, composition=composition)
         outer, inner = self._block_pair([((1, 1), (2,)), ((2, -1), (3, -2))])
         with pytest.raises(InputError, match=r"^line: no composite for \(m<t after s<m\)$"):
             z_compose(holed, outer, inner)

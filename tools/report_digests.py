@@ -24,7 +24,6 @@ order a composite lays out its terms, fails a test.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -37,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+from conftest import replace  # noqa: E402
 from fuzz import (  # noqa: E402
     atom_coupling,
     cyclic_groupoid,
@@ -268,12 +268,12 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
     out: dict[str, list] = {name: [] for name in SWEPT}
     for _ in range(cases):
         cat = rand_poset(rng, n_objs=rng.randint(3, 5))
-        pulled = dataclasses.replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
+        pulled = replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
         holed = pulled
         if rng.random() < 0.5:
             ids = set(cat.identities.values())
             composition = _drop(rng, cat.composition, lambda k: k[0] in ids or k[1] in ids)
-            holed = dataclasses.replace(pulled, composition=composition)
+            holed = replace(pulled, composition=composition)
         try:
             closure = generate_covering_assignment(pulled, rand_seeds(rng, cat, 3), budget=400)
         except (InputError, ResourceBudgetError):
@@ -304,7 +304,7 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
         K = site.quotient_assignment
         for block in sorted(K.families):
             for fam in K.families_of(block):
-                broken = dataclasses.replace(site, quotient_assignment=K.without_family(block, fam))
+                broken = replace(site, quotient_assignment=K.without_family(block, fam))
                 out["blurry_axiom_probe"].append(_render(_outcome(lambda: blurry_axiom_probe(broken, budget))))
     return out
 
