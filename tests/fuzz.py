@@ -40,6 +40,43 @@ def rand_poset(rng: random.Random, n_objs=5, edge_p=0.45, name="rp"):
     return poset_category(name, objs, rels)
 
 
+def rand_preorder(rng: random.Random, n_objs=4, edge_p=0.45, back_p=0.3, name="rq"):
+    """Random preorder category: a random DAG on a fixed topological order
+    with some edges also reversed, so that some objects are isomorphic."""
+    objs = [f"o{i}" for i in range(n_objs)]
+    rels = [
+        (objs[i], objs[j])
+        for i in range(n_objs)
+        for j in range(i + 1, n_objs)
+        if rng.random() < edge_p
+    ]
+    rels += [(b, a) for a, b in rels if rng.random() < back_p]
+    return poset_category(name, objs, rels, with_meets=False)
+
+
+def point_presheaf(rng: random.Random, cat: FinCat, points=3, labels=2, keep=0.6, name="P"):
+    """Restrictions of a random set of labelings of a few points of a poset.
+
+    A global labeling assigns a label to each chosen point; its section over
+    x keeps the labels of the points below x and blanks the rest.  Keeping a
+    random subset of all labelings makes gluing fail on some families and
+    hold on others.
+    """
+    objs = sorted(cat.objects)
+    chosen = sorted(rng.sample(objs, min(points, len(objs))))
+    every = list(itertools.product(range(labels), repeat=len(chosen)))
+    kept = [s for s in every if rng.random() < keep] or [rng.choice(every)]
+
+    def section(sigma, x):
+        return "".join(str(v) if cat.hom(p, x) else "-" for p, v in zip(chosen, sigma))
+
+    sections = {x: tuple(sorted({section(s, x) for s in kept})) for x in objs}
+    restriction = {
+        m: {section(s, v): section(s, u) for s in kept} for m, (u, v) in sorted(cat.morphisms.items())
+    }
+    return Presheaf(name=name, cat=cat, sections=sections, restriction=restriction)
+
+
 def rand_seeds(rng: random.Random, cat: FinCat, max_seeds=2):
     """Random covering seeds: nonempty subsets of the arrows into an object."""
     seeds: dict[str, frozenset] = {}

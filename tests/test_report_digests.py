@@ -31,10 +31,12 @@ def test_bundled_reports_match_the_pinned_digests():
 
 def test_sweeps_do_not_depend_on_the_hash_seed():
     # refinement rows are built in sorted arrow order, so a family with two
-    # undefined composites raises the same error under every hash seed
+    # undefined composites raises the same error under every hash seed; the
+    # enumeration and sheaf sweeps draw from sorted views too
     script = (
         "import json, sys; sys.path.insert(0, 'tools'); import report_digests as r; "
-        "print(json.dumps([r._sha(r.sweep_outputs(seed=s)) for s in range(5, 10)]))"
+        "print(json.dumps([r._sha(r.sweep_outputs(seed=s)) for s in range(5, 10)] "
+        "+ [r._sha(r.fes_outputs(seed=s)) + r._sha(r.sheaf_outputs(seed=s)) for s in range(5, 7)]))"
     )
     procs = [
         subprocess.Popen(

@@ -5,7 +5,10 @@ command, once per ``--format``, and writes a JSON object that maps
 ``"FIXTURE COMMAND FORMAT"`` to the sha256 of the run's exit code, stdout
 and stderr.  It adds one ``"sweep CHECKER"`` entry per checker of a seeded
 in-process sweep over random poset sites (see ``sweep_outputs``): the
-sha256 of every report, result and exception text that checker gave.  The
+sha256 of every report, result and exception text that checker gave; the
+``"sweep enumerate_fes"`` and ``"sweep sheaf_check"`` entries pin the
+functor enumeration on seeded category pairs (see ``fes_outputs``) and the
+sheaf check on seeded point presheaves (see ``sheaf_outputs``).  The
 ``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
 (see ``layout_outputs``), and the ``"wide z-compose"`` entry that of the exit
 code, stdout and stderr of ``z-compose``, in both formats, on a seeded
@@ -42,8 +45,10 @@ from fuzz import (  # noqa: E402
     cyclic_groupoid,
     layered_base,
     narrow_zobj,
+    point_presheaf,
     rand_chain,
     rand_poset,
+    rand_preorder,
     rand_seeds,
     wide_zobj,
 )
@@ -61,7 +66,8 @@ from zsite.fincat import (  # noqa: E402
     quotient_category,
 )
 from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc  # noqa: E402
-from zsite.modular import ModelLabeledCat, class_types, quotient_model  # noqa: E402
+from zsite.modular import ModelLabeledCat, class_types, enumerate_fes, quotient_model  # noqa: E402
+from zsite.sheaf import matching_families, sheaf_check  # noqa: E402
 from zsite.site import generate_covering_assignment, grothendieck_axiom_check  # noqa: E402
 from zsite.zlin import z_compose, z_morphism  # noqa: E402
 
@@ -79,6 +85,12 @@ SWEPT = (
     "quotient_model",
     "induced_functor",
 )
+
+FES_SEED = 20_261_020
+FES_CASES = 600
+
+SHEAF_SEED = 20_261_021
+SHEAF_CASES = 300
 
 LAYOUT_SEED = 20_261_018
 LAYOUT_CASES = 300
@@ -109,6 +121,8 @@ def digests() -> dict[str, str]:
                 )
     for checker, outputs in sweep_outputs().items():
         result[f"sweep {checker}"] = _sha(outputs)
+    result["sweep enumerate_fes"] = _sha(fes_outputs())
+    result["sweep sheaf_check"] = _sha(sheaf_outputs())
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
     with tempfile.TemporaryDirectory() as tmp:
@@ -306,6 +320,91 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
             for fam in K.families_of(block):
                 broken = replace(site, quotient_assignment=K.without_family(block, fam))
                 out["blurry_axiom_probe"].append(_render(_outcome(lambda: blurry_axiom_probe(broken, budget))))
+    return out
+
+
+# =====================================================================
+# seeded functor enumeration and sheaf checks
+# =====================================================================
+
+
+def _fes_category(rng: random.Random, most: int, name: str):
+    """A random poset or preorder of up to ``most`` objects, or a small cyclic groupoid."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rand_poset(rng, n_objs=rng.randint(1, most), name=name)
+    if kind == 1:
+        return rand_preorder(rng, n_objs=rng.randint(1, most), name=name)
+    return cyclic_groupoid(rng.randint(1, 2), rng.randint(1, 3), name=name)
+
+
+def _holed(rng: random.Random, cat):
+    """``cat`` without one to three random composites, identity composites included."""
+    gone = set(rng.sample(sorted(cat.composition), min(len(cat.composition), rng.randint(1, 3))))
+    return replace(cat, composition={k: v for k, v in cat.composition.items() if k not in gone})
+
+
+def fes_outputs(cases: int = FES_CASES, seed: int = FES_SEED) -> list:
+    """Member keys of ``enumerate_fes``, or its error text, on seeded pairs.
+
+    Each case draws a source (up to 4 objects) and a target (up to 3) from
+    ``_fes_category``; in half the cases the source, the target or both lose
+    composites.  The budget is drawn from 0 to 60.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        source, target = _fes_category(rng, 4, "src"), _fes_category(rng, 3, "tgt")
+        if rng.random() < 0.5:
+            holes = rng.randrange(3)
+            source = source if holes == 1 else _holed(rng, source)
+            target = target if holes == 0 else _holed(rng, target)
+        budget = rng.randint(0, 60)
+        model = ModelLabeledCat(base=target)
+        out.append(_outcome(lambda: list(enumerate_fes(source, model, budget).keys())))
+    return out
+
+
+def _damaged(rng: random.Random, F):
+    """``F`` with one restriction entry deleted or sent to another section."""
+    entries = [(m, s) for m in sorted(F.restriction) for s in sorted(F.restriction[m])]
+    m, s = rng.choice(entries)
+    table = dict(F.restriction[m])
+    others = [t for t in F.sections_of(F.cat.source(m)) if t != table[s]]
+    if others and rng.random() < 0.5:
+        table[s] = rng.choice(others)
+    else:
+        del table[s]
+    return replace(F, restriction={**F.restriction, m: table})
+
+
+def sheaf_outputs(cases: int = SHEAF_CASES, seed: int = SHEAF_SEED) -> list:
+    """``sheaf_check`` reports and matching families of seeded point presheaves.
+
+    Each case draws a random poset (3-5 objects) and the covering closure of
+    random seeds; in half the cases one to six declared pullbacks are then
+    dropped.  A random point presheaf, one in four with one restriction
+    entry damaged, is checked against the closure, and every family's
+    matching families and missing pullbacks are recorded.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        cat = rand_poset(rng, n_objs=rng.randint(3, 5))
+        try:
+            closure = generate_covering_assignment(cat, rand_seeds(rng, cat, 3), budget=400)
+        except (InputError, ResourceBudgetError):
+            continue
+        if rng.random() < 0.5:
+            cat = replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
+        F = point_presheaf(rng, cat, points=rng.randint(1, 3))
+        if rng.random() < 0.25:
+            F = _damaged(rng, F)
+        families = [fam for obj in sorted(closure.families) for fam in closure.families_of(obj)]
+        out.append([
+            _render(_outcome(lambda: sheaf_check(F, closure))),
+            [_outcome(lambda: matching_families(F, fam)) for fam in families],
+        ])
     return out
 
 
