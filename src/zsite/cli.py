@@ -5,10 +5,11 @@ every document, z-compose prints composites, site-check / blur-check /
 sheaf-check / parametrize / model-check / fingerprint run their modules'
 checks.  One table, ``KINDS``, maps each kind to its command, to the
 function that runs it, to whether that function reads ``expect`` itself
-and to whether its law needs valid categories; ``COMMAND_KINDS`` is derived
-from it.  Each run function reads its spec through a ``_Resolver``, which
-resolves ids in the workspace table of their role, records the categories
-they live on and turns a missing or mistyped field into a WorkspaceError.
+and to the roles of the documents its law needs valid; ``COMMAND_KINDS`` is
+derived from it.  Each run function reads its spec through a ``_Resolver``,
+which resolves ids in the workspace table of their role, records the
+documents it read and the categories they live on and turns a missing or
+mistyped field into a WorkspaceError.
 Reports are byte-deterministic for identical inputs (canonical finding
 order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some check
 failed a law, 2 structural trouble (schema violation, unresolved reference,
@@ -110,16 +111,17 @@ class _Resolver:
     nested specs, ``value`` and ``values`` read plain data.  A missing or
     mistyped field, an unknown id, or inputs on different categories raise
     a WorkspaceError naming the check, which aborts the run; what a checker
-    raises on resolved inputs is a finding on that check alone.  ``cats``
-    maps the name of every category a resolved document lives on to that
-    category; nested resolvers share it.  ``verdicts`` is shared by every
-    check of one run and holds the validation verdict of each document a
-    check needed valid.
+    raises on resolved inputs is a finding on that check alone.  ``read``
+    maps "category" to the name and category of every category a resolved
+    document lives on, and every other role to the names and documents
+    resolved in it; nested resolvers share it.  ``verdicts`` is shared by
+    every check of one run and holds the validation verdict of each
+    document a check needed valid.
     """
 
-    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict, cats: dict):
+    def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict, read: dict):
         self.ws, self.spec, self.path, self.budget = ws, spec, path, budget
-        self.verdicts, self.cats = verdicts, cats
+        self.verdicts, self.read = verdicts, read
 
     def error(self, message: str) -> WorkspaceError:
         return WorkspaceError(f"{self.path}: {message}")
@@ -146,15 +148,17 @@ class _Resolver:
     def objects(self, field: str) -> list:
         """The nested specs listed in ``field``, each read like the check's own."""
         return [
-            _Resolver(self.ws, item, self.path, self.budget, self.verdicts, self.cats)
+            _Resolver(self.ws, item, self.path, self.budget, self.verdicts, self.read)
             for item in self.values(field, dict)
         ]
 
     def lookup(self, role: str, name):
         table, noun, cats_of = _ROLES[role]
         entry = self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
+        if role != "category":
+            self.read.setdefault(role, {})[name] = entry
         for cat in cats_of(self.ws, entry):
-            self.cats[cat.name] = cat
+            self.read.setdefault("category", {})[cat.name] = cat
         return entry
 
     def id(self, field: str, role: str | None = None):
@@ -421,55 +425,66 @@ def _z_equiv(r: _Resolver):
 # the kind table
 # =====================================================================
 
-# kind -> (command, run, owns_expectation, needs_categories).  run(r) reads
-# the spec through the resolver r and returns the check's Report (z_compose:
-# the Report and its payload).  Checkers are called by their global name at
-# call time, so a wrapper installed on this module sees every call.  Only
-# z_equiv owns its expectation and reads ``expect`` itself; for the rest it
-# is applied after.  A kind that needs categories has a law that assumes a
-# category: its verdict stands only if every category its documents live on
-# passes ``validate_category``.
+# role -> the validator of a document of that role that a law may need valid,
+# called by its global name like the checkers
+_VALIDATORS = {
+    "category": lambda cat: validate_category(cat),
+    "pointed_base": lambda base: validate_pointed_base(base),
+}
+_CATEGORY, _POINTS = ("category",), ("pointed_base",)
+
+# kind -> (command, run, owns_expectation, gated).  run(r) reads the spec
+# through the resolver r and returns the check's Report (z_compose: the
+# Report and its payload).  Checkers are called by their global name at call
+# time, so a wrapper installed on this module sees every call.  Only z_equiv
+# owns its expectation and reads ``expect`` itself; for the rest it is
+# applied after.  ``gated`` names the roles whose documents the kind's law
+# assumes valid: its verdict stands only if every category its documents
+# live on (role "category") and every document of the other roles it read
+# passes that role's validator.
 KINDS = {
-    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False, False),
-    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False, False),
-    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False, False),
-    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False, False),
-    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False, False),
-    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False, False),
-    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, False),
+    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False, ()),
+    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False, ()),
+    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False, ()),
+    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False, ()),
+    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False, ()),
+    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False, ()),
+    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, ()),
     "z_validate": (
-        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, False
+        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, ()
     ),
-    "z_compose": ("z-compose", _z_compose, False, False),
+    "z_compose": ("z-compose", _z_compose, False, ()),
     "grothendieck": (
-        "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, True
+        "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, _CATEGORY
     ),
-    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False, False),
+    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False, _POINTS),
     "component_lemma": (
-        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, False
+        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, _POINTS
     ),
-    "square": ("site-check", _square, False, True),
-    "powered_cover": ("site-check", _powered_cover, False, False),
-    "powered_stability": ("site-check", _powered_stability, False, False),
-    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, True),
-    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, True),
-    "powered_blurry": ("blur-check", _powered_blurry, False, False),
-    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False, True),
-    "additivity": ("sheaf-check", _additivity, False, False),
-    "cartesian": ("sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, True),
-    "squares_probe": ("sheaf-check", _squares_probe, False, True),
-    "enumerate_fes": ("parametrize", _enumerate_fes, False, True),
-    "precompose": ("parametrize", _precompose, False, True),
+    "square": ("site-check", _square, False, _CATEGORY + _POINTS),
+    "powered_cover": ("site-check", _powered_cover, False, ()),
+    "powered_stability": ("site-check", _powered_stability, False, ()),
+    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
+    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _CATEGORY),
+    "powered_blurry": ("blur-check", _powered_blurry, False, ()),
+    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False, _CATEGORY),
+    "additivity": ("sheaf-check", _additivity, False, ()),
+    "cartesian": (
+        "sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, _CATEGORY
+    ),
+    "squares_probe": ("sheaf-check", _squares_probe, False, _CATEGORY),
+    "enumerate_fes": ("parametrize", _enumerate_fes, False, _CATEGORY),
+    "precompose": ("parametrize", _precompose, False, _CATEGORY),
     "model_axioms": (
         "model-check",
         lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
         False,
-        True,
+        _CATEGORY,
     ),
-    "class_types": ("model-check", _class_types, False, True),
-    "quotient_model": ("model-check", _quotient_model, False, True),
-    "invariant": ("fingerprint", _invariant, False, False),
-    "z_equiv": ("fingerprint", _z_equiv, True, False),
+    "class_types": ("model-check", _class_types, False, _CATEGORY),
+    "quotient_model": ("model-check", _quotient_model, False, _CATEGORY),
+    "invariant": ("fingerprint", _invariant, False, ()),
+    "z_equiv": ("fingerprint", _z_equiv, True, ()),
 }
 
 # command -> the kinds it runs, in table order
@@ -480,17 +495,25 @@ COMMAND_KINDS = {
 
 
 def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
-    """The check's report and payload.  A category gate applies only when the
-    run returns: what it raises (an unknown id, a blown budget) names what
-    stopped the check."""
+    """The check's report and payload.  The gate applies only when the run
+    returns: what it raises (an unknown id, a blown budget) names what
+    stopped the check, as does an unknown id that stops a validator."""
     kind = spec["kind"]
-    _command, run, owns_expectation, needs_categories = KINDS[kind]
+    _command, run, owns_expectation, gated = KINDS[kind]
     r = _Resolver(ws, spec, path, budget, verdicts, {})
     payload = None
     try:
         report = run(r)
         if isinstance(report, tuple):
             report, payload = report
+        invalid = [
+            reports.structural("precondition", (name,), f"{_ROLES[role][1]} fails validation")
+            for role in gated
+            for name, doc in r.read.get(role, {}).items()
+            if not r.valid(role, name, _VALIDATORS[role], doc)
+        ]
+        if invalid:
+            report = Report.collect(kind, invalid)
     except KeyError as exc:
         missing = exc.args[0] if exc.args else ""
         report = Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")])
@@ -498,14 +521,6 @@ def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict
         report = Report.collect(kind, [reports.structural("budget", (), str(exc))])
     except InputError as exc:
         report = Report.collect(kind, [reports.structural("inputs", (), str(exc))])
-    else:
-        invalid = [
-            reports.structural("precondition", (name,), "category fails validation")
-            for name, cat in r.cats.items()
-            if needs_categories and not r.valid("category", name, validate_category, cat)
-        ]
-        if invalid:
-            report = Report.collect(kind, invalid)
     if not owns_expectation:
         report = _with_expectation(report, r.value("expect", bool, None))
     return report, payload

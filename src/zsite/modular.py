@@ -17,8 +17,6 @@ rather than assumed to survive.
 
 from __future__ import annotations
 
-import itertools
-
 from . import reports
 from .fincat import (
     FinCat,
@@ -33,6 +31,7 @@ from .fincat import (
 )
 from .records import Record
 from .reports import Report
+from .search import backtrack
 
 CLASS_NAMES = ("cof", "fib", "weq")
 
@@ -171,43 +170,102 @@ def _named_family(source: FinCat, model: ModelLabeledCat, members) -> ParamFamil
 def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> ParamFamily:
     """Every full, essentially surjective functor from source into M's base.
 
-    Exhaustive over object maps, then over endpoint-compatible morphism
-    maps, with identities forced.  The running candidate count is checked
-    against the budget and overruns raise, never truncate.  Members come out
+    Two searches on ``search.backtrack``.  The first maps the objects in
+    ``source.objects`` order and drops a map as soon as a non-identity
+    morphism with both ends mapped has no candidate image.  The work count
+    is the number of candidate morphism maps: each object map adds the
+    product of its non-identity hom-set sizes, before anything else is
+    tested, and a count past the budget raises, never truncates.  An
+    essentially surjective object map then gets its morphism maps:
+    identities are forced, non-identities are assigned in sorted order, and
+    each composite of the source is checked as soon as its last
+    non-identity is assigned (one made of identities alone, at once).
+    Fullness is tested on each complete map.  Verdicts are those of
+    ``check_functor`` on categories whose ids resolve and whose identity
+    tables are total; composition tables may have holes.  Members come out
     in a canonical order independent of enumeration order.
     """
     tgt = M.base
-    object_maps = itertools.product(tgt.objects, repeat=len(source.objects))
-    non_identities = sorted(m for m in source.morphisms if m not in source.identities.values())
+    hom, composite = tgt.hom, tgt.composition.get
+    objects = source.objects
+    slot = {obj: pos for pos, obj in enumerate(objects)}
+    identity_ids = set(source.identities.values())
+    arrows = sorted(m for m in source.morphisms if m not in identity_ids)
+    ends = [(slot[source.source(m)], slot[source.target(m)]) for m in arrows]
 
+    # object search: each non-identity is tested where its later end is mapped
+    tested_at = [[] for _ in objects]
+    for a, b in ends:
+        tested_at[max(a, b)].append((a, b))
+    combos = [1] * (len(objects) + 1)
+
+    def mapped(prefix, image):
+        pos = len(prefix)
+        count = combos[pos]
+        for a, b in tested_at[pos]:
+            size = len(hom(image if a == pos else prefix[a], image if b == pos else prefix[b]))
+            if not size:
+                return False
+            count *= size
+        combos[pos + 1] = count
+        return True
+
+    # morphism search: value slots are the non-identities in sorted order,
+    # then the identities of the objects, forced by the object map
+    owner = {source.identity(obj): pos for pos, obj in enumerate(objects)}
+    ref = {m: pos for pos, m in enumerate(arrows)}
+    ref.update((m, len(arrows) + k) for k, m in enumerate(owner))
+    checked_at = [[] for _ in arrows]
+    at_once = []
+    for (g, f), h in source.composition.items():
+        if source.composable(g, f):
+            entry = (ref[g], ref[f], ref[h])
+            last = max((p for p in entry if p < len(arrows)), default=None)
+            (at_once if last is None else checked_at[last]).append(entry)
+    hom_refs = [
+        (a, b, [ref[m] for m in source.hom(x, y)])
+        for a, x in enumerate(objects)
+        for b, y in enumerate(objects)
+    ]
+    values = [None] * len(ref)
+
+    def functorial(prefix, image):
+        pos = len(prefix)
+        values[pos] = image
+        for g, f, h in checked_at[pos]:
+            if values[h] != composite((values[g], values[f])):
+                return False
+        return True
+
+    surjective: dict[frozenset, bool] = {}
     members = []
     work = 0
-    for images in object_maps:
-        omap = dict(zip(source.objects, images))
-        candidates = []
-        feasible = True
-        combos = 1
-        for m in non_identities:
-            options = tgt.hom(omap[source.source(m)], omap[source.target(m)])
-            if not options:
-                feasible = False
-                break
-            candidates.append(options)
-            combos *= len(options)
-        if not feasible:
-            continue
-        work += combos
+    for images in backtrack([tgt.objects] * len(objects), mapped):
+        work += combos[-1]
         if work > budget:
             raise ResourceBudgetError(
                 f"functor enumeration needs more than {budget} candidates; refusing to truncate"
             )
-        for choice in itertools.product(*candidates):
-            mmap = dict(zip(non_identities, choice))
-            for obj in source.objects:
-                mmap[source.identity(obj)] = tgt.identity(omap[obj])
-            fun = Functor(name="candidate", source=source, target=tgt, object_map=omap, morphism_map=mmap)
-            if check_functor(fun).ok:
-                members.append(fun)
+        key = frozenset(images)
+        if key not in surjective:
+            surjective[key] = all(any(tgt.isomorphic(x, d) for x in key) for d in tgt.objects)
+        if not surjective[key]:
+            continue
+        values[len(arrows):] = [tgt.identity(images[pos]) for pos in owner.values()]
+        if any(values[h] != composite((values[g], values[f])) for g, f, h in at_once):
+            continue
+        needs = [(refs, hom(images[a], images[b])) for a, b, refs in hom_refs]
+        if any(len(refs) < len(needed) for refs, needed in needs):
+            continue
+        omap = dict(zip(objects, images))
+        for choice in backtrack([hom(images[a], images[b]) for a, b in ends], functorial):
+            if all({values[r] for r in refs}.issuperset(needed) for refs, needed in needs if needed):
+                mmap = dict(zip(arrows, choice))
+                for obj in objects:
+                    mmap[source.identity(obj)] = tgt.identity(omap[obj])
+                members.append(
+                    Functor(name="candidate", source=source, target=tgt, object_map=omap, morphism_map=mmap)
+                )
     return _named_family(source, M, members)
 
 

@@ -18,12 +18,14 @@ is for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import reports
 from .fincat import FinCat, InputError
 from .records import Record
 from .reports import Report
+from .search import backtrack
 from .site import CoveringAssignment, Square, square_endpoint_findings, _family_label
 from .zlin import ZObject, enumerate_correspondences, slice_correspondence
 
@@ -49,6 +51,11 @@ class Presheaf(Record):
 
     def restrict(self, m: str, section: str) -> str:
         return self.restriction[m][section]
+
+    @functools.cached_property
+    def shape(self) -> Report:
+        """``validate_presheaf(self)``, run on first use: the tables never change."""
+        return validate_presheaf(self)
 
 
 def validate_presheaf(F: Presheaf) -> Report:
@@ -137,38 +144,41 @@ def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...],
 
     The family is ordered canonically (sorted ids); a tuple assigns one
     section over each member's source, agreeing on every declared pairwise
-    pullback.  Missing pullbacks are returned, not raised.
+    pullback.  ``search.backtrack`` assigns the members in order and tests
+    each pair, both ways round, once both of its sections are assigned.
+    Missing pullbacks are returned, not raised.
     """
     cat = F.cat
     order = sorted(family)
     constraints, missing = _pair_constraints(cat, order)
     if missing:
         return (), missing
+    restrict = F.restrict
+    # per position: the pullbacks with each earlier member both ways round,
+    # the second dropped when it mirrors the first and so repeats its test,
+    # then the self-pullback, whose two ways round are one test
+    legs = []
+    for pos in range(len(order)):
+        rows = []
+        for other in range(pos):
+            p_other, p_pos = constraints[(other, pos)]
+            q_pos, q_other = constraints[(pos, other)]
+            mirrored = (q_pos, q_other) == (p_pos, p_other)
+            rows.append((other, p_other, p_pos, None if mirrored else q_pos, q_other))
+        legs.append((rows, constraints[(pos, pos)]))
 
-    found = []
+    def compatible(prefix, s):
+        rows, (a, b) = legs[len(prefix)]
+        for other, p_other, p_pos, q_pos, q_other in rows:
+            t = prefix[other]
+            if restrict(p_other, t) != restrict(p_pos, s):
+                return False
+            if q_pos is not None and restrict(q_pos, s) != restrict(q_other, t):
+                return False
+        return restrict(a, s) == restrict(b, s)
 
-    def extend(prefix: tuple[str, ...]):
-        pos = len(prefix)
-        if pos == len(order):
-            found.append(prefix)
-            return
-        for s in F.sections_of(cat.source(order[pos])):
-            ok = True
-            for other in range(pos + 1):
-                section_other = s if other == pos else prefix[other]
-                to_a, to_b = constraints[(other, pos)]
-                if F.restrict(to_a, section_other) != F.restrict(to_b, s):
-                    ok = False
-                    break
-                to_a, to_b = constraints[(pos, other)]
-                if F.restrict(to_a, s) != F.restrict(to_b, section_other):
-                    ok = False
-                    break
-            if ok:
-                extend(prefix + (s,))
-
-    extend(())
-    return tuple(found), missing
+    domains = [F.sections_of(cat.source(f)) for f in order]
+    return tuple(backtrack(domains, compatible)), missing
 
 
 def bijection_findings(mapped, targets, injective, surjective, context=()) -> list:
@@ -199,9 +209,8 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
     (gluing).  Families with an undeclared pairwise pullback are
     Unverifiable, naming the pair.
     """
-    shape = validate_presheaf(F)
-    if not shape.ok:
-        return shape
+    if not F.shape.ok:
+        return F.shape
 
     rows = []
     for obj in sorted(assignment.families):
@@ -322,9 +331,8 @@ def cartesian_square_check(F: Presheaf, square: Square) -> Report:
     Sends a section over X to its restrictions over U and V; the pair must
     agree over W, and the map must be a bijection onto all agreeing pairs.
     """
-    shape = validate_presheaf(F)
-    if not shape.ok:
-        return shape
+    if not F.shape.ok:
+        return F.shape
     rows = square_endpoint_findings(F.cat, square)
     if rows:
         return Report.collect(F.name, rows)

@@ -44,7 +44,16 @@ class CoveringAssignment(Record):
         vars(self).update(families={} if families is None else families)
 
     def families_of(self, obj: str) -> tuple[frozenset[str], ...]:
-        return _ordered_families(self.families.get(obj, frozenset()))
+        ordered = self._ordered
+        if obj not in ordered:
+            ordered[obj] = _ordered_families(self.families.get(obj, frozenset()))
+        return ordered[obj]
+
+    @functools.cached_property
+    def _ordered(self) -> dict[str, tuple[frozenset[str], ...]]:
+        """Object -> its families in canonical order, each sorted on first use:
+        the table never changes."""
+        return {}
 
     def has(self, obj: str, family: frozenset[str]) -> bool:
         return family in self.families.get(obj, frozenset())

@@ -10,6 +10,7 @@ regime where composition is total.
 import itertools
 import random
 
+from conftest import replace
 from zsite.fincat import FinCat, poset_category
 from zsite.sheaf import Presheaf
 from zsite.zlin import ZMorphism, z_morphism, z_object
@@ -52,6 +53,23 @@ def rand_preorder(rng: random.Random, n_objs=4, edge_p=0.45, back_p=0.3, name="r
     ]
     rels += [(b, a) for a, b in rels if rng.random() < back_p]
     return poset_category(name, objs, rels, with_meets=False)
+
+
+def rand_small_category(rng: random.Random, most: int, name: str, order=3):
+    """A random poset or preorder of up to ``most`` objects, or a cyclic
+    groupoid on one or two objects whose hom-sets have up to ``order`` arrows."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rand_poset(rng, n_objs=rng.randint(1, most), name=name)
+    if kind == 1:
+        return rand_preorder(rng, n_objs=rng.randint(1, most), name=name)
+    return cyclic_groupoid(rng.randint(1, 2), rng.randint(1, order), name=name)
+
+
+def drop_composites(rng: random.Random, cat: FinCat, most=3) -> FinCat:
+    """``cat`` without one to ``most`` random composites, identity composites included."""
+    gone = set(rng.sample(sorted(cat.composition), min(len(cat.composition), rng.randint(1, most))))
+    return replace(cat, composition={k: v for k, v in cat.composition.items() if k not in gone})
 
 
 def point_presheaf(rng: random.Random, cat: FinCat, points=3, labels=2, keep=0.6, name="P"):

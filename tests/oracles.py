@@ -83,81 +83,74 @@ def sheaf_verdict_bruteforce(F, cat, assignment):
     return True
 
 
-def count_fes_bruteforce(source, target):
-    """Count full, essentially surjective functors by raw enumeration.
+def fes_bruteforce(source, target):
+    """Full, essentially surjective functors and the raw budget work, from their definitions.
 
-    No pruning: every object map and every endpoint-respecting morphism map
-    is generated, then functor laws, fullness, and essential surjectivity
-    are tested from their definitions.
+    No pruning: every object map, every endpoint-respecting map of the
+    non-identity morphisms and every endpoint-respecting choice of identity
+    images is generated; then identity preservation, preservation of every
+    declared composite of a composable pair, fullness and essential
+    surjectivity are tested.  The work is the number of non-identity maps
+    generated, which is what the enumerator's budget counts.  Returns the
+    set of member keys, (sorted object map items, sorted morphism map
+    items), and the work.
     """
     src_objs = sorted(source.objects)
     tgt_objs = sorted(target.objects)
-    src_mors = sorted(source.morphisms)
+    idents = sorted(set(source.identities.values()))
+    arrows = sorted(m for m in source.morphisms if m not in idents)
 
-    def is_iso(cat, m):
-        a, b = cat.morphisms[m]
+    def between(a, b):
+        return [n for n, ends in sorted(target.morphisms.items()) if ends == (a, b)]
+
+    def fits(omap, m):
+        s, t = source.morphisms[m]
+        return between(omap[s], omap[t])
+
+    def is_iso(m):
+        a, b = target.morphisms[m]
         return any(
-            cat.composition.get((n, m)) == cat.identity(a)
-            and cat.composition.get((m, n)) == cat.identity(b)
-            for n, (s, t) in cat.morphisms.items()
-            if s == b and t == a
+            target.composition.get((n, m)) == target.identity(a)
+            and target.composition.get((m, n)) == target.identity(b)
+            for n in between(b, a)
         )
 
-    count = 0
-    for omap_vals in itertools.product(tgt_objs, repeat=len(src_objs)):
-        omap = dict(zip(src_objs, omap_vals))
-        choices = []
-        for m in src_mors:
-            s, t = source.morphisms[m]
-            fits = [
-                n
-                for n, (ns, nt) in sorted(target.morphisms.items())
-                if ns == omap[s] and nt == omap[t]
-            ]
-            choices.append(fits)
-        for mmap_vals in itertools.product(*choices):
-            mmap = dict(zip(src_mors, mmap_vals))
-            if any(mmap[source.identity(o)] != target.identity(omap[o]) for o in src_objs):
-                continue
-            if any(
-                mmap[h] != target.composition.get((mmap[g], mmap[f]))
-                for (g, f), h in source.composition.items()
-            ):
-                continue
-            full = True
-            for x in src_objs:
-                for y in src_objs:
-                    wanted = {
-                        n
-                        for n, (ns, nt) in target.morphisms.items()
-                        if ns == omap[x] and nt == omap[y]
-                    }
-                    got = {
-                        mmap[m]
-                        for m, (ms, mt) in source.morphisms.items()
-                        if ms == x and mt == y
-                    }
-                    if wanted != got:
-                        full = False
-                        break
-                if not full:
-                    break
-            if not full:
-                continue
-            image = set(omap.values())
-            es = all(
-                t in image
-                or any(
-                    is_iso(target, m)
-                    and {target.morphisms[m][0], target.morphisms[m][1]} == {t, o}
-                    for o in image
-                    for m in target.morphisms
-                )
-                for t in tgt_objs
-            )
-            if es:
-                count += 1
-    return count
+    def functorial(omap, mmap):
+        return all(mmap[source.identity(o)] == target.identity(omap[o]) for o in src_objs) and all(
+            mmap[h] == target.composition.get((mmap[g], mmap[f]))
+            for (g, f), h in source.composition.items()
+            if source.morphisms[f][1] == source.morphisms[g][0]
+        )
+
+    def full(omap, mmap):
+        return all(
+            set(between(omap[x], omap[y]))
+            <= {mmap[m] for m, ends in source.morphisms.items() if ends == (x, y)}
+            for x in src_objs
+            for y in src_objs
+        )
+
+    def surjective(omap):
+        image = set(omap.values())
+        return all(
+            t in image or any(is_iso(m) for o in image for m in between(o, t)) for t in tgt_objs
+        )
+
+    members, work = set(), 0
+    for values in itertools.product(tgt_objs, repeat=len(src_objs)):
+        omap = dict(zip(src_objs, values))
+        for choice in itertools.product(*(fits(omap, m) for m in arrows)):
+            work += 1
+            for ident_choice in itertools.product(*(fits(omap, i) for i in idents)):
+                mmap = dict(zip(arrows, choice)) | dict(zip(idents, ident_choice))
+                if functorial(omap, mmap) and full(omap, mmap) and surjective(omap):
+                    members.add((tuple(sorted(omap.items())), tuple(sorted(mmap.items()))))
+    return members, work
+
+
+def count_fes_bruteforce(source, target):
+    """Number of full, essentially surjective functors, by ``fes_bruteforce``."""
+    return len(fes_bruteforce(source, target)[0])
 
 
 def refinements_product(cat, assignment, family):

@@ -236,6 +236,51 @@ def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, 
     assert calls == ["chain3"]
 
 
+def _residue_outside_the_domain(base):
+    base["residue_preserving"]["e1"].append("zz")
+
+
+def _dangling_point(base):
+    del base["point_map"]["g"]
+
+
+def _point_map_out_of_range(base):
+    base["point_map"]["A<B"]["1"] = "zz"
+
+
+@pytest.mark.parametrize(
+    "fixture,kind,damage",
+    [
+        ("etale2.json", "nisnevich", _residue_outside_the_domain),
+        ("etale2.json", "component_lemma", _dangling_point),
+        ("chain3.json", "square", _point_map_out_of_range),
+    ],
+    ids=["nisnevich", "component_lemma", "square"],
+)
+def test_checks_on_an_invalid_pointed_base_are_precondition_failures(
+    capsys, tmp_path, monkeypatch, fixture, kind, damage
+):
+    # validate fails the damaged base; no point-lifting, component or square
+    # law may then give a verdict on it, and the base is validated once per run
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    damage(doc["pointed_bases"]["base"])
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, ["validate", str(path)])[0] == 2
+    calls = counting(monkeypatch, "validate_pointed_base", lambda base: base.cat.name)
+    code, out, err = run(capsys, ["site-check", str(path)])
+    assert code == 2 and err == ""
+    entries = [e for e in json.loads(out)["checks"] if e["kind"] == kind]
+    assert entries
+    for entry in entries:
+        assert entry["findings"] == [
+            {"kind": "structural", "rule": "precondition", "witnesses": ["base"],
+             "detail": "pointed base fails validation"}
+        ]
+    assert calls == [doc["pointed_bases"]["base"]["category"]]
+
+
 def test_parametrizations_on_a_holed_category_are_precondition_failures(capsys, tmp_path, monkeypatch):
     # m2 without id_a|v fails validate_category; no functor enumeration,
     # precomposition or model law may then give a verdict on it, while a

@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 
 from conftest import fixture_path
-from oracles import count_fes_bruteforce
+from fuzz import cyclic_groupoid, drop_composites, rand_small_category
+from oracles import count_fes_bruteforce, fes_bruteforce
 from zsite.fincat import FinCat, ResourceBudgetError, partition_from_blocks
 from zsite.jsonio import load_workspace
 from zsite.modular import (
@@ -102,6 +106,33 @@ class TestEnumeration:
     def test_budget_overrun_raises(self, ws):
         with pytest.raises(ResourceBudgetError):
             enumerate_fes(ws.categories["m2"], ws.model_cats["M2"], budget=1)
+
+    def test_seeded_pairs_match_the_oracle_at_the_budget_boundary(self):
+        # posets, preorders with isomorphic objects and cyclic groupoids, half
+        # of them with composites dropped: the members are the oracle's, and
+        # the budget passes at the oracle's raw work and raises one below it
+        rng = random.Random(20_261_018)
+        for _ in range(200):
+            source = rand_small_category(rng, 3, "src", order=3)
+            target = rand_small_category(rng, 3, "tgt", order=2)
+            if rng.random() < 0.5:
+                holes = rng.randrange(3)
+                source = source if holes == 1 else drop_composites(rng, source)
+                target = target if holes == 0 else drop_composites(rng, target)
+            members, work = fes_bruteforce(source, target)
+            model = ModelLabeledCat(base=target)
+            assert set(enumerate_fes(source, model, budget=work).keys()) == members
+            if work:
+                with pytest.raises(ResourceBudgetError):
+                    enumerate_fes(source, model, budget=work - 1)
+
+    def test_groupoid_onto_its_quotient_group_is_quick(self):
+        # 3^10 candidate morphism maps, six of them full and essentially
+        # surjective; forward checking prunes nearly all of them early
+        start = time.perf_counter()
+        family = enumerate_fes(cyclic_groupoid(2, 3), ModelLabeledCat(base=cyclic_groupoid(1, 3)), budget=10**6)
+        assert len(family.members) == 6
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPrecomposition:

@@ -43,13 +43,14 @@ from conftest import replace  # noqa: E402
 from fuzz import (  # noqa: E402
     atom_coupling,
     cyclic_groupoid,
+    drop_composites,
     layered_base,
     narrow_zobj,
     point_presheaf,
     rand_chain,
     rand_poset,
-    rand_preorder,
     rand_seeds,
+    rand_small_category,
     wide_zobj,
 )
 from oracles import compose_by_atoms  # noqa: E402
@@ -328,37 +329,21 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
 # =====================================================================
 
 
-def _fes_category(rng: random.Random, most: int, name: str):
-    """A random poset or preorder of up to ``most`` objects, or a small cyclic groupoid."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return rand_poset(rng, n_objs=rng.randint(1, most), name=name)
-    if kind == 1:
-        return rand_preorder(rng, n_objs=rng.randint(1, most), name=name)
-    return cyclic_groupoid(rng.randint(1, 2), rng.randint(1, 3), name=name)
-
-
-def _holed(rng: random.Random, cat):
-    """``cat`` without one to three random composites, identity composites included."""
-    gone = set(rng.sample(sorted(cat.composition), min(len(cat.composition), rng.randint(1, 3))))
-    return replace(cat, composition={k: v for k, v in cat.composition.items() if k not in gone})
-
-
 def fes_outputs(cases: int = FES_CASES, seed: int = FES_SEED) -> list:
     """Member keys of ``enumerate_fes``, or its error text, on seeded pairs.
 
     Each case draws a source (up to 4 objects) and a target (up to 3) from
-    ``_fes_category``; in half the cases the source, the target or both lose
-    composites.  The budget is drawn from 0 to 60.
+    ``rand_small_category``; in half the cases the source, the target or both
+    lose composites.  The budget is drawn from 0 to 60.
     """
     rng = random.Random(seed)
     out = []
     for _ in range(cases):
-        source, target = _fes_category(rng, 4, "src"), _fes_category(rng, 3, "tgt")
+        source, target = rand_small_category(rng, 4, "src"), rand_small_category(rng, 3, "tgt")
         if rng.random() < 0.5:
             holes = rng.randrange(3)
-            source = source if holes == 1 else _holed(rng, source)
-            target = target if holes == 0 else _holed(rng, target)
+            source = source if holes == 1 else drop_composites(rng, source)
+            target = target if holes == 0 else drop_composites(rng, target)
         budget = rng.randint(0, 60)
         model = ModelLabeledCat(base=target)
         out.append(_outcome(lambda: list(enumerate_fes(source, model, budget).keys())))
