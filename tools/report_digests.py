@@ -15,8 +15,10 @@ code, stdout and stderr of ``z-compose``, in both formats, on a seeded
 workspace of wide sums (see ``wide_workspace``).  Each ``"holed
 FIXTURE-CATEGORY COMMAND"`` entry is the sha256 of the exit code, stdout and
 stderr of COMMAND, in both formats, on a copy of the fixture whose category
-lacks one composite (see ``holed_fixtures``).  Run from the repository
-root:
+lacks one composite (see ``holed_fixtures``).  The ``"decode errors"`` entry
+is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
+of each bundled fixture with one reference field of one document naming
+nothing (see ``dangling_fixtures``).  Run from the repository root:
 
     python3 tools/report_digests.py [OUT]
 
@@ -100,6 +102,22 @@ LAYOUT_SHAPES = ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 2, 2), (2, 1, 2, 1), (3, 1, 
 WIDE_SEED = 20_261_019
 WIDE_ENDOS = 10
 
+# workspace table -> the fields of its documents that name another document;
+# a list field names one per item
+REFERENCES = {
+    "functors": ("source", "target"),
+    "partitions": ("category",),
+    "zmorphisms": ("category", "source", "target"),
+    "pointed_bases": ("category",),
+    "coverings": ("category",),
+    "presheaves": ("category",),
+    "model_cats": ("category",),
+    "squares": ("category",),
+    "layered": ("levels",),
+    "ladders": ("layered",),
+}
+DANGLING = "ghost"
+
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -126,6 +144,7 @@ def digests() -> dict[str, str]:
     result["sweep sheaf_check"] = _sha(sheaf_outputs())
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
+    result["decode errors"] = _sha(decode_error_outputs())
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in holed_fixtures():
             path = pathlib.Path(tmp) / f"{name}.json"
@@ -163,6 +182,38 @@ def holed_fixtures():
             holed = json.loads(json.dumps(doc))
             del holed["categories"][catname]["composition"][holes[0]]
             yield f"{fixture.stem}-{catname}", holed
+
+
+def dangling_fixtures():
+    """``("FIXTURE TABLE.NAME.FIELD", workspace)`` per reference field of every
+    document of every bundled fixture.
+
+    The workspace is the fixture with that field naming ``DANGLING``, which
+    no fixture declares; a list field has its first item replaced.
+    """
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        for table, fields in REFERENCES.items():
+            for name in sorted(doc.get(table, {})):
+                for field in fields:
+                    broken = json.loads(json.dumps(doc))
+                    entry = broken[table][name]
+                    if isinstance(entry[field], list):
+                        entry[field][0] = DANGLING
+                    else:
+                        entry[field] = DANGLING
+                    yield f"{fixture.name} {table}.{name}.{field}", broken
+
+
+def decode_error_outputs() -> list:
+    """Exit code, stdout and stderr of ``validate`` on each ``dangling_fixtures`` workspace."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "dangling.json"
+        for label, doc in dangling_fixtures():
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out.append([label, *run(["validate", str(path)])])
+    return out
 
 
 # =====================================================================
