@@ -7,9 +7,9 @@ checks.  One table, ``KINDS``, maps each kind to its command, to the
 function that runs it, to whether that function reads ``expect`` itself
 and to the roles of the documents its law needs valid; ``COMMAND_KINDS`` is
 derived from it.  Each run function reads its spec through a ``_Resolver``,
-which resolves ids in the workspace table of their role, records the
-documents it read and the categories they live on and turns a missing or
-mistyped field into a WorkspaceError.
+which resolves ids in the workspace table of their role (a row of
+``jsonio.DOCUMENTS``), records the documents it read and the categories
+they live on and turns a missing or mistyped field into a WorkspaceError.
 Reports are byte-deterministic for identical inputs (canonical finding
 order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some check
 failed a law, 2 structural trouble (schema violation, unresolved reference,
@@ -40,7 +40,7 @@ from .fincat import (
     validate_partition,
 )
 from .fingerprint import invariant_of, z_equiv
-from .jsonio import Workspace, WorkspaceError, load_workspace, zmorphism_to_doc
+from .jsonio import DOCUMENTS, Workspace, WorkspaceError, load_workspace, zmorphism_to_doc
 from .modular import (
     QuotientRejected,
     class_types,
@@ -75,30 +75,6 @@ from .zlin import MarginalMismatch, SignIncoherent, z_compose, z_validate
 
 _REQUIRED = object()
 
-
-def _named(ws: Workspace, entry) -> tuple:
-    """The category of a (category name, document) entry."""
-    return (ws.categories[entry[0]],)
-
-
-# role of a spec field -> (Workspace table it names an entry of, noun in
-# diagnostics, the categories an entry of that table lives on)
-_ROLES = {
-    "category": ("categories", "category", lambda ws, cat: (cat,)),
-    "functor": ("functors", "functor", lambda ws, fun: (fun.source, fun.target)),
-    "partition": ("partitions", "partition", _named),
-    "pointed_base": ("pointed_bases", "pointed base", lambda ws, base: (base.cat,)),
-    "presheaf": ("presheaves", "presheaf", lambda ws, F: (F.cat,)),
-    "covering": ("coverings", "covering", _named),
-    "zobject": ("zobjects", "zobject", lambda ws, obj: ()),
-    "zmorphism": ("zmorphisms", "zmorphism", _named),
-    "square": ("squares", "square", _named),
-    "layered": ("layered", "layered category", lambda ws, layered: layered.levels),
-    "ladder": ("ladders", "ladder", lambda ws, entry: ws.layered[entry[0]].levels),
-    "model": ("model_cats", "model category", lambda ws, model: (model.base,)),
-    "table": ("fingerprints", "fingerprint table", lambda ws, table: ()),
-}
-
 # JSON type of a plain field or list item; an untyped list item is an id
 _TYPE_NAMES = {object: "id", dict: "object", str: "string", int: "integer", bool: "boolean", list: "list"}
 
@@ -107,12 +83,13 @@ class _Resolver:
     """One check spec, read against the workspace for the check at ``path``.
 
     Every field is read through a typed accessor: ``id`` resolves an id in
-    the table of its role, ``ids`` and ``objects`` read lists of ids and of
-    nested specs, ``value`` and ``values`` read plain data.  A missing or
-    mistyped field, an unknown id, or inputs on different categories raise
-    a WorkspaceError naming the check, which aborts the run; what a checker
-    raises on resolved inputs is a finding on that check alone.  ``read``
-    maps "category" to the name and category of every category a resolved
+    the table of its role (a row of ``jsonio.DOCUMENTS``), ``value`` and
+    ``values`` read plain data and lists of it (of ids by default), and
+    ``objects`` reads a list of nested specs.  A missing or mistyped field,
+    an unknown id, or inputs on different categories raise a WorkspaceError
+    naming the check, which aborts the run; what a checker raises on
+    resolved inputs is a finding on that check alone.  ``read`` maps
+    "category" to the name and category of every category a resolved
     document lives on, and every other role to the names and documents
     resolved in it; nested resolvers share it.  ``verdicts`` is shared by
     every check of one run and holds the validation verdict of each
@@ -141,10 +118,6 @@ class _Resolver:
             raise self.error(f"field {field!r} must be a list of {_TYPE_NAMES[of]}s")
         return items
 
-    def ids(self, field: str) -> list:
-        """The ids listed in ``field``, each to be resolved with ``lookup``."""
-        return self.values(field)
-
     def objects(self, field: str) -> list:
         """The nested specs listed in ``field``, each read like the check's own."""
         return [
@@ -153,11 +126,10 @@ class _Resolver:
         ]
 
     def lookup(self, role: str, name):
-        table, noun, cats_of = _ROLES[role]
-        entry = self.ws.lookup(getattr(self.ws, table), name, self.path, noun)
+        entry = self.ws.lookup(role, name, self.path)
         if role != "category":
             self.read.setdefault(role, {})[name] = entry
-        for cat in cats_of(self.ws, entry):
+        for cat in DOCUMENTS[role][3](self.ws, entry):
             self.read.setdefault("category", {})[cat.name] = cat
         return entry
 
@@ -232,18 +204,18 @@ def _z_compose(r: _Resolver):
     except InputError as exc:
         return Report.collect("z_compose", [reports.structural("compose_inputs", names, str(exc))])
     rows = [reports.info("composite", (), composite.render())]
-    if "expect_terms" in r.spec:
-        expected = [tuple(t) for t in r.values("expect_terms", list)]
-        got = [(row, col, v, a) for row, col, a, v in composite.normal_form()]
-        if expected != got:
-            rows.append(reports.law("expected_terms", (), f"expected {expected}, got {got}"))
-    return Report.collect("z_compose", rows), zmorphism_to_doc(composite)
+    doc = zmorphism_to_doc(composite)
+    expected = r.values("expect_terms", list, None)
+    if expected is not None and expected != doc["terms"]:
+        expected, got = [tuple(t) for t in expected], [tuple(t) for t in doc["terms"]]
+        rows.append(reports.law("expected_terms", (), f"expected {expected}, got {got}"))
+    return Report.collect("z_compose", rows), doc
 
 
 def _nisnevich_inputs(r: _Resolver):
     base = r.id("pointed_base")
     target = r.id("target", "zobject")
-    pairs = [r.lookup("zmorphism", name) for name in r.ids("family")]
+    pairs = [r.lookup("zmorphism", name) for name in r.values("family")]
     cats = {c for c, _m in pairs}
     if len(cats) > 1:
         raise r.error(f"zmorphisms live on different categories {sorted(cats)}")
@@ -267,7 +239,7 @@ def _ladder(r: _Resolver, name):
 
 
 def _coverings(r: _Resolver) -> list:
-    return [r.lookup("covering", name)[1] for name in r.ids("coverings")]
+    return [r.lookup("covering", name)[1] for name in r.values("coverings")]
 
 
 def _powered_cover(r: _Resolver):
@@ -283,7 +255,7 @@ def _powered_stability(r: _Resolver):
     shape = validate_layered(layered)
     if not shape.ok:
         return shape
-    family = [_ladder(r, name) for name in r.ids("family")]
+    family = [_ladder(r, name) for name in r.values("family")]
     test = _ladder(r, r.value("test"))
     return powered_stability_probe(layered, family, test, _coverings(r))
 
@@ -328,7 +300,7 @@ def _additivity(r: _Resolver):
 def _squares_probe(r: _Resolver):
     F, assignment = _presheaf_and(r, "covering")
     squares = []
-    for name in r.ids("squares"):
+    for name in r.values("squares"):
         catname, square = r.lookup("square", name)
         if catname != F.cat.name:
             raise r.error(f"square {name!r} lives on {catname}")
@@ -507,7 +479,7 @@ def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict
         if isinstance(report, tuple):
             report, payload = report
         invalid = [
-            reports.structural("precondition", (name,), f"{_ROLES[role][1]} fails validation")
+            reports.structural("precondition", (name,), f"{DOCUMENTS[role][1]} fails validation")
             for role in gated
             for name, doc in r.read.get(role, {}).items()
             if not r.valid(role, name, _VALIDATORS[role], doc)

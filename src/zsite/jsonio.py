@@ -1,7 +1,8 @@
 """Workspace documents: JSON in, domain values out, reports back to JSON.
 
-One file holds named documents of every kind plus a list of check specs.
-Pair-valued table keys (composition, pullbacks, products) are encoded as
+One file holds named documents of every kind plus a list of check specs;
+``DOCUMENTS`` lists the kinds, each with its section, decoder and the
+categories its documents live on.  Pair-valued table keys (composition, pullbacks, products) are encoded as
 "g|f", which is why ids may not contain the bar.  Loading validates against
 the shipped JSON Schema first, then resolves every cross-reference; both
 kinds of failure raise WorkspaceError with a path-shaped diagnostic, which
@@ -23,11 +24,11 @@ import json
 import os
 
 from . import schema as jsonschema  # the name clibench's tracer wraps to time validation
-from .fincat import FinCat, Functor, InputError, ObjEquiv, partition_from_blocks
+from .fincat import FinCat, Functor, InputError, partition_from_blocks
 from .modular import ModelLabeledCat
 from .sheaf import Presheaf
 from .site import CoveringAssignment, LadderMorphism, LayeredCategory, PointedBase, Square
-from .fingerprint import GradedDims, graded_dims
+from .fingerprint import graded_dims
 from .zlin import ZMorphism, ZObject, z_morphism, z_object
 
 
@@ -132,154 +133,129 @@ def zmorphism_to_doc(phi: ZMorphism, category: str = "", source: str = "", targe
 
 
 class Workspace:
-    """Decoded documents by kind and name; ``_decode`` fills the tables in place."""
+    """Decoded documents, one table per ``DOCUMENTS`` row; ``_decode`` fills them in place."""
 
-    def __init__(
-        self,
-        categories: dict[str, FinCat] | None = None,
-        functors: dict[str, Functor] | None = None,
-        partitions: dict[str, tuple[str, ObjEquiv]] | None = None,
-        zobjects: dict[str, ZObject] | None = None,
-        zmorphisms: dict[str, tuple[str, ZMorphism]] | None = None,
-        pointed_bases: dict[str, PointedBase] | None = None,
-        coverings: dict[str, tuple[str, CoveringAssignment]] | None = None,
-        presheaves: dict[str, Presheaf] | None = None,
-        model_cats: dict[str, ModelLabeledCat] | None = None,
-        fingerprints: dict[str, dict[str, GradedDims]] | None = None,
-        squares: dict[str, tuple[str, Square]] | None = None,
-        layered: dict[str, LayeredCategory] | None = None,
-        ladders: dict[str, tuple[str, LadderMorphism]] | None = None,
-        checks: tuple[dict, ...] = (),
-    ):
-        self.categories = {} if categories is None else categories
-        self.functors = {} if functors is None else functors
-        self.partitions = {} if partitions is None else partitions
-        self.zobjects = {} if zobjects is None else zobjects
-        self.zmorphisms = {} if zmorphisms is None else zmorphisms
-        self.pointed_bases = {} if pointed_bases is None else pointed_bases
-        self.coverings = {} if coverings is None else coverings
-        self.presheaves = {} if presheaves is None else presheaves
-        self.model_cats = {} if model_cats is None else model_cats
-        self.fingerprints = {} if fingerprints is None else fingerprints
-        self.squares = {} if squares is None else squares
-        self.layered = {} if layered is None else layered
-        self.ladders = {} if ladders is None else ladders
-        self.checks = checks
+    def __init__(self):
+        vars(self).update({table: {} for table, _noun, _decode, _cats in DOCUMENTS.values()}, checks=())
 
-    def category(self, name: str, path: str) -> FinCat:
-        return self.lookup(self.categories, name, path, "category")
+    def lookup(self, role: str, name, path: str):
+        """The entry ``name`` of the ``role`` table; an unknown name is an error at ``path``."""
+        table, noun, _decode, _cats = DOCUMENTS[role]
+        entries = getattr(self, table)
+        if not isinstance(name, str) or name not in entries:
+            raise WorkspaceError(f"{path}: unknown {noun} {name!r}")
+        return entries[name]
 
-    def lookup(self, table: dict, name, path: str, kind: str):
-        if not isinstance(name, str) or name not in table:
-            raise WorkspaceError(f"{path}: unknown {kind} {name!r}")
-        return table[name]
+
+def _category(ws: Workspace, doc: dict, path: str) -> FinCat:
+    """The category ``doc`` names in its field ``category``."""
+    return ws.lookup("category", doc["category"], f"{path}.category")
+
+
+def _zobject(_ws: Workspace, _name: str, doc: dict, path: str) -> ZObject:
+    try:
+        return z_object(tuple(tuple(c) for c in doc["components"]))
+    except InputError as exc:
+        raise WorkspaceError(f"{path}: {exc}") from exc
+
+
+def _zmorphism(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, ZMorphism]:
+    cat = _category(ws, doc, path)
+    src = ws.lookup("zobject", doc["source"], f"{path}.source")
+    tgt = ws.lookup("zobject", doc["target"], f"{path}.target")
+    return cat.name, z_morphism(src, tgt, [(r, c, v, a) for r, c, v, a in doc["terms"]])
+
+
+def _functor(ws: Workspace, name: str, doc: dict, path: str) -> Functor:
+    source = ws.lookup("category", doc["source"], f"{path}.source")
+    target = ws.lookup("category", doc["target"], f"{path}.target")
+    return Functor(name, source, target, dict(doc["objects"]), dict(doc["morphisms"]))
+
+
+def _pointed_base(ws: Workspace, _name: str, doc: dict, path: str) -> PointedBase:
+    return PointedBase(
+        cat=_category(ws, doc, path),
+        points={o: tuple(ps) for o, ps in doc["points"].items()},
+        point_map={m: dict(pm) for m, pm in doc["point_map"].items()},
+        residue_preserving={m: frozenset(ps) for m, ps in doc.get("residue_preserving", {}).items()},
+        etale_marked=frozenset(doc.get("etale", [])),
+    )
+
+
+def _covering(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, CoveringAssignment]:
+    cat = _category(ws, doc, path)
+    families = {obj: frozenset(frozenset(fam) for fam in fams) for obj, fams in doc["families"].items()}
+    return cat.name, CoveringAssignment(families)
+
+
+def _presheaf(ws: Workspace, name: str, doc: dict, path: str) -> Presheaf:
+    cat = _category(ws, doc, path)
+    sections = {o: tuple(s) for o, s in doc["sections"].items()}
+    return Presheaf(name, cat, sections, {m: dict(t) for m, t in doc["restrictions"].items()})
+
+
+def _model(ws: Workspace, _name: str, doc: dict, path: str) -> ModelLabeledCat:
+    labels = {label: frozenset(doc.get(label, [])) for label in ("weq", "cof", "fib")}
+    return ModelLabeledCat(_category(ws, doc, path), **labels)
+
+
+def _square(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, Square]:
+    cat = _category(ws, doc, path)
+    return cat.name, Square(doc["w_to_v"], doc["w_to_u"], doc["u_to_x"], doc["v_to_x"])
+
+
+def _layered(ws: Workspace, _name: str, doc: dict, path: str) -> LayeredCategory:
+    levels = tuple(ws.lookup("category", c, f"{path}.levels") for c in doc["levels"])
+    return LayeredCategory(levels, tuple(dict(m) for m in doc["membership"]))
+
+
+def _ladder(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, LadderMorphism]:
+    ws.lookup("layered", doc["layered"], f"{path}.layered")
+    return doc["layered"], LadderMorphism(tuple(doc["arrows"]))
+
+
+def _on_category(ws: Workspace, entry) -> tuple:
+    return (ws.categories[entry[0]],)
+
+
+# role -> (Workspace table, noun in diagnostics, decode(ws, name, doc, path)
+# -> entry, the categories an entry lives on).  Rows are in decoding order: a
+# document names only documents of rows above its own.  Partitions,
+# zmorphisms, coverings, squares and ladders are kept as (name of the
+# category or layered category they live on, value) pairs.
+DOCUMENTS = {
+    "category": ("categories", "category", lambda ws, name, doc, path: cat_from_doc(name, doc), lambda ws, c: (c,)),
+    "functor": ("functors", "functor", _functor, lambda ws, fun: (fun.source, fun.target)),
+    "partition": (
+        "partitions",
+        "partition",
+        lambda ws, name, doc, path: (_category(ws, doc, path).name, partition_from_blocks(doc["blocks"])),
+        _on_category,
+    ),
+    "zobject": ("zobjects", "zobject", _zobject, lambda ws, obj: ()),
+    "zmorphism": ("zmorphisms", "zmorphism", _zmorphism, _on_category),
+    "pointed_base": ("pointed_bases", "pointed base", _pointed_base, lambda ws, base: (base.cat,)),
+    "covering": ("coverings", "covering", _covering, _on_category),
+    "presheaf": ("presheaves", "presheaf", _presheaf, lambda ws, F: (F.cat,)),
+    "model": ("model_cats", "model category", _model, lambda ws, model: (model.base,)),
+    "table": (
+        "fingerprints",
+        "fingerprint table",
+        lambda ws, name, doc, path: {obj: graded_dims(dims) for obj, dims in doc.items()},
+        lambda ws, table: (),
+    ),
+    "square": ("squares", "square", _square, _on_category),
+    "layered": ("layered", "layered category", _layered, lambda ws, layered: layered.levels),
+    "ladder": ("ladders", "ladder", _ladder, lambda ws, entry: ws.layered[entry[0]].levels),
+}
 
 
 def _decode(raw: dict) -> Workspace:
     ws = Workspace()
-    for name, doc in raw.get("categories", {}).items():
-        ws.categories[name] = cat_from_doc(name, doc)
-
-    for name, doc in raw.get("functors", {}).items():
-        path = f"functors.{name}"
-        ws.functors[name] = Functor(
-            name=name,
-            source=ws.category(doc["source"], f"{path}.source"),
-            target=ws.category(doc["target"], f"{path}.target"),
-            object_map=dict(doc["objects"]),
-            morphism_map=dict(doc["morphisms"]),
-        )
-
-    for name, doc in raw.get("partitions", {}).items():
-        path = f"partitions.{name}"
-        ws.category(doc["category"], f"{path}.category")
-        ws.partitions[name] = (doc["category"], partition_from_blocks(doc["blocks"]))
-
-    for name, doc in raw.get("zobjects", {}).items():
-        try:
-            ws.zobjects[name] = z_object(tuple(tuple(c) for c in doc["components"]))
-        except InputError as exc:
-            raise WorkspaceError(f"zobjects.{name}: {exc}") from exc
-
-    for name, doc in raw.get("zmorphisms", {}).items():
-        path = f"zmorphisms.{name}"
-        ws.category(doc["category"], f"{path}.category")
-        src = ws.lookup(ws.zobjects, doc["source"], f"{path}.source", "zobject")
-        tgt = ws.lookup(ws.zobjects, doc["target"], f"{path}.target", "zobject")
-        terms = [(r, c, v, a) for r, c, v, a in doc["terms"]]
-        ws.zmorphisms[name] = (doc["category"], z_morphism(src, tgt, terms))
-
-    for name, doc in raw.get("pointed_bases", {}).items():
-        path = f"pointed_bases.{name}"
-        ws.pointed_bases[name] = PointedBase(
-            cat=ws.category(doc["category"], f"{path}.category"),
-            points={o: tuple(ps) for o, ps in doc["points"].items()},
-            point_map={m: dict(pm) for m, pm in doc["point_map"].items()},
-            residue_preserving={
-                m: frozenset(ps) for m, ps in doc.get("residue_preserving", {}).items()
-            },
-            etale_marked=frozenset(doc.get("etale", [])),
-        )
-
-    for name, doc in raw.get("coverings", {}).items():
-        path = f"coverings.{name}"
-        ws.category(doc["category"], f"{path}.category")
-        ws.coverings[name] = (
-            doc["category"],
-            CoveringAssignment(
-                families={
-                    obj: frozenset(frozenset(fam) for fam in fams)
-                    for obj, fams in doc["families"].items()
-                }
-            ),
-        )
-
-    for name, doc in raw.get("presheaves", {}).items():
-        path = f"presheaves.{name}"
-        ws.presheaves[name] = Presheaf(
-            name=name,
-            cat=ws.category(doc["category"], f"{path}.category"),
-            sections={o: tuple(s) for o, s in doc["sections"].items()},
-            restriction={m: dict(t) for m, t in doc["restrictions"].items()},
-        )
-
-    for name, doc in raw.get("model_cats", {}).items():
-        path = f"model_cats.{name}"
-        ws.model_cats[name] = ModelLabeledCat(
-            base=ws.category(doc["category"], f"{path}.category"),
-            weq=frozenset(doc.get("weq", [])),
-            cof=frozenset(doc.get("cof", [])),
-            fib=frozenset(doc.get("fib", [])),
-        )
-
-    for name, doc in raw.get("fingerprints", {}).items():
-        ws.fingerprints[name] = {obj: graded_dims(dims) for obj, dims in doc.items()}
-
-    for name, doc in raw.get("squares", {}).items():
-        path = f"squares.{name}"
-        ws.category(doc["category"], f"{path}.category")
-        ws.squares[name] = (
-            doc["category"],
-            Square(
-                w_to_v=doc["w_to_v"],
-                w_to_u=doc["w_to_u"],
-                u_to_x=doc["u_to_x"],
-                v_to_x=doc["v_to_x"],
-            ),
-        )
-
-    for name, doc in raw.get("layered", {}).items():
-        path = f"layered.{name}"
-        levels = tuple(ws.category(c, f"{path}.levels") for c in doc["levels"])
-        ws.layered[name] = LayeredCategory(
-            levels=levels, membership=tuple(dict(m) for m in doc["membership"])
-        )
-
-    for name, doc in raw.get("ladders", {}).items():
-        path = f"ladders.{name}"
-        ws.lookup(ws.layered, doc["layered"], f"{path}.layered", "layered category")
-        ws.ladders[name] = (doc["layered"], LadderMorphism(arrows=tuple(doc["arrows"])))
-
+    for table, _noun, decode, _cats in DOCUMENTS.values():
+        entries = getattr(ws, table)
+        for name, doc in raw.get(table, {}).items():
+            entries[name] = decode(ws, name, doc, f"{table}.{name}")
     ws.checks = tuple(raw.get("checks", []))
     return ws
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import reports
-from .fincat import FinCat, InputError, ResourceBudgetError
+from .fincat import FinCat, InputError, ResourceBudgetError, reference_findings
 from .records import Record, Value
 from .reports import Report
 from .zlin import ZMorphism, ZObject, z_validate
@@ -327,12 +327,22 @@ class PointedBase(Record):
 def validate_pointed_base(base: PointedBase) -> Report:
     """Totality and functoriality of point data.
 
-    Law checks: identities act as identities on points; point maps compose;
-    residue-preserving sets compose by transport, rp(g after f) being the
-    points of rp(f) that f sends into rp(g).
+    Structural checks: the category's tables resolve (``reference_findings``)
+    and, if they do, every composite has the ends of its factors; every
+    object has a point set; point maps are total on their domains and
+    land in their codomains.  Law checks: identities act as identities on
+    points; point maps compose; residue-preserving sets compose by
+    transport, rp(g after f) being the points of rp(f) that f sends into
+    rp(g).
     """
     cat = base.cat
-    rows = []
+    rows = reference_findings(cat)
+    if not rows:
+        for (g, f), h in sorted(cat.composition.items()):
+            if not cat.composable(g, f):
+                rows.append(reports.structural("composition_domain", (g, f), "composite of a non-composable pair"))
+            elif cat.morphisms[h] != (cat.source(f), cat.target(g)):
+                rows.append(reports.structural("composite_endpoints", (g, f, h), "composite has other endpoints"))
     for obj in cat.objects:
         if obj not in base.points:
             rows.append(reports.structural("points_declared", (obj,), "no point set declared"))

@@ -236,16 +236,26 @@ def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, 
     assert calls == ["chain3"]
 
 
-def _residue_outside_the_domain(base):
-    base["residue_preserving"]["e1"].append("zz")
+def _residue_outside_the_domain(doc):
+    doc["pointed_bases"]["base"]["residue_preserving"]["e1"].append("zz")
 
 
-def _dangling_point(base):
-    del base["point_map"]["g"]
+def _dangling_point(doc):
+    del doc["pointed_bases"]["base"]["point_map"]["g"]
 
 
-def _point_map_out_of_range(base):
-    base["point_map"]["A<B"]["1"] = "zz"
+def _point_map_out_of_range(doc):
+    doc["pointed_bases"]["base"]["point_map"]["A<B"]["1"] = "zz"
+
+
+def _ghost_composite(doc):
+    composition = doc["categories"]["etale2"]["composition"]
+    composition[next(iter(composition))] = "ghost"
+
+
+def _identity_missing(doc):
+    identities = doc["categories"]["etale2"]["identities"]
+    del identities[next(iter(identities))]
 
 
 @pytest.mark.parametrize(
@@ -254,17 +264,21 @@ def _point_map_out_of_range(base):
         ("etale2.json", "nisnevich", _residue_outside_the_domain),
         ("etale2.json", "component_lemma", _dangling_point),
         ("chain3.json", "square", _point_map_out_of_range),
+        ("etale2.json", "nisnevich", _ghost_composite),
+        ("etale2.json", "component_lemma", _identity_missing),
     ],
-    ids=["nisnevich", "component_lemma", "square"],
+    ids=["nisnevich", "component_lemma", "square", "ghost-composite", "identity-missing"],
 )
 def test_checks_on_an_invalid_pointed_base_are_precondition_failures(
     capsys, tmp_path, monkeypatch, fixture, kind, damage
 ):
-    # validate fails the damaged base; no point-lifting, component or square
-    # law may then give a verdict on it, and the base is validated once per run
+    # validate fails the damaged base, also when its category names an
+    # unknown composite or lacks an identity; no point-lifting, component or
+    # square law may then give a verdict on it, and the base is validated
+    # once per run
     with open(fixture_path(fixture), encoding="utf-8") as fh:
         doc = json.load(fh)
-    damage(doc["pointed_bases"]["base"])
+    damage(doc)
     path = tmp_path / "damaged.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(capsys, ["validate", str(path)])[0] == 2
@@ -323,6 +337,23 @@ def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypa
         assert err == "" and len(json.loads(out)["checks"]) == 3
     # one verdict per factor document and run; the verdicts do not outlive a run
     assert sorted(calls) == ["phi", "phi", "psi", "psi"]
+
+
+def test_a_wrong_expect_terms_lists_both_term_lists(capsys, tmp_path):
+    with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    (spec,) = [c for c in doc["checks"] if c["kind"] == "z_compose"]
+    spec["expect_terms"] = [[1, 1, 2, "g1f1"], [2, 2, 2, "g2f2"]]
+    path = tmp_path / "zlin-wrong.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["z-compose", str(path)])
+    assert code == 1 and err == ""
+    (entry,) = json.loads(out)["checks"]
+    assert [f for f in entry["findings"] if f["rule"] == "expected_terms"] == [
+        {"kind": "law", "rule": "expected_terms", "witnesses": [],
+         "detail": "expected [(1, 1, 2, 'g1f1'), (2, 2, 2, 'g2f2')], got [(1, 1, 2, 'g1f1'), (2, 2, 1, 'g2f2')]"}
+    ]
+    assert entry["result"]["terms"] == [[1, 1, 2, "g1f1"], [2, 2, 1, "g2f2"]]
 
 
 def test_loose_level_naming_no_level_is_structural(capsys, tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import FIXTURE_NAMES, drop, fixture_path, put
 from zsite import schema as stdlib_schema
+from zsite.cli import main
 from zsite.jsonio import (
+    DOCUMENTS,
     WorkspaceError,
     _schema,
     cat_from_doc,
@@ -138,6 +140,46 @@ def test_unparsable_json_reports_line_and_column(tmp_path):
 def test_missing_file_is_a_workspace_error():
     with pytest.raises(WorkspaceError):
         load_workspace("/nonexistent/ws.json")
+
+
+def test_documents_list_every_section_of_the_schema_but_checks():
+    tables = [table for table, _noun, _decode, _cats in DOCUMENTS.values()]
+    assert tables == [section for section in _schema()["properties"] if section != "checks"]
+
+
+# (fixture, table, document, reference field, noun of the table it names);
+# a list field names a document with each item, of which the first dangles
+REFERENCES = [
+    ("modular.json", "functors", "swap", "source", "category"),
+    ("modular.json", "functors", "swap", "target", "category"),
+    ("modular.json", "partitions", "mab", "category", "category"),
+    ("etale2.json", "zmorphisms", "psi1", "category", "category"),
+    ("etale2.json", "zmorphisms", "psi1", "source", "zobject"),
+    ("etale2.json", "zmorphisms", "psi1", "target", "zobject"),
+    ("chain3.json", "pointed_bases", "base", "category", "category"),
+    ("chain3.json", "coverings", "K", "category", "category"),
+    ("chain3.json", "presheaves", "glues", "category", "category"),
+    ("modular.json", "model_cats", "M2", "category", "category"),
+    ("chain3.json", "squares", "sq", "category", "category"),
+    ("layered2.json", "layered", "L", "levels", "category"),
+    ("layered2.json", "ladders", "lad", "layered", "layered category"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,table,name,field,noun", REFERENCES, ids=[f"{t}.{f}" for _x, t, _n, f, _k in REFERENCES]
+)
+def test_a_dangling_reference_is_an_error_at_its_field(capsys, tmp_path, fixture, table, name, field, noun):
+    doc = raw_doc(fixture)
+    entry = doc[table][name]
+    if isinstance(entry[field], list):
+        entry[field][0] = "ghost"
+    else:
+        entry[field] = "ghost"
+    assert main(["validate", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}.{name}.{field}: unknown {noun} 'ghost'\n"
 
 
 def test_checks_come_back_as_plain_dicts():

@@ -13,7 +13,7 @@ from conftest import replace
 from zsite.blur import BlurrySite, PoweredBlurry
 from zsite.fincat import FinCat, Functor, FunctorReport, InputError, ObjEquiv, poset_category
 from zsite.fingerprint import GradedDims, ZInvariant
-from zsite.jsonio import Workspace
+from zsite.jsonio import DOCUMENTS, Workspace
 from zsite.modular import ModelLabeledCat, ParamFamily
 from zsite.reports import Finding, Report
 from zsite.sheaf import Presheaf, ZPresheaf
@@ -72,7 +72,7 @@ DEFAULT_CONTAINERS = [
     (CoveringAssignment, "families"),
     (lambda: PointedBase(_cat(), {}, {}), "residue_preserving"),
     (_blurry_site, "witnesses"),
-    *((Workspace, table) for table in ("categories", "functors", "zobjects", "coverings", "presheaves", "ladders")),
+    *((Workspace, table) for table, _noun, _decode, _cats in DOCUMENTS.values()),
 ]
 
 

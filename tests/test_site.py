@@ -444,6 +444,30 @@ SITE_RULES = [
         ("structural", "residue_subset", ("A<B", "7")), id="residue_subset",
     ),
     pytest.param(
+        "chain3.json", [drop("categories", "chain3", "identities", "B")], _pointed,
+        ("structural", "identity_total", ("B",)), id="base_identity_total",
+    ),
+    pytest.param(
+        "chain3.json", [put("categories", "chain3", "identities", "B", value="ghost")], _pointed,
+        ("structural", "identity_total", ("B", "ghost")), id="base_identity_known",
+    ),
+    pytest.param(
+        "chain3.json", [put("categories", "chain3", "identities", "B", value="A<B")], _pointed,
+        ("structural", "identity_endpoints", ("B", "A<B")), id="base_identity_endpoints",
+    ),
+    pytest.param(
+        "chain3.json", [put("categories", "chain3", "composition", "B<T|A<B", value="ghost")], _pointed,
+        ("structural", "composition_refs", ("B<T", "A<B", "ghost")), id="base_composition_refs",
+    ),
+    pytest.param(
+        "chain3.json", [put("categories", "chain3", "composition", "A<B|B<T", value="A<T")], _pointed,
+        ("structural", "composition_domain", ("A<B", "B<T")), id="base_composition_domain",
+    ),
+    pytest.param(
+        "chain3.json", [put("categories", "chain3", "composition", "B<T|A<B", value="B<T")], _pointed,
+        ("structural", "composite_endpoints", ("B<T", "A<B", "B<T")), id="base_composite_endpoints",
+    ),
+    pytest.param(
         "chain3.json", [put(*BASE, "point_map", "id_B", value={"1": "2", "2": "1"})], _pointed,
         ("law", "identity_points", ("id_B", "1")), id="identity_points",
     ),
