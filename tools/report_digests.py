@@ -8,7 +8,9 @@ in-process sweep over random poset sites (see ``sweep_outputs``): the
 sha256 of every report, result and exception text that checker gave; the
 ``"sweep enumerate_fes"`` and ``"sweep sheaf_check"`` entries pin the
 functor enumeration on seeded category pairs (see ``fes_outputs``) and the
-sheaf check on seeded point presheaves (see ``sheaf_outputs``).  The
+sheaf check on seeded point presheaves (see ``sheaf_outputs``), and the
+``"closure"`` entry the covering closures of seeded poset sites (see
+``closure_outputs``).  The
 ``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
 (see ``layout_outputs``), and the ``"wide z-compose"`` entry that of the exit
 code, stdout and stderr of ``z-compose``, in both formats, on a seeded
@@ -102,6 +104,10 @@ LAYOUT_SHAPES = ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 2, 2), (2, 1, 2, 1), (3, 1, 
 WIDE_SEED = 20_261_019
 WIDE_ENDOS = 10
 
+CLOSURE_SEED = 20_261_022
+CLOSURE_CASES = 600
+CLOSURE_BUDGETS = (3, 10, 40, 400, 10_000)
+
 # workspace table -> the fields of its documents that name another document;
 # a list field names one per item
 REFERENCES = {
@@ -142,6 +148,7 @@ def digests() -> dict[str, str]:
         result[f"sweep {checker}"] = _sha(outputs)
     result["sweep enumerate_fes"] = _sha(fes_outputs())
     result["sweep sheaf_check"] = _sha(sheaf_outputs())
+    result["closure"] = _sha(closure_outputs())
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
     result["decode errors"] = _sha(decode_error_outputs())
@@ -237,10 +244,10 @@ def _render(value):
     return value.render() if hasattr(value, "render") else value
 
 
-def _drop(rng: random.Random, table: dict, keep) -> dict:
-    """``table`` without one to six random keys among those ``keep`` rejects."""
+def _drop(rng: random.Random, table: dict, keep, most: int = 6) -> dict:
+    """``table`` without one to ``most`` random keys among those ``keep`` rejects."""
     candidates = [k for k in sorted(table) if not keep(k)]
-    gone = set(rng.sample(candidates, min(len(candidates), rng.randint(1, 6))))
+    gone = set(rng.sample(candidates, min(len(candidates), rng.randint(1, most))))
     return {k: v for k, v in table.items() if k not in gone}
 
 
@@ -440,6 +447,40 @@ def sheaf_outputs(cases: int = SHEAF_CASES, seed: int = SHEAF_SEED) -> list:
         out.append([
             _render(_outcome(lambda: sheaf_check(F, closure))),
             [_outcome(lambda: matching_families(F, fam)) for fam in families],
+        ])
+    return out
+
+
+def closure_outputs(cases: int = CLOSURE_CASES, seed: int = CLOSURE_SEED) -> list:
+    """Families of ``generate_covering_assignment`` on seeded poset sites, or "raised".
+
+    Each case draws a random poset (3-6 objects) and random seeds; half the
+    cases drop one to six declared pullbacks, about a third one to three
+    non-identity composites, and the budget is drawn from
+    ``CLOSURE_BUDGETS``.  A closure is recorded as its objects' families in
+    canonical order; a case that raises InputError or ResourceBudgetError
+    is recorded as "raised", whichever of the two it was.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        cat = rand_poset(rng, n_objs=rng.randint(3, 6))
+        seeds = rand_seeds(rng, cat, 3)
+        if rng.random() < 0.5:
+            cat = replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
+        if rng.random() < 1 / 3:
+            ids = set(cat.identities.values())
+            cat = replace(cat, composition=_drop(rng, cat.composition, lambda k: k[0] in ids or k[1] in ids, 3))
+        budget = rng.choice(CLOSURE_BUDGETS)
+        try:
+            closure = generate_covering_assignment(cat, seeds, budget=budget)
+        except (InputError, ResourceBudgetError):
+            out.append("raised")
+            continue
+        out.append([
+            [obj, [sorted(fam) for fam in closure.families_of(obj)]]
+            for obj in sorted(closure.families)
+            if closure.families[obj]
         ])
     return out
 
