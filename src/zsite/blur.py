@@ -30,7 +30,7 @@ from .fincat import (
 )
 from .records import Record
 from .reports import Report
-from .site import CoveringAssignment, covering_axiom_findings, grothendieck_axiom_check
+from .site import CoveringAssignment, covering_axiom_findings, grothendieck_axiom_check, level_covering
 
 
 # =====================================================================
@@ -214,10 +214,10 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
 
 
 class PoweredBlurry(Record):
-    """Levelwise class-level assignments, with loose levels exempt from probing."""
+    """Levelwise class-level assignments and the findings of their probes."""
 
-    def __init__(self, sites: tuple[BlurrySite, ...], loose_levels: frozenset[int], precondition_findings=()):
-        vars(self).update(sites=sites, loose_levels=loose_levels, precondition_findings=precondition_findings)
+    def __init__(self, sites: tuple[BlurrySite, ...], precondition_findings=()):
+        vars(self).update(sites=sites, precondition_findings=precondition_findings)
 
 
 def powered_blurry_compose(
@@ -253,7 +253,7 @@ def powered_blurry_compose(
                     "level did not pass blurry_axiom_probe and is not declared loose",
                 )
             )
-    return PoweredBlurry(sites=sites, loose_levels=loose, precondition_findings=tuple(rows))
+    return PoweredBlurry(sites=sites, precondition_findings=tuple(rows))
 
 
 def powered_blurry_check(powered: PoweredBlurry, class_arrows) -> Report:
@@ -269,20 +269,9 @@ def powered_blurry_check(powered: PoweredBlurry, class_arrows) -> Report:
             )
         )
         return Report.collect("powered_blurry", rows)
-    for n, cm in enumerate(class_arrows):
-        site = powered.sites[n]
+    for n, (site, cm) in enumerate(zip(powered.sites, class_arrows)):
         if cm not in site.quotient.morphisms:
-            rows.append(
-                reports.structural("class_arrow_known", (str(n), cm), "unknown class morphism")
-            )
-            continue
-        block = site.quotient.target(cm)
-        if not site.quotient_assignment.covers(cm, block):
-            rows.append(
-                reports.law(
-                    "level_covering",
-                    (str(n), cm),
-                    f"class morphism is in no assigned class family of {block} at level {n}",
-                )
-            )
+            rows.append(reports.structural("class_arrow_known", (str(n), cm), "unknown class morphism"))
+        else:
+            rows += level_covering(n, site.quotient, site.quotient_assignment, cm, "class ")
     return Report.collect("powered_blurry", rows)

@@ -175,31 +175,24 @@ def _raise_first_undefined(rows) -> None:
                 raise entry
 
 
-def covering_axiom_findings(
-    cat: FinCat,
-    assignment: CoveringAssignment,
-    pull,
-    noun: str = "",
-    budget: int | None = None,
-) -> list:
-    """Findings of the three covering axioms, in the order iso, stability, transitivity.
+def covering_gaps(cat: FinCat, assignment: CoveringAssignment, pull, budget: int | None = None) -> list:
+    """The rows ``pull`` gave and the gaps of the three covering axioms, in walk order.
 
-    isoAxiom: every isomorphism's singleton family is assigned to its
-    target.  pullbackStability: each assigned family pulls back, along every
-    morphism into its object, to an assigned family; ``pull(family, g)``
-    returns the pulled family (None when it cannot be found) and the rows
-    that record how it was found.  transitivity: refining every member of an
-    assigned family by assigned families of its source lands in the
-    assignment; ``budget`` caps the refinements of one family.  ``noun``
-    ("" on a base site, "class " on a quotient) names the families in the
-    law details.
+    A gap is a family that an axiom demands and the assignment lacks, as the
+    tuple ``(rule, witnesses, object, family)``; the axioms are walked in the
+    order iso, stability, transitivity.  isoAxiom: every isomorphism's
+    singleton family is assigned to its target.  pullbackStability: each
+    assigned family pulls back, along every morphism into its object, to an
+    assigned family; ``pull(family, g)`` returns the pulled family (None when
+    it cannot be found) and the rows that record how it was found.
+    transitivity: refining every member of an assigned family by assigned
+    families of its source lands in the assignment; ``budget`` caps the
+    refinements of one family.
     """
     rows = []
     for m in sorted(cat.morphisms):
         if cat.is_iso(m) and not assignment.has(cat.target(m), frozenset({m})):
-            rows.append(
-                reports.law("isoAxiom", (m,), f"{noun}isomorphism's singleton family not assigned")
-            )
+            rows.append(("isoAxiom", (m,), cat.target(m), frozenset({m})))
 
     for obj in sorted(cat.objects):
         for fam in assignment.families_of(obj):
@@ -207,26 +200,37 @@ def covering_axiom_findings(
                 pulled, found = pull(fam, g)
                 rows.extend(found)
                 if pulled is not None and not assignment.has(cat.source(g), pulled):
-                    rows.append(
-                        reports.law(
-                            "pullbackStability",
-                            (obj, _family_label(fam), g),
-                            f"pulled-back {noun}family {_family_label(pulled)} not assigned to {cat.source(g)}",
-                        )
-                    )
+                    rows.append(("pullbackStability", (obj, _family_label(fam), g), cat.source(g), pulled))
 
     for obj in sorted(cat.objects):
         for fam in assignment.families_of(obj):
             for composite in refined_families(cat, assignment, fam, budget):
                 if not assignment.has(obj, composite):
-                    rows.append(
-                        reports.law(
-                            "transitivity",
-                            (obj, _family_label(fam)),
-                            f"refined {noun}family {_family_label(composite)} not assigned",
-                        )
-                    )
+                    rows.append(("transitivity", (obj, _family_label(fam)), obj, composite))
     return rows
+
+
+# rule -> the law detail of its gaps, given the noun, the gap's object and family
+_GAP_DETAILS = {
+    "isoAxiom": "{noun}isomorphism's singleton family not assigned",
+    "pullbackStability": "pulled-back {noun}family {family} not assigned to {obj}",
+    "transitivity": "refined {noun}family {family} not assigned",
+}
+
+
+def covering_axiom_findings(
+    cat: FinCat, assignment: CoveringAssignment, pull, noun: str = "", budget: int | None = None
+) -> list:
+    """The rows of ``covering_gaps``, each gap as its law finding.
+
+    ``noun`` ("" on a base site, "class " on a quotient) names the families
+    in the law details.
+    """
+    def law(rule, witnesses, obj, family):
+        detail = _GAP_DETAILS[rule].format(noun=noun, obj=obj, family=_family_label(family))
+        return reports.law(rule, witnesses, detail)
+
+    return [law(*row) if isinstance(row, tuple) else row for row in covering_gaps(cat, assignment, pull, budget)]
 
 
 def grothendieck_axiom_check(
@@ -250,11 +254,15 @@ def generate_covering_assignment(
     seeds: dict[str, frozenset[frozenset[str]]],
     budget: int = 10_000,
 ) -> CoveringAssignment:
-    """Close seed families under iso singletons, base change, and refinement.
+    """The least assignment that holds the seed families and has no gap.
 
-    Base change is applied only where the pullback is declared, matching what
-    grothendieck_axiom_check can verify.  The closure is a finite fixpoint;
-    the budget caps the total family count and the refinements of one family.
+    Each round adds every gap that ``covering_gaps`` finds, with base change
+    through declared pullbacks, until a round finds none; so the closure is
+    closed under exactly what grothendieck_axiom_check checks.  The budget
+    caps the total family count, checked after each round, and the
+    refinements of one family.  A closure that would meet both an undefined
+    composite (InputError) and the budget raises the one its round meets
+    first.
     """
     assignment = CoveringAssignment(families={})
     for obj, fams in seeds.items():
@@ -264,31 +272,17 @@ def generate_covering_assignment(
     if not report.ok:
         raise InputError(f"seed families invalid: {report.render()}")
 
-    for m in sorted(cat.morphisms):
-        if cat.is_iso(m):
-            assignment = assignment.with_family(cat.target(m), frozenset({m}))
-
-    changed = True
-    while changed:
-        changed = False
-        for obj in sorted(list(assignment.families)):
-            for fam in assignment.families_of(obj):
-                for g in cat.morphisms_into(obj):
-                    pulled, _rows = _pulled_family(cat, fam, g)
-                    if pulled is None:
-                        continue
-                    if not assignment.has(cat.source(g), pulled):
-                        assignment = assignment.with_family(cat.source(g), pulled)
-                        changed = True
-                for composite in refined_families(cat, assignment, fam, budget):
-                    if not assignment.has(obj, composite):
-                        assignment = assignment.with_family(obj, composite)
-                        changed = True
+    pull = functools.partial(_pulled_family, cat)
+    while True:
+        gaps = [row for row in covering_gaps(cat, assignment, pull, budget) if isinstance(row, tuple)]
+        for _rule, _witnesses, obj, family in gaps:
+            assignment = assignment.with_family(obj, family)
         if assignment.total_families() > budget:
             raise ResourceBudgetError(
                 f"covering closure exceeded {budget} families; refusing to truncate"
             )
-    return assignment
+        if not gaps:
+            return assignment
 
 
 # =====================================================================
@@ -742,6 +736,17 @@ def compose_ladders(layered: LayeredCategory, outer: LadderMorphism, inner: Ladd
     )
 
 
+def level_covering(n: int, cat: FinCat, assignment: CoveringAssignment, arrow: str, noun: str = "") -> list:
+    """The level_covering finding of ``arrow`` at level ``n``, unless a family
+    assigned to its target holds it.  ``noun`` ("" on a base level, "class "
+    on a quotient) names the arrow and the families in the detail."""
+    obj = cat.target(arrow)
+    if assignment.covers(arrow, obj):
+        return []
+    detail = f"{noun}morphism is in no assigned {noun}family of {obj} at level {n}"
+    return [reports.law("level_covering", (str(n), arrow), detail)]
+
+
 def powered_cover_check(layered: LayeredCategory, ladder: LadderMorphism, assignments) -> Report:
     """A ladder covers iff each level's morphism sits in an assigned family."""
     assignments = tuple(assignments)
@@ -760,15 +765,7 @@ def powered_cover_check(layered: LayeredCategory, ladder: LadderMorphism, assign
     if not sub.ok:
         return Report.collect("powered_cover", rows)
     for n, arrow in enumerate(ladder.arrows):
-        obj = layered.levels[n].target(arrow)
-        if not assignments[n].covers(arrow, obj):
-            rows.append(
-                reports.law(
-                    "level_covering",
-                    (str(n), arrow),
-                    f"morphism is in no assigned family of {obj} at level {n}",
-                )
-            )
+        rows += level_covering(n, layered.levels[n], assignments[n], arrow)
     return Report.collect("powered_cover", rows)
 
 

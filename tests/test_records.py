@@ -56,7 +56,7 @@ IDENTITY_RECORDS = {
     Presheaf: lambda: Presheaf("F", _cat(), {"a": ("s",)}, {}),
     ZPresheaf: lambda: ZPresheaf("Z", _cat(), tuple, min),
     BlurrySite: _blurry_site,
-    PoweredBlurry: lambda: PoweredBlurry((), frozenset({0})),
+    PoweredBlurry: lambda: PoweredBlurry(()),
     ModelLabeledCat: lambda: ModelLabeledCat(_cat(), weq=frozenset({"a<b"})),
     ParamFamily: lambda: ParamFamily(_cat(), ModelLabeledCat(_cat()), ()),
 }
@@ -147,7 +147,7 @@ def test_constructors_take_fields_by_position_and_keyword():
     assert Report("s") == Report(subject="s", findings=())
     cat = FinCat("c", ("a",), {"1a": ("a", "a")}, {"a": "1a"}, {("1a", "1a"): "1a"}, {}, {})
     assert (cat.name, cat.objects, cat.pullbacks, cat.products) == ("c", ("a",), {}, {})
-    assert ModelLabeledCat(cat).cof == frozenset() and PoweredBlurry((), frozenset()).precondition_findings == ()
+    assert ModelLabeledCat(cat).cof == frozenset() and PoweredBlurry(()).precondition_findings == ()
     assert PointedBase(cat, {}, {}).etale_marked == frozenset()
 
 
