@@ -84,16 +84,17 @@ class _Resolver:
 
     Every field is read through a typed accessor: ``id`` resolves an id in
     the table of its role (a row of ``jsonio.DOCUMENTS``), ``value`` and
-    ``values`` read plain data and lists of it (of ids by default), and
-    ``objects`` reads a list of nested specs.  A missing or mistyped field,
-    an unknown id, or inputs on different categories raise a WorkspaceError
-    naming the check, which aborts the run; what a checker raises on
-    resolved inputs is a finding on that check alone.  ``read`` maps
-    "category" to the name and category of every category a resolved
-    document lives on, and every other role to the names and documents
-    resolved in it; nested resolvers share it.  ``verdicts`` is shared by
-    every check of one run and holds the validation verdict of each
-    document a check needed valid.
+    ``values`` read plain data and lists of it (of ids by default),
+    ``objects`` reads a list of nested specs and ``zobject`` resolves a
+    zobject whose components must be objects of a given category.  A
+    missing or mistyped field, an unknown id, or inputs on different
+    categories raise a WorkspaceError naming the check, which aborts the
+    run; what a checker raises on resolved inputs is a finding on that
+    check alone.  ``read`` maps "category" to the name and category of
+    every category a resolved document lives on, and every other role to
+    the names and documents resolved in it; nested resolvers share it.
+    ``verdicts`` is shared by every check of one run and holds the
+    validation verdict of each document a check needed valid.
     """
 
     def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict, read: dict):
@@ -148,6 +149,16 @@ class _Resolver:
         if key not in self.verdicts:
             self.verdicts[key] = validate(*args, **kwargs).ok
         return self.verdicts[key]
+
+    def zobject(self, field: str, cat):
+        """The zobject named in ``field``, each of whose components must be an object of ``cat``."""
+        obj = self.id(field, "zobject")
+        for _idx, name, _coeff in obj.components:
+            if name not in cat.objects:
+                raise self.error(
+                    f"zobject {self.value(field)!r} names {name!r}, which is not an object of {cat.name}"
+                )
+        return obj
 
     def lives_on(self, a: str, x: str, b: str, y: str) -> None:
         """Raise unless ``a``, which lives on ``x``, and ``b``, on ``y``, share a category."""
@@ -214,7 +225,7 @@ def _z_compose(r: _Resolver):
 
 def _nisnevich_inputs(r: _Resolver):
     base = r.id("pointed_base")
-    target = r.id("target", "zobject")
+    target = r.zobject("target", base.cat)
     pairs = [r.lookup("zmorphism", name) for name in r.values("family")]
     cats = {c for c, _m in pairs}
     if len(cats) > 1:
@@ -238,8 +249,17 @@ def _ladder(r: _Resolver, name):
     return ladder
 
 
-def _coverings(r: _Resolver) -> list:
-    return [r.lookup("covering", name)[1] for name in r.values("coverings")]
+def _on_levels(r: _Resolver, field: str, catnames, layered) -> None:
+    """Raise unless the n-th entry of ``field`` lives on level n, for each n
+    below both lengths."""
+    for n, (catname, level) in enumerate(zip(catnames, layered.levels)):
+        r.lives_on(f"{field}[{n}]", catname, f"level {n}", level.name)
+
+
+def _coverings(r: _Resolver, layered) -> list:
+    entries = [r.lookup("covering", name) for name in r.values("coverings")]
+    _on_levels(r, "coverings", [catname for catname, _k in entries], layered)
+    return [assignment for _c, assignment in entries]
 
 
 def _powered_cover(r: _Resolver):
@@ -247,7 +267,7 @@ def _powered_cover(r: _Resolver):
     shape = validate_layered(layered)
     if not shape.ok:
         return shape
-    return powered_cover_check(layered, _ladder(r, r.value("ladder")), _coverings(r))
+    return powered_cover_check(layered, _ladder(r, r.value("ladder")), _coverings(r, layered))
 
 
 def _powered_stability(r: _Resolver):
@@ -257,7 +277,7 @@ def _powered_stability(r: _Resolver):
         return shape
     family = [_ladder(r, name) for name in r.values("family")]
     test = _ladder(r, r.value("test"))
-    return powered_stability_probe(layered, family, test, _coverings(r))
+    return powered_stability_probe(layered, family, test, _coverings(r, layered))
 
 
 def _blurry_site(r: _Resolver):
@@ -270,6 +290,8 @@ def _blurry_site(r: _Resolver):
 def _powered_blurry(r: _Resolver):
     sites = [_blurry_site(level) for level in r.objects("levels")]
     layered = r.id("layered") if "layered" in r.spec else None
+    if layered is not None:
+        _on_levels(r, "levels", [site.cat.name for site in sites], layered)
     powered = powered_blurry_compose(
         sites, layered=layered, loose_levels=r.values("loose", int, ()), budget=r.budget
     )
@@ -286,10 +308,10 @@ def _presheaf_and(r: _Resolver, field: str):
 
 def _additivity(r: _Resolver):
     base = r.id("category")
-    obj = r.id("zobject")
+    obj = r.zobject("zobject", base)
     flavor = r.value("flavor", default="tables")
     if flavor == "tables":
-        zp = representable_z(base, r.id("target", "zobject"))
+        zp = representable_z(base, r.zobject("target", base))
     elif flavor == "constant":
         zp = constant_z(base, r.values("labels", str, ()))
     else:

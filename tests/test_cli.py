@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, cli_env, fixture_path
+from conftest import FIXTURE_NAMES, cli_env, fixture_path, put
 from fuzz import damage_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
@@ -420,6 +420,160 @@ def test_mistyped_spec_field_is_a_workspace_error(
     code, out, err = run(capsys, [command, str(path)])
     assert code == 2 and out == ""
     assert err == f"error: checks[{pos}]: field {field!r} must be {expected}\n"
+
+
+def _copy(table, name, new, **fields):
+    """Edit of a raw workspace: a copy of ``table[name]`` named ``new``, with ``fields`` set."""
+
+    def edit(raw):
+        raw[table][new] = {**raw[table][name], **fields}
+
+    return edit
+
+
+def _twin(catname):
+    """Edit of a raw workspace: a copy of category ``catname`` named ``catname + "2"``."""
+    return _copy("categories", catname, catname + "2")
+
+
+def _run_edited(capsys, tmp_path, command, fixture, label, edits):
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for edit in edits:
+        edit(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run(capsys, [command, str(path), "--only", label, "--format", "text"])
+
+
+@pytest.mark.parametrize(
+    "command,fixture,label,edits,line",
+    [
+        pytest.param(
+            "site-check", "etale2.json", "full-cover",
+            [_twin("etale2"), _copy("zmorphisms", "psi1", "psi9", category="etale22"),
+             put("checks", 6, "family", value=["psi1", "psi9"])],
+            "error: checks[6]: zmorphisms live on different categories ['etale2', 'etale22']",
+            id="nisnevich-family",
+        ),
+        pytest.param(
+            "site-check", "etale2.json", "full-cover",
+            [_twin("etale2"), put("zmorphisms", "psi1", "category", value="etale22")],
+            "error: checks[6]: family lives on etale22, base on etale2",
+            id="nisnevich-base",
+        ),
+        pytest.param(
+            "site-check", "chain3.json", "distinguished",
+            [_twin("chain3"), put("squares", "sq", "category", value="chain32")],
+            "error: checks[6]: square lives on chain32, base on chain3",
+            id="square",
+        ),
+        pytest.param(
+            "site-check", "layered2.json", "top-cover",
+            [_copy("layered", "L", "L2"), put("checks", 0, "layered", value="L2")],
+            "error: checks[0]: ladder 'lad' belongs to layered category 'L'",
+            id="ladder",
+        ),
+        pytest.param(
+            "blur-check", "chain3.json", "blurry-triv",
+            [_twin("chain3"), put("partitions", "triv", "category", value="chain32")],
+            "error: checks[17]: covering lives on 'chain3', partition on 'chain32'",
+            id="blurry-site",
+        ),
+        pytest.param(
+            "sheaf-check", "chain3.json", "glues-sheaf",
+            [_twin("chain3"), put("coverings", "K", "category", value="chain32")],
+            "error: checks[7]: presheaf lives on chain3, covering on chain32",
+            id="sheaf",
+        ),
+        pytest.param(
+            "sheaf-check", "chain3.json", "glues-cartesian",
+            [_twin("chain3"), put("squares", "sq", "category", value="chain32")],
+            "error: checks[9]: presheaf lives on chain3, square on chain32",
+            id="cartesian",
+        ),
+        pytest.param(
+            "sheaf-check", "chain3.json", "glues-probe",
+            [_twin("chain3"), put("squares", "sq", "category", value="chain32")],
+            "error: checks[11]: square 'sq' lives on chain32",
+            id="squares-probe",
+        ),
+        pytest.param(
+            "model-check", "modular.json", "mixed-types",
+            [_twin("m3"), put("partitions", "m3p", "category", value="m32")],
+            "error: checks[9]: partition lives on 'm32'",
+            id="class-types",
+        ),
+        pytest.param(
+            "model-check", "modular.json", "collapse-pair",
+            [_twin("m2"), put("partitions", "mab", "category", value="m22")],
+            "error: checks[10]: partition lives on 'm22'",
+            id="quotient-model",
+        ),
+        pytest.param(
+            "parametrize", "modular.json", "pullback-chain",
+            [put("checks", 8, "model", value="M3")],
+            "error: checks[8]: outer functor must land in the model's base",
+            id="precompose",
+        ),
+        pytest.param(
+            "z-compose", "zlin.json", "split-composite",
+            [_twin("zbase"), put("zmorphisms", "psi", "category", value="zbase2")],
+            "  [structural] compose_inputs (psi, phi): factors live on different categories",
+            id="z-compose",
+        ),
+    ],
+)
+def test_inputs_on_different_categories_are_named(capsys, tmp_path, command, fixture, label, edits, line):
+    code, out, err = _run_edited(capsys, tmp_path, command, fixture, label, edits)
+    assert code == 2
+    assert line in (err + out).splitlines()
+
+
+@pytest.mark.parametrize(
+    "command,label,edits,error",
+    [
+        ("site-check", "top-cover", [put("checks", 0, "coverings", value=["K1", "K0"])],
+         "checks[0]: coverings[0] lives on inner3, level 0 on poset2"),
+        ("site-check", "stable-identity", [put("checks", 3, "coverings", value=["K1", "K1"])],
+         "checks[3]: coverings[0] lives on inner3, level 0 on poset2"),
+        ("site-check", "top-cover", [put("checks", 0, "coverings", value=["K0", "K0", "K1"])],
+         "checks[0]: coverings[1] lives on poset2, level 1 on inner3"),
+        ("blur-check", "two-level-blurry", [lambda raw: raw["checks"][5]["levels"].reverse()],
+         "checks[5]: levels[0] lives on inner3, level 0 on poset2"),
+    ],
+)
+def test_a_level_on_another_category_is_a_workspace_error(capsys, tmp_path, command, label, edits, error):
+    # each level's covering (or blurry site) must live on that level of the
+    # layered category, for every level both lists have
+    code, out, err = _run_edited(capsys, tmp_path, command, "layered2.json", label, edits)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "command,fixture,label,edits,error",
+    [
+        ("sheaf-check", "chain3.json", "representable-additive",
+         [put("zobjects", "zX", "components", value=[[1, "Ghost", 2], [2, "A", 1]])],
+         "checks[13]: zobject 'zX' names 'Ghost', which is not an object of chain3"),
+        ("sheaf-check", "chain3.json", "constant-not-additive",
+         [put("zobjects", "zX", "components", value=[[1, "Ghost", 2], [2, "A", 1]])],
+         "checks[14]: zobject 'zX' names 'Ghost', which is not an object of chain3"),
+        ("sheaf-check", "chain3.json", "representable-additive",
+         [put("zobjects", "zT", "components", value=[[1, "Ghost", 1]])],
+         "checks[13]: zobject 'zT' names 'Ghost', which is not an object of chain3"),
+        ("site-check", "etale2.json", "full-cover",
+         [put("zobjects", "X", "components", value=[[1, "Ghost", 1]]), put("checks", 6, "family", value=[])],
+         "checks[6]: zobject 'X' names 'Ghost', which is not an object of etale2"),
+        ("site-check", "etale2.json", "lemma-joint",
+         [put("zobjects", "X", "components", value=[[1, "X1", 2], [2, "Ghost", 1]])],
+         "checks[10]: zobject 'X' names 'Ghost', which is not an object of etale2"),
+    ],
+)
+def test_a_zobject_off_the_category_is_a_workspace_error(capsys, tmp_path, command, fixture, label, edits, error):
+    # a vacuous pass on objects the category lacks would read as a verdict
+    code, out, err = _run_edited(capsys, tmp_path, command, fixture, label, edits)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("command,fixture,count", PASSING)
