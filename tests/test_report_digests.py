@@ -22,8 +22,8 @@ def test_bundled_reports_match_the_pinned_digests():
     # command on each fixture with one composite deleted and the load error
     # of each fixture with one reference field naming nothing are pinned by
     # tools/report_digests.py, as are the covering closures of seeded poset
-    # sites; regenerate the file only when a report or a layout is meant to
-    # change
+    # sites and the powered cover and stability reports of seeded towers;
+    # regenerate the file only when a report or a layout is meant to change
     pinned = json.loads((ROOT / "tests" / "report_digests.json").read_text(encoding="utf-8"))
     got = _tool().digests()
     assert sorted(got) == sorted(pinned)
@@ -34,13 +34,15 @@ def test_bundled_reports_match_the_pinned_digests():
 def test_sweeps_do_not_depend_on_the_hash_seed():
     # refinement rows are built in sorted arrow order, so a family with two
     # undefined composites raises the same error under every hash seed; the
-    # enumeration, sheaf and closure sweeps draw from sorted views too, and
-    # the load errors name the first dangling reference in document order
+    # enumeration, sheaf, closure and powered sweeps draw from sorted views
+    # too, and the load errors name the first dangling reference in document
+    # order
     script = (
         "import json, sys; sys.path.insert(0, 'tools'); import report_digests as r; "
         "print(json.dumps([r._sha(r.sweep_outputs(seed=s)) for s in range(5, 10)] "
         "+ [r._sha(r.fes_outputs(seed=s)) + r._sha(r.sheaf_outputs(seed=s)) for s in range(5, 7)] "
         "+ [r._sha(r.closure_outputs(seed=s)) for s in range(5, 7)] "
+        "+ [r._sha(r.powered_outputs(seed=s)) for s in range(5, 7)] "
         "+ [r._sha(r.decode_error_outputs())]))"
     )
     procs = [

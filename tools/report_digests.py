@@ -8,9 +8,11 @@ in-process sweep over random poset sites (see ``sweep_outputs``): the
 sha256 of every report, result and exception text that checker gave; the
 ``"sweep enumerate_fes"`` and ``"sweep sheaf_check"`` entries pin the
 functor enumeration on seeded category pairs (see ``fes_outputs``) and the
-sheaf check on seeded point presheaves (see ``sheaf_outputs``), and the
+sheaf check on seeded point presheaves (see ``sheaf_outputs``), the
 ``"closure"`` entry the covering closures of seeded poset sites (see
-``closure_outputs``).  The
+``closure_outputs``), and the ``"powered"`` entry the powered cover and
+stability checks on seeded towers of poset sites (see ``powered_outputs``).
+The
 ``"layouts"`` entry is the sha256 of the term layouts of seeded z-composites
 (see ``layout_outputs``), and the ``"wide z-compose"`` entry that of the exit
 code, stdout and stderr of ``z-compose``, in both formats, on a seeded
@@ -68,12 +70,21 @@ from zsite.fincat import (  # noqa: E402
     chosen_limit_check,
     induced_functor,
     partition_from_blocks,
+    poset_category,
     quotient_category,
 )
 from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc  # noqa: E402
 from zsite.modular import ModelLabeledCat, class_types, enumerate_fes, quotient_model  # noqa: E402
 from zsite.sheaf import matching_families, sheaf_check  # noqa: E402
-from zsite.site import generate_covering_assignment, grothendieck_axiom_check  # noqa: E402
+from zsite.site import (  # noqa: E402
+    CoveringAssignment,
+    LadderMorphism,
+    LayeredCategory,
+    generate_covering_assignment,
+    grothendieck_axiom_check,
+    powered_cover_check,
+    powered_stability_probe,
+)
 from zsite.zlin import z_compose, z_morphism  # noqa: E402
 
 FIXTURES = ROOT / "src" / "zsite" / "fixtures"
@@ -107,6 +118,9 @@ WIDE_ENDOS = 10
 CLOSURE_SEED = 20_261_022
 CLOSURE_CASES = 600
 CLOSURE_BUDGETS = (3, 10, 40, 400, 10_000)
+
+POWERED_SEED = 20_261_023
+POWERED_CASES = 300
 
 # workspace table -> the fields of its documents that name another document;
 # a list field names one per item
@@ -149,6 +163,7 @@ def digests() -> dict[str, str]:
     result["sweep enumerate_fes"] = _sha(fes_outputs())
     result["sweep sheaf_check"] = _sha(sheaf_outputs())
     result["closure"] = _sha(closure_outputs())
+    result["powered"] = _sha(powered_outputs())
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
     result["decode errors"] = _sha(decode_error_outputs())
@@ -481,6 +496,175 @@ def closure_outputs(cases: int = CLOSURE_CASES, seed: int = CLOSURE_SEED) -> lis
             [obj, [sorted(fam) for fam in closure.families_of(obj)]]
             for obj in sorted(closure.families)
             if closure.families[obj]
+        ])
+    return out
+
+
+# =====================================================================
+# seeded towers of poset sites
+# =====================================================================
+
+
+def _upper_level(rng: random.Random, lower, name: str):
+    """A random poset over ``lower`` and its membership map into ``lower``.
+
+    Each object of ``lower`` gets one or two copies (two only while the
+    level stays under six objects), copies of related objects are related
+    with probability 0.85 and the two copies of one object with 0.5, so the
+    map is order-preserving; in one case of four two copies of unrelated
+    objects are related anyway, and in one of eight one copy maps to a
+    random object, so some maps are not.
+    """
+    over = {}
+    for obj in sorted(lower.objects):
+        for copy in "ab"[: 2 if len(over) < 5 and rng.random() < 0.4 else 1]:
+            over[obj + copy] = obj
+    objs = sorted(over)
+    rels = [(a, b) for a in objs for b in objs if a < b and lower.hom(over[a], over[b]) and rng.random() < 0.85]
+    rels += [(obj + "a", obj + "b") for obj in sorted(lower.objects) if obj + "b" in over and rng.random() < 0.5]
+    loose = [(a, b) for a in objs for b in objs if a < b and not lower.hom(over[a], over[b])]
+    if loose and rng.random() < 0.25:
+        rels.append(rng.choice(loose))
+    if rng.random() < 1 / 8:
+        over[rng.choice(objs)] = rng.choice(sorted(lower.objects))
+    return poset_category(name, objs, rels), over
+
+
+def _tower_ladder(rng: random.Random, levels, membership, tops) -> LadderMorphism:
+    """A random ladder whose top-level arrow is drawn from ``tops``, going
+    down the membership maps.
+
+    Each lower level takes the arrow between the images of the level
+    above's endpoints when there is one, else a random arrow; one ladder in
+    eight has one level replaced by a random arrow, so some ladders cross
+    membership.
+    """
+    arrows = [rng.choice(tops)]
+    for n in range(len(levels) - 2, -1, -1):
+        upper, lower, mapping = levels[n + 1], levels[n], membership[n]
+        hi = arrows[0]
+        candidates = sorted(lower.hom(mapping[upper.source(hi)], mapping[upper.target(hi)]))
+        arrows.insert(0, rng.choice(candidates) if candidates else rng.choice(sorted(lower.morphisms)))
+    if rng.random() < 1 / 8:
+        n = rng.randrange(len(levels))
+        arrows[n] = rng.choice(sorted(levels[n].morphisms))
+    return LadderMorphism(arrows=tuple(arrows))
+
+
+def _proper_into(cat, obj) -> list:
+    """The non-identity arrows into ``obj``, or its identity when there are none."""
+    into = sorted(cat.morphisms_into(obj))
+    return [m for m in into if m != cat.identities[obj]] or into
+
+
+def _tower_ladders(rng: random.Random, levels, membership):
+    """A family of one to three ladders and a test ladder (see ``_tower_ladder``).
+
+    The family runs into a top-level object with the most non-identity
+    arrows into it, and so does the test ladder in four cases of five, three
+    times in four from a source unrelated to the first member's.
+    """
+    top_cat = levels[-1]
+    width = {obj: len(_proper_into(top_cat, obj)) for obj in sorted(top_cat.objects)}
+    top = rng.choice([obj for obj in width if width[obj] == max(width.values())])
+    family = [_tower_ladder(rng, levels, membership, _proper_into(top_cat, top)) for _ in range(rng.randint(1, 3))]
+    into = sorted(top_cat.morphisms_into(top if rng.random() < 0.8 else rng.choice(sorted(top_cat.objects))))
+    src = top_cat.source(family[0].arrows[-1])
+    apart = [m for m in into if not top_cat.hom(src, top_cat.source(m)) and not top_cat.hom(top_cat.source(m), src)]
+    return family, _tower_ladder(rng, levels, membership, apart if apart and rng.random() < 0.75 else into)
+
+
+def _remap_an_apex(rng: random.Random, levels, membership: list, family, test) -> None:
+    """In three cases of four, send one declared apex of a member and the test
+    ladder above level 0, which is no ladder's source there, to a random
+    object of the level below, so that the apex chain may break."""
+    apexes = [
+        (n, chosen[0])
+        for n in range(len(membership))
+        for ladder in family
+        for chosen in [levels[n + 1].pullbacks.get((ladder.arrows[n + 1], test.arrows[n + 1]))]
+        if chosen is not None and chosen[0] not in {levels[n + 1].source(lad.arrows[n + 1]) for lad in family + [test]}
+    ]
+    if apexes and rng.random() < 0.75:
+        n, apex = rng.choice(apexes)
+        membership[n] = {**membership[n], apex: rng.choice(sorted(levels[n].objects))}
+
+
+def _tower_coverings(rng: random.Random, levels, family, test) -> list:
+    """Each level's covering closure of random seeds, in nine cases of ten
+    with the family's arrows into its first member's target as one more
+    seed (the seeds alone when the closure raises); in one case of four one
+    family of one level is removed, half the time one of the test ladder's
+    source there."""
+    assignments = []
+    for n, cat in enumerate(levels):
+        seeds = rand_seeds(rng, cat, 2)
+        if rng.random() < 0.9:
+            obj = cat.target(family[0].arrows[n])
+            seeds[obj] = seeds.get(obj, frozenset()) | {
+                frozenset(m.arrows[n] for m in family if cat.target(m.arrows[n]) == obj)
+            }
+        try:
+            assignments.append(generate_covering_assignment(cat, seeds, budget=400))
+        except (InputError, ResourceBudgetError):
+            assignments.append(CoveringAssignment(families=seeds))
+    if rng.random() < 0.25:
+        n = rng.randrange(len(levels))
+        K = assignments[n]
+        objs = [levels[n].source(test.arrows[n])] if rng.random() < 0.5 else sorted(K.families)
+        pool = [(obj, fam) for obj in objs for fam in K.families_of(obj)]
+        if pool:
+            assignments[n] = K.without_family(*rng.choice(pool))
+    return assignments
+
+
+def powered_outputs(cases: int = POWERED_CASES, seed: int = POWERED_SEED) -> list:
+    """``powered_cover_check`` and ``powered_stability_probe`` on seeded towers.
+
+    Each case draws a random poset (3-5 objects) and one or two levels over
+    it (see ``_upper_level``), ladders (``_tower_ladders``), possibly a
+    broken apex chain (``_remap_an_apex``) and coverings
+    (``_tower_coverings``).  Then declared pullbacks are dropped: in about a
+    third of the cases the cospan of one member and the test ladder at one
+    level, and in a fifth one to six random ones of one level; one test
+    ladder in twenty loses its last arrow or has one replaced by an unknown
+    id, and one case in ten passes one assignment too few.  Each case
+    records the rendered cover report of every ladder and the stability
+    report, or the type and text of what either raised.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(cases):
+        levels, membership = [rand_poset(rng, n_objs=rng.randint(3, 5), edge_p=0.6, name="L0")], []
+        for n in range(1, rng.randint(2, 3)):
+            level, over = _upper_level(rng, levels[-1], f"L{n}")
+            levels.append(level)
+            membership.append(over)
+        family, test = _tower_ladders(rng, levels, membership)
+        _remap_an_apex(rng, levels, membership, family, test)
+        assignments = _tower_coverings(rng, levels, family, test)
+
+        if rng.random() < 1 / 3:
+            n = rng.randrange(len(levels))
+            cospan = (rng.choice(family).arrows[n], test.arrows[n])
+            levels[n] = replace(levels[n], pullbacks={k: v for k, v in levels[n].pullbacks.items() if k != cospan})
+        if rng.random() < 0.2:
+            n = rng.randrange(len(levels))
+            levels[n] = replace(levels[n], pullbacks=_drop(rng, levels[n].pullbacks, lambda k: False))
+        if rng.random() < 0.05:
+            arrows = list(test.arrows)
+            if rng.random() < 0.5:
+                arrows.pop()
+            else:
+                arrows[rng.randrange(len(arrows))] = DANGLING
+            test = LadderMorphism(arrows=tuple(arrows))
+        if rng.random() < 0.1:
+            assignments.pop()
+
+        layered = LayeredCategory(levels=tuple(levels), membership=tuple(membership))
+        out.append([
+            [_render(_outcome(lambda: powered_cover_check(layered, lad, assignments))) for lad in family + [test]],
+            _render(_outcome(lambda: powered_stability_probe(layered, family, test, assignments))),
         ])
     return out
 
