@@ -686,41 +686,24 @@ class LadderMorphism(Value):
 
 
 def validate_ladder(layered: LayeredCategory, ladder: LadderMorphism) -> Report:
-    rows = []
     if len(ladder.arrows) != layered.depth():
-        rows.append(
-            reports.structural(
-                "ladder_length",
-                (str(len(ladder.arrows)),),
-                f"need one morphism per level ({layered.depth()})",
-            )
-        )
-        return Report.collect("ladder", rows)
-    for n, arrow in enumerate(ladder.arrows):
-        if arrow not in layered.levels[n].morphisms:
-            rows.append(reports.structural("ladder_arrow_known", (str(n), arrow), "unknown morphism"))
+        detail = f"need one morphism per level ({layered.depth()})"
+        return Report.collect("ladder", [reports.structural("ladder_length", (len(ladder.arrows),), detail)])
+    rows = [
+        reports.structural("ladder_arrow_known", (n, arrow), "unknown morphism")
+        for n, arrow in enumerate(ladder.arrows)
+        if arrow not in layered.levels[n].morphisms
+    ]
     if rows:
         return Report.collect("ladder", rows)
     for n in range(layered.depth() - 1):
-        lower, upper = layered.levels[n], layered.levels[n + 1]
-        mapping = layered.membership[n]
         lo, hi = ladder.arrows[n], ladder.arrows[n + 1]
-        if mapping[upper.source(hi)] != lower.source(lo):
-            rows.append(
-                reports.structural(
-                    "ladder_source_chain",
-                    (str(n), lo, hi),
-                    f"source {upper.source(hi)} lives over {mapping[upper.source(hi)]}, not {lower.source(lo)}",
-                )
-            )
-        if mapping[upper.target(hi)] != lower.target(lo):
-            rows.append(
-                reports.structural(
-                    "ladder_target_chain",
-                    (str(n), lo, hi),
-                    f"target {upper.target(hi)} lives over {mapping[upper.target(hi)]}, not {lower.target(lo)}",
-                )
-            )
+        over = layered.membership[n]
+        ends = zip(("source", "target"), layered.levels[n + 1].morphisms[hi], layered.levels[n].morphisms[lo])
+        for end, above, below in ends:
+            if over[above] != below:
+                detail = f"{end} {above} lives over {over[above]}, not {below}"
+                rows.append(reports.structural(f"ladder_{end}_chain", (n, lo, hi), detail))
     return Report.collect("ladder", rows)
 
 
@@ -750,22 +733,13 @@ def level_covering(n: int, cat: FinCat, assignment: CoveringAssignment, arrow: s
 def powered_cover_check(layered: LayeredCategory, ladder: LadderMorphism, assignments) -> Report:
     """A ladder covers iff each level's morphism sits in an assigned family."""
     assignments = tuple(assignments)
-    rows = []
     if len(assignments) != layered.depth():
-        rows.append(
-            reports.structural(
-                "assignment_count",
-                (str(len(assignments)),),
-                f"need one covering assignment per level ({layered.depth()})",
-            )
-        )
-        return Report.collect("powered_cover", rows)
-    sub = validate_ladder(layered, ladder)
-    rows.extend(sub.findings)
-    if not sub.ok:
-        return Report.collect("powered_cover", rows)
-    for n, arrow in enumerate(ladder.arrows):
-        rows += level_covering(n, layered.levels[n], assignments[n], arrow)
+        detail = f"need one covering assignment per level ({layered.depth()})"
+        return Report.collect("powered_cover", [reports.structural("assignment_count", (len(assignments),), detail)])
+    rows = list(validate_ladder(layered, ladder).findings)
+    if not rows:
+        for n, arrow in enumerate(ladder.arrows):
+            rows += level_covering(n, layered.levels[n], assignments[n], arrow)
     return Report.collect("powered_cover", rows)
 
 
@@ -777,79 +751,40 @@ def powered_stability_probe(
 ) -> Report:
     """Levelwise base change of a ladder family along a test ladder.
 
-    Each member is pulled back level by level through each level's declared
-    pullbacks; the apex chain must itself be membership-compatible, and
-    every pulled ladder must again pass powered_cover_check.  Missing
-    declared pullbacks are Unverifiable.
+    Each covering member is pulled back level by level through each level's
+    declared pullbacks; the apex chain must itself be membership-compatible,
+    and the ladder of the pulled legs must again pass powered_cover_check.
+    A missing declared pullback is Unverifiable.
     """
-    family = tuple(family)
     assignments = tuple(assignments)
-    rows = []
-    sub = validate_ladder(layered, test)
-    if not sub.ok:
-        rows.extend(sub.findings)
-        return Report.collect("powered_stability", rows)
-    if len(assignments) != layered.depth():
-        rows.append(
-            reports.structural("assignment_count", (str(len(assignments)),), "one assignment per level")
-        )
+    rows = list(validate_ladder(layered, test).findings)
+    if not rows and len(assignments) != layered.depth():
+        rows = [reports.structural("assignment_count", (len(assignments),), "one assignment per level")]
+    if rows:
         return Report.collect("powered_stability", rows)
 
     for pos, member in enumerate(family):
-        member_report = powered_cover_check(layered, member, assignments)
-        if not member_report.ok:
-            rows.append(
-                reports.law(
-                    "family_covering",
-                    (str(pos),),
-                    "family member does not itself cover; stability is probed on covers",
-                )
-            )
+        if not powered_cover_check(layered, member, assignments).ok:
+            detail = "family member does not itself cover; stability is probed on covers"
+            rows.append(reports.law("family_covering", (pos,), detail))
             continue
-        pulled_arrows = []
-        apexes = []
-        blocked = False
-        for n in range(layered.depth()):
-            cospan = (member.arrows[n], test.arrows[n])
-            chosen = layered.levels[n].pullbacks.get(cospan)
-            if chosen is None:
-                rows.append(
-                    reports.unverifiable(
-                        "stability_pullback",
-                        (str(n),) + cospan,
-                        "no declared pullback for this cospan",
-                    )
-                )
-                blocked = True
-                break
-            apex, _to_a, to_b = chosen
-            pulled_arrows.append(to_b)
-            apexes.append(apex)
-        if blocked:
+        cospans = list(zip(member.arrows, test.arrows))
+        chosen = [level.pullbacks.get(cospan) for level, cospan in zip(layered.levels, cospans)]
+        if None in chosen:
+            n = chosen.index(None)
+            detail = "no declared pullback for this cospan"
+            rows.append(reports.unverifiable("stability_pullback", (n, *cospans[n]), detail))
             continue
+        apexes = [apex for apex, _to_a, _to_b in chosen]
         for n in range(layered.depth() - 1):
             if layered.membership[n].get(apexes[n + 1]) != apexes[n]:
-                rows.append(
-                    reports.structural(
-                        "apex_chain",
-                        (str(pos), apexes[n], apexes[n + 1]),
-                        "pulled-back apexes are not membership-compatible",
-                    )
-                )
-        pulled = LadderMorphism(arrows=tuple(pulled_arrows))
-        pulled_report = powered_cover_check(layered, pulled, assignments)
-        for f in pulled_report.findings:
-            if f.kind == reports.STRUCTURAL:
-                rows.append(f)
-        if pulled_report.ok:
-            continue
-        if any(f.rule == "level_covering" for f in pulled_report.findings):
-            failing = next(f for f in pulled_report.findings if f.rule == "level_covering")
-            rows.append(
-                reports.law(
-                    "pullback_covering",
-                    (str(pos),) + failing.witnesses,
-                    "base-changed ladder is not covering",
-                )
-            )
+                detail = "pulled-back apexes are not membership-compatible"
+                rows.append(reports.structural("apex_chain", (pos, apexes[n], apexes[n + 1]), detail))
+        pulled = LadderMorphism(arrows=tuple(to_b for _apex, _to_a, to_b in chosen))
+        findings = powered_cover_check(layered, pulled, assignments).findings
+        rows += [f for f in findings if f.kind == reports.STRUCTURAL]
+        failing = next((f for f in findings if f.rule == "level_covering"), None)
+        if failing is not None:
+            detail = "base-changed ladder is not covering"
+            rows.append(reports.law("pullback_covering", (pos, *failing.witnesses), detail))
     return Report.collect("powered_stability", rows)
