@@ -456,11 +456,11 @@ KINDS = {
         "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, _POINTS
     ),
     "square": ("site-check", _square, False, _CATEGORY + _POINTS),
-    "powered_cover": ("site-check", _powered_cover, False, ()),
-    "powered_stability": ("site-check", _powered_stability, False, ()),
+    "powered_cover": ("site-check", _powered_cover, False, _CATEGORY),
+    "powered_stability": ("site-check", _powered_stability, False, _CATEGORY),
     "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
     "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _CATEGORY),
-    "powered_blurry": ("blur-check", _powered_blurry, False, ()),
+    "powered_blurry": ("blur-check", _powered_blurry, False, _CATEGORY),
     "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False, _CATEGORY),
     "additivity": ("sheaf-check", _additivity, False, ()),
     "cartesian": (

@@ -204,20 +204,28 @@ def test_site_check_on_a_holed_category_is_a_precondition_failure(capsys, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "command,gated",
+    "command,fixture,catname,hole,gated,validated",
     [
-        ("blur-check", {"gamma", "blurry_probe"}),
-        ("sheaf-check", {"sheaf", "cartesian", "squares_probe"}),
-        ("site-check", {"grothendieck", "square"}),
+        ("blur-check", "chain3.json", "chain3", "id_B|A<B", {"gamma", "blurry_probe"}, ["chain3"]),
+        ("sheaf-check", "chain3.json", "chain3", "id_B|A<B", {"sheaf", "cartesian", "squares_probe"}, ["chain3"]),
+        ("site-check", "chain3.json", "chain3", "id_B|A<B", {"grothendieck", "square"}, ["chain3"]),
+        (
+            "site-check", "layered2.json", "inner3", "E'<P'|id_E'", {"powered_cover", "powered_stability"},
+            ["poset2", "inner3"],
+        ),
     ],
-    ids=["blur-check", "sheaf-check", "site-check"],
+    ids=["blur-check", "sheaf-check", "site-check", "site-check-layered"],
 )
-def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, monkeypatch, command, gated):
+def test_checks_on_a_holed_category_are_precondition_failures(
+    capsys, tmp_path, monkeypatch, command, fixture, catname, hole, gated, validated
+):
     # every kind whose law assumes a valid category gives the precondition
-    # finding on chain3 without id_B|A<B; the rest run as before
-    with open(fixture_path("chain3.json"), encoding="utf-8") as fh:
+    # finding on a category without one of its composites, a level of a
+    # layered category included; the rest run as before, and each category
+    # is validated once
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
         doc = json.load(fh)
-    del doc["categories"]["chain3"]["composition"]["id_B|A<B"]
+    del doc["categories"][catname]["composition"][hole]
     path = tmp_path / "holed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     calls = counting(monkeypatch, "validate_category", lambda cat: cat.name)
@@ -228,12 +236,12 @@ def test_checks_on_a_holed_category_are_precondition_failures(capsys, tmp_path, 
     for entry in entries:
         if entry["kind"] in gated:
             assert entry["findings"] == [
-                {"kind": "structural", "rule": "precondition", "witnesses": ["chain3"],
+                {"kind": "structural", "rule": "precondition", "witnesses": [catname],
                  "detail": "category fails validation"}
             ]
         else:
             assert all(f["rule"] != "precondition" for f in entry["findings"])
-    assert calls == ["chain3"]
+    assert calls == validated
 
 
 def _residue_outside_the_domain(doc):
