@@ -446,30 +446,36 @@ def nisnevich_cover_check(base: PointedBase, target: ZObject, family) -> Report:
 
     Passes iff for every component and every point of its base object, some
     member has a term into that component whose arrow carries a
-    residue-preserving point mapping onto it.  Every term arrow must be
+    residue-preserving point mapping onto it.  The terms are read once, in
+    each member's source-side layout.  Every term arrow must be
     etale-marked (precondition; violations are structural findings naming
     the term).
     """
     family = tuple(family)
     rows = _family_preconditions(base, target, family)
-    usable = [m for m in family if m.target == target]
+    covered = {
+        (t.col, base.point_map.get(t.arrow, {}).get(u))
+        for member in family
+        if member.target == target
+        for t in member.terms
+        for u in base.rp(t.arrow)
+    }
+    detail = "no residue-preserving lift in any family member"
     for idx, _obj, _coeff in target.components:
-        for x in _component_coverage(base, target, usable, idx):
-            rows.append(
-                reports.law(
-                    "point_covered",
-                    (str(idx), x),
-                    "no residue-preserving lift in any family member",
-                )
-            )
+        rows += [
+            reports.law("point_covered", (idx, x), detail)
+            for x in base.points_of(target.base_object(idx))
+            if (idx, x) not in covered
+        ]
     return Report.collect("nisnevich", rows)
 
 
 def nisnevich_component_lemma_check(base: PointedBase, target: ZObject, family) -> Report:
     """Whole-object coverage against componentwise coverage, both computed.
 
-    The whole-object side runs the cover check on the formal sum; the
-    componentwise side restricts each member to its terms into one component
+    The whole-object side runs the cover check on the formal sum, which
+    reads each member's source-side layout; the componentwise side restricts
+    each member to its terms into one component (its target-side layout)
     and checks that component alone.  The report records which members carry
     terms into each component and their intersection, and fails only if the
     two sides disagree.

@@ -26,6 +26,7 @@ from zsite.site import (
     validate_layered,
     validate_pointed_base,
 )
+from zsite.zlin import ZMorphism
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,27 @@ class TestPointLifting:
         infos = {f.rule: f for f in report.findings if f.kind == "info"}
         assert infos["whole_object"].detail == "covers: True"
         assert infos["componentwise"].detail == "covers: True"
+
+    def test_component_lemma_compares_the_two_layouts(self, etale2_ws):
+        # the whole-object side reads a member's source-side layout and the
+        # componentwise side its target-side one, so a member whose terms
+        # into one component are missing from ``into`` alone covers as a
+        # whole but not componentwise (and fails validation on the missing
+        # column marginal), and the lemma's comparison fires
+        base = etale2_ws.pointed_bases["base"]
+        X = etale2_ws.zobjects["X"]
+        (psi1,) = self._family(etale2_ws, "psi1")
+        col = min(psi1.into)
+        lopsided = ZMorphism(
+            psi1.source, psi1.target, into={c: ts for c, ts in psi1.into.items() if c != col}, out_of=psi1.out_of
+        )
+        whole = nisnevich_cover_check(base, X, [lopsided])
+        assert [f.rule for f in whole.failures()] == ["member_valid"]
+        report = nisnevich_component_lemma_check(base, X, [lopsided])
+        infos = {f.rule: f.detail for f in report.findings if f.kind == "info"}
+        assert infos["whole_object"] == "covers: True"
+        assert infos["componentwise"] == "covers: False"
+        assert [f.rule for f in report.failures()] == ["member_valid", "component_lemma_agreement"]
 
 
 @pytest.fixture(scope="module")
