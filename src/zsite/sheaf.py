@@ -367,8 +367,13 @@ def squares_vs_sheaf_probe(
     The comparison is meaningful only when the assignment's families are
     generated by the declared squares; that is the caller's assertion and it
     is recorded, not checked.  Disagreement is a law finding either way.
+    With no square there is nothing to compare, and the report holds only
+    the structural ``squares_declared`` finding.
     """
     squares = tuple(squares)
+    if not squares:
+        detail = "no declared square to compare the sheaf condition with"
+        return Report.collect(F.name, [reports.structural("squares_declared", (), detail)])
     rows = [
         reports.info(
             "generation_assertion",

@@ -584,6 +584,19 @@ def test_a_zobject_off_the_category_is_a_workspace_error(capsys, tmp_path, comma
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+def test_a_squares_probe_without_squares_gets_no_verdict(capsys, tmp_path):
+    # with no declared square, "every square is cartesian" holds vacuously
+    # and comparing the sheaf verdict with it gave a law finding (exit 1)
+    def no_squares(doc):
+        (spec,) = [c for c in doc["checks"] if c["label"] == "gapped-probe"]
+        spec["squares"] = []
+
+    code, out, err = _run_edited(capsys, tmp_path, "sheaf-check", "chain3.json", "gapped-probe", [no_squares])
+    assert (code, err) == (2, "")
+    assert "  [structural] squares_declared (-): no declared square to compare the sheaf condition with\n" in out
+    assert "squares_sheaf_agreement" not in out
+
+
 @pytest.mark.parametrize("command,fixture,count", PASSING)
 def test_output_is_identical_across_runs(capsys, command, fixture, count):
     _code, first, _err = run(capsys, [command, fixture_path(fixture)])

@@ -147,6 +147,15 @@ class TestCartesianSquares:
         note = next(f for f in report.findings if f.rule == "generation_assertion")
         assert "no generation assertion" in note.detail
 
+    def test_probe_without_squares_gives_no_verdict(self, chain3_ws):
+        # "every declared square is cartesian" holds vacuously on no square,
+        # so comparing the sheaf verdict with it would draw a law finding
+        # from nothing
+        K = chain3_ws.coverings["K"][1]
+        for name in ("glues", "gapped"):
+            report = squares_vs_sheaf_probe(chain3_ws.presheaves[name], K, [])
+            assert [(f.kind, f.rule) for f in report.findings] == [("structural", "squares_declared")]
+
 
 class TestAdditivity:
     def test_tables_into_a_fixed_sum_are_additive(self, chain3_ws):
