@@ -124,9 +124,6 @@ class ZTerm(Value):
         self.coefficient = coefficient
         self.arrow = arrow
 
-    def key(self) -> tuple:
-        return (self.row, self.col, self.arrow)
-
 
 def _normalize(cells) -> tuple[tuple[int, int, str, int], ...]:
     """Merge ((row, col, arrow), coefficient) cells by key, drop zeros, sort."""
