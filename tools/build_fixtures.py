@@ -17,14 +17,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from zsite import (
-    CoveringAssignment,
-    FinCat,
-    generate_covering_assignment,
-    load_workspace,
-    poset_category,
-)
-from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc
+from zsite.fincat import FinCat, poset_category
+from zsite.jsonio import cat_to_doc, load_workspace, zmorphism_to_doc, zobject_to_doc
+from zsite.site import CoveringAssignment, generate_covering_assignment
 from zsite.zlin import z_morphism, z_object
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "zsite" / "fixtures"
