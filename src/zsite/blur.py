@@ -10,8 +10,8 @@ kernel as the base site (``site.covering_axiom_findings``) on the quotient,
 with class base change read off representative base cospans
 (``fincat.class_representatives``).  It downgrades to Skipped when its
 preconditions fail, since a probe over a broken base proves nothing either
-way.  Powered composition bundles one blurry site per level; a loose level
-must name one of them.
+way.  The powered check takes one blurry site per level and a ladder of
+class morphisms; a loose level must name one of the sites.
 """
 
 from __future__ import annotations
@@ -213,23 +213,17 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
 # =====================================================================
 
 
-class PoweredBlurry(Record):
-    """Levelwise class-level assignments and the findings of their probes."""
+def powered_blurry_check(
+    sites, class_arrows, layered=None, loose_levels=(), budget: int | None = None
+) -> Report:
+    """A ladder of class morphisms covers iff every level's class arrow does.
 
-    def __init__(self, sites: tuple[BlurrySite, ...], precondition_findings=()):
-        vars(self).update(sites=sites, precondition_findings=precondition_findings)
-
-
-def powered_blurry_compose(
-    sites, layered=None, loose_levels=(), budget: int | None = None
-) -> PoweredBlurry:
-    """Bundle per-level blurry sites into one powered assignment.
-
-    Non-loose levels must pass blurry_axiom_probe (under ``budget``);
-    failures are recorded as Skipped findings on the bundle.  A layered
-    category, when supplied, fixes the expected level count.
+    Each level not declared loose must first pass blurry_axiom_probe (under
+    ``budget``); a level that fails is recorded as a Skipped finding.  A
+    layered category, when supplied, fixes the expected level count.
     """
     sites = tuple(sites)
+    class_arrows = tuple(class_arrows)
     loose = frozenset(int(n) for n in loose_levels)
     if layered is not None and len(sites) != layered.depth():
         raise InputError(
@@ -253,23 +247,16 @@ def powered_blurry_compose(
                     "level did not pass blurry_axiom_probe and is not declared loose",
                 )
             )
-    return PoweredBlurry(sites=sites, precondition_findings=tuple(rows))
-
-
-def powered_blurry_check(powered: PoweredBlurry, class_arrows) -> Report:
-    """A ladder of class morphisms covers iff every level's class arrow does."""
-    class_arrows = tuple(class_arrows)
-    rows = list(powered.precondition_findings)
-    if len(class_arrows) != len(powered.sites):
+    if len(class_arrows) != len(sites):
         rows.append(
             reports.structural(
                 "ladder_length",
                 (str(len(class_arrows)),),
-                f"need one class morphism per level ({len(powered.sites)})",
+                f"need one class morphism per level ({len(sites)})",
             )
         )
         return Report.collect("powered_blurry", rows)
-    for n, (site, cm) in enumerate(zip(powered.sites, class_arrows)):
+    for n, (site, cm) in enumerate(zip(sites, class_arrows)):
         if cm not in site.quotient.morphisms:
             rows.append(reports.structural("class_arrow_known", (str(n), cm), "unknown class morphism"))
         else:

@@ -29,7 +29,6 @@ from .blur import (
     blurry_topology,
     gamma_check,
     powered_blurry_check,
-    powered_blurry_compose,
 )
 from .fincat import (
     InputError,
@@ -292,10 +291,9 @@ def _powered_blurry(r: _Resolver):
     layered = r.id("layered") if "layered" in r.spec else None
     if layered is not None:
         _on_levels(r, "levels", [site.cat.name for site in sites], layered)
-    powered = powered_blurry_compose(
-        sites, layered=layered, loose_levels=r.values("loose", int, ()), budget=r.budget
+    return powered_blurry_check(
+        sites, r.values("arrows", str), layered=layered, loose_levels=r.values("loose", int, ()), budget=r.budget
     )
-    return powered_blurry_check(powered, r.values("arrows", str))
 
 
 def _presheaf_and(r: _Resolver, field: str):

@@ -6,7 +6,6 @@ from zsite.blur import (
     blurry_topology,
     gamma_check,
     powered_blurry_check,
-    powered_blurry_compose,
 )
 from zsite.fincat import FinCat, InputError, partition_from_blocks
 from zsite.jsonio import load_workspace
@@ -205,30 +204,29 @@ class TestPoweredBlurry:
             blurry_topology(upper, K1, layered_ws.partitions["triv1"][1]),
         )
 
+    ARROWS = ["[E+P]->[T]", "[P']->[T']"]
+
     def test_two_level_class_ladder_covers(self, layered_ws):
-        powered = powered_blurry_compose(self._sites(layered_ws), layered=layered_ws.layered["L"])
-        assert not powered.precondition_findings
-        report = powered_blurry_check(powered, ["[E+P]->[T]", "[P']->[T']"])
+        report = powered_blurry_check(self._sites(layered_ws), self.ARROWS, layered=layered_ws.layered["L"])
+        assert not any(f.rule in ("level_probe", "loose_level") for f in report.findings)
         assert report.ok, report.render()
 
     def test_unknown_class_arrow_is_structural(self, layered_ws):
-        powered = powered_blurry_compose(self._sites(layered_ws))
         # block labels sort their members: [P+E] names no block
-        report = powered_blurry_check(powered, ["[P+E]->[T]", "[P']->[T']"])
+        report = powered_blurry_check(self._sites(layered_ws), ["[P+E]->[T]", "[P']->[T']"])
         assert any(f.rule == "class_arrow_known" and f.kind == "structural" for f in report.findings)
 
     def test_ladder_length_must_match_levels(self, layered_ws):
-        powered = powered_blurry_compose(self._sites(layered_ws))
-        report = powered_blurry_check(powered, ["[E+P]->[T]"])
+        report = powered_blurry_check(self._sites(layered_ws), ["[E+P]->[T]"])
         assert any(f.rule == "ladder_length" for f in report.failures())
 
     def test_level_count_must_match_the_layered_category(self, layered_ws):
         with pytest.raises(InputError):
-            powered_blurry_compose(self._sites(layered_ws)[:1], layered=layered_ws.layered["L"])
+            powered_blurry_check(self._sites(layered_ws)[:1], self.ARROWS[:1], layered=layered_ws.layered["L"])
 
     def test_loose_level_must_name_a_level(self, layered_ws):
         with pytest.raises(InputError, match=r"loose levels \[-1, 7\] name no level of 2 blurry sites"):
-            powered_blurry_compose(self._sites(layered_ws), loose_levels=[7, -1])
+            powered_blurry_check(self._sites(layered_ws), self.ARROWS, loose_levels=[7, -1])
 
     def test_failing_level_must_be_declared_loose(self, poset2_ws, layered_ws):
         cat = poset2_ws.categories["poset2"]
@@ -236,9 +234,9 @@ class TestPoweredBlurry:
         bad_site = blurry_topology(cat, K, poset2_ws.partitions["pq"][1])
         good_site = self._sites(layered_ws)[1]
 
-        strict = powered_blurry_compose([bad_site, good_site])
-        assert any(f.rule == "level_probe" and f.kind == "skipped" for f in strict.precondition_findings)
+        strict = powered_blurry_check([bad_site, good_site], self.ARROWS)
+        assert any(f.rule == "level_probe" and f.kind == "skipped" for f in strict.findings)
 
-        loose = powered_blurry_compose([bad_site, good_site], loose_levels=[0])
-        assert any(f.rule == "loose_level" and f.kind == "info" for f in loose.precondition_findings)
-        assert not any(f.kind == "skipped" for f in loose.precondition_findings)
+        loose = powered_blurry_check([bad_site, good_site], self.ARROWS, loose_levels=[0])
+        assert any(f.rule == "loose_level" and f.kind == "info" for f in loose.findings)
+        assert not any(f.kind == "skipped" for f in loose.findings)

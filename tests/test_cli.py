@@ -381,16 +381,27 @@ def test_loose_level_naming_no_level_is_structural(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,fixture,label,inside,field",
+    "command,fixture,label,inside,field,setting",
     [
-        ("sheaf-check", "chain3.json", "glues-sheaf", (), "covering"),
-        ("blur-check", "layered2.json", "two-level-blurry", ("levels", 1), "partition"),
+        ("sheaf-check", "chain3.json", "glues-sheaf", (), "covering", {}),
+        ("blur-check", "layered2.json", "two-level-blurry", ("levels", 1), "partition", {}),
+        # the ladder is read before any level is probed, so an unknown loose
+        # level does not hide the missing ladder
+        ("blur-check", "layered2.json", "two-level-blurry", (), "arrows", {"loose": [7]}),
+    ],
+    ids=[
+        "sheaf-check-chain3.json-glues-sheaf-inside0-covering",
+        "blur-check-layered2.json-two-level-blurry-inside1-partition",
+        "blur-check-layered2.json-two-level-blurry-arrows-loose",
     ],
 )
-def test_missing_spec_field_is_still_a_workspace_error(capsys, tmp_path, command, fixture, label, inside, field):
+def test_missing_spec_field_is_still_a_workspace_error(
+    capsys, tmp_path, command, fixture, label, inside, field, setting
+):
     with open(fixture_path(fixture), encoding="utf-8") as fh:
         doc = json.load(fh)
     pos, spec = next((pos, c) for pos, c in enumerate(doc["checks"]) if c["label"] == label)
+    spec.update(setting)
     for key in inside:
         spec = spec[key]
     del spec[field]

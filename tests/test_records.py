@@ -10,7 +10,7 @@ import inspect
 import pytest
 
 from conftest import replace
-from zsite.blur import BlurrySite, PoweredBlurry
+from zsite.blur import BlurrySite
 from zsite.fincat import FinCat, Functor, FunctorReport, InputError, ObjEquiv, poset_category
 from zsite.fingerprint import GradedDims, ZInvariant
 from zsite.jsonio import DOCUMENTS, Workspace
@@ -56,7 +56,6 @@ IDENTITY_RECORDS = {
     Presheaf: lambda: Presheaf("F", _cat(), {"a": ("s",)}, {}),
     ZPresheaf: lambda: ZPresheaf("Z", _cat(), tuple, min),
     BlurrySite: _blurry_site,
-    PoweredBlurry: lambda: PoweredBlurry(()),
     ModelLabeledCat: lambda: ModelLabeledCat(_cat(), weq=frozenset({"a<b"})),
     ParamFamily: lambda: ParamFamily(_cat(), ModelLabeledCat(_cat()), ()),
 }
@@ -147,7 +146,7 @@ def test_constructors_take_fields_by_position_and_keyword():
     assert Report("s") == Report(subject="s", findings=())
     cat = FinCat("c", ("a",), {"1a": ("a", "a")}, {"a": "1a"}, {("1a", "1a"): "1a"}, {}, {})
     assert (cat.name, cat.objects, cat.pullbacks, cat.products) == ("c", ("a",), {}, {})
-    assert ModelLabeledCat(cat).cof == frozenset() and PoweredBlurry(()).precondition_findings == ()
+    assert ModelLabeledCat(cat).cof == frozenset()
     assert PointedBase(cat, {}, {}).etale_marked == frozenset()
 
 
