@@ -121,24 +121,6 @@ def representable(cat: FinCat, obj: str) -> Presheaf:
 # =====================================================================
 
 
-def _pair_constraints(cat: FinCat, order):
-    """Pullback compatibility constraints per ordered member pair.
-
-    Returns (constraints, missing): constraints maps (position a, position b)
-    to the two projections of the declared pullback of (order[a], order[b]).
-    """
-    constraints = {}
-    missing = []
-    for a, f in enumerate(order):
-        for b, g in enumerate(order):
-            chosen = cat.pullbacks.get((f, g))
-            if chosen is None:
-                missing.append((f, g))
-            else:
-                constraints[(a, b)] = (chosen[1], chosen[2])
-    return constraints, missing
-
-
 def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...], list]:
     """All compatible section tuples for the family, in enumeration order.
 
@@ -150,22 +132,23 @@ def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...],
     """
     cat = F.cat
     order = sorted(family)
-    constraints, missing = _pair_constraints(cat, order)
+    missing = [(f, g) for f in order for g in order if (f, g) not in cat.pullbacks]
     if missing:
         return (), missing
     restrict = F.restrict
-    # per position: the pullbacks with each earlier member both ways round,
-    # the second dropped when it mirrors the first and so repeats its test,
-    # then the self-pullback, whose two ways round are one test
+    # per position: the legs of the declared pullbacks with each earlier
+    # member both ways round, the second dropped when it mirrors the first
+    # and so repeats its test, then the self-pullback, whose two ways round
+    # are one test
     legs = []
-    for pos in range(len(order)):
+    for pos, g in enumerate(order):
         rows = []
-        for other in range(pos):
-            p_other, p_pos = constraints[(other, pos)]
-            q_pos, q_other = constraints[(pos, other)]
+        for other, f in enumerate(order[:pos]):
+            _apex, p_other, p_pos = cat.pullbacks[f, g]
+            _apex, q_pos, q_other = cat.pullbacks[g, f]
             mirrored = (q_pos, q_other) == (p_pos, p_other)
             rows.append((other, p_other, p_pos, None if mirrored else q_pos, q_other))
-        legs.append((rows, constraints[(pos, pos)]))
+        legs.append((rows, cat.pullbacks[g, g][1:]))
 
     def compatible(prefix, s):
         rows, (a, b) = legs[len(prefix)]
