@@ -760,7 +760,10 @@ def powered_stability_probe(
     Each covering member is pulled back level by level through each level's
     declared pullbacks; the apex chain must itself be membership-compatible,
     and the ladder of the pulled legs must again pass powered_cover_check.
-    A missing declared pullback is Unverifiable.
+    A member arrow and a test arrow with different targets are no cospan, so
+    the member is Skipped; a missing declared pullback is Unverifiable.  The
+    pulled ladder of a broken apex chain is not checked, since its source
+    chain breaks at the same place.
     """
     assignments = tuple(assignments)
     rows = list(validate_ladder(layered, test).findings)
@@ -774,18 +777,29 @@ def powered_stability_probe(
             detail = "family member does not itself cover; stability is probed on covers"
             rows.append(reports.law("family_covering", (pos,), detail))
             continue
-        cospans = list(zip(member.arrows, test.arrows))
-        chosen = [level.pullbacks.get(cospan) for level, cospan in zip(layered.levels, cospans)]
-        if None in chosen:
-            n = chosen.index(None)
-            detail = "no declared pullback for this cospan"
-            rows.append(reports.unverifiable("stability_pullback", (n, *cospans[n]), detail))
+        chosen = []
+        for n, (level, f, g) in enumerate(zip(layered.levels, member.arrows, test.arrows)):
+            if level.target(f) != level.target(g):
+                detail = "member and test arrows have different targets, so there is no cospan to pull back"
+                rows.append(reports.skipped("stability_cospan", (pos, n, f, g), detail))
+                break
+            if (f, g) not in level.pullbacks:
+                detail = "no declared pullback for this cospan"
+                rows.append(reports.unverifiable("stability_pullback", (n, f, g), detail))
+                break
+            chosen.append(level.pullbacks[f, g])
+        if len(chosen) < layered.depth():
             continue
         apexes = [apex for apex, _to_a, _to_b in chosen]
-        for n in range(layered.depth() - 1):
-            if layered.membership[n].get(apexes[n + 1]) != apexes[n]:
-                detail = "pulled-back apexes are not membership-compatible"
-                rows.append(reports.structural("apex_chain", (pos, apexes[n], apexes[n + 1]), detail))
+        detail = "pulled-back apexes are not membership-compatible"
+        broken = [
+            reports.structural("apex_chain", (pos, apexes[n], apexes[n + 1]), detail)
+            for n in range(layered.depth() - 1)
+            if layered.membership[n].get(apexes[n + 1]) != apexes[n]
+        ]
+        if broken:
+            rows += broken
+            continue
         pulled = LadderMorphism(arrows=tuple(to_b for _apex, _to_a, to_b in chosen))
         findings = powered_cover_check(layered, pulled, assignments).findings
         rows += [f for f in findings if f.kind == reports.STRUCTURAL]

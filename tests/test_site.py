@@ -10,6 +10,7 @@ from zsite.jsonio import load_workspace
 from zsite.site import (
     CoveringAssignment,
     LadderMorphism,
+    LayeredCategory,
     Square,
     compose_ladders,
     distinguished_square_check,
@@ -314,9 +315,43 @@ class TestLayered:
         L = layered_ws.layered["L"]
         Ks = self._assignments(layered_ws)
         fam = [layered_ws.ladders["lad"][1]]
-        report = powered_stability_probe(L, fam, layered_ws.ladders["lad2"][1], Ks)
+        upper = L.levels[1]
+        pullbacks = {k: v for k, v in upper.pullbacks.items() if k != ("P'<T'", "E'<T'")}
+        L = replace(L, levels=(L.levels[0], replace(upper, pullbacks=pullbacks)))
+        report = powered_stability_probe(L, fam, layered_ws.ladders["ladc"][1], Ks)
         assert report.ok
-        assert any(f.rule == "stability_pullback" for f in report.unverifiable)
+        assert [f.witnesses for f in report.unverifiable if f.rule == "stability_pullback"] == [("1", "P'<T'", "E'<T'")]
+
+    def test_arrows_into_different_targets_are_no_cospan(self, layered_ws):
+        # lad ends in T, lad2 in P: there is nothing to pull back, which is
+        # no missing chosen pullback; gate c09 probes such pairs and needs
+        # them to pass, so the member is skipped
+        L = layered_ws.layered["L"]
+        fam = [layered_ws.ladders["lad"][1]]
+        report = powered_stability_probe(L, fam, layered_ws.ladders["lad2"][1], self._assignments(layered_ws))
+        assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
+            ("skipped", "stability_cospan", ("0", "0", "P<T", "E<P"))
+        ]
+
+    def test_broken_apex_chain_is_reported_once(self):
+        # the meet m' of u' and v' is declared to live over x instead of m, so
+        # the pulled-back apexes m, m' break the chain; the ladder of pulled
+        # legs breaks at the same place and adds nothing
+        relations = [("m", "u"), ("m", "v"), ("u", "x"), ("v", "x")]
+        lower = poset_category("L0", ["m", "u", "v", "x"], relations)
+        upper = poset_category("L1", ["m'", "u'", "v'", "x'"], [(a + "'", b + "'") for a, b in relations])
+        over = {"m'": "x", "u'": "u", "v'": "v", "x'": "x"}
+        L = LayeredCategory(levels=(lower, upper), membership=(over,))
+        Ks = [
+            CoveringAssignment(families={"x": frozenset({frozenset({"u<x", "v<x"})})}),
+            CoveringAssignment(families={"x'": frozenset({frozenset({"u'<x'", "v'<x'"})})}),
+        ]
+        member = LadderMorphism(arrows=("u<x", "u'<x'"))
+        test = LadderMorphism(arrows=("v<x", "v'<x'"))
+        report = powered_stability_probe(L, [member], test, Ks)
+        assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
+            ("structural", "apex_chain", ("0", "m", "m'"))
+        ]
 
     def test_composite_of_covering_ladders_still_covers(self, layered_ws):
         L = layered_ws.layered["L"]
