@@ -61,11 +61,13 @@ class TestGamma:
         assert all(f.rule == "product_compat" for f in report.unverifiable)
 
     def test_partition_failing_validation_gets_only_its_structural_findings(self, poset2_ws):
-        # E in two blocks, and T in none: no product_compat verdict either way
+        # E in two blocks, T in none, or a block naming no object: no
+        # product_compat verdict either way
         cat = poset2_ws.categories["poset2"]
         cases = [
             ([["E", "P"], ["Q", "E"], ["T"]], "blocks_disjoint", ("E",)),
             ([["E"], ["P"], ["Q"]], "blocks_exhaustive", ("T",)),
+            ([["E"], ["P"], ["Q"], ["T", "ghost"]], "blocks_known", ("ghost",)),
         ]
         for blocks, rule, witnesses in cases:
             report = gamma_check(cat, partition_from_blocks(blocks))

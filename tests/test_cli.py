@@ -549,6 +549,62 @@ def test_inputs_on_different_categories_are_named(capsys, tmp_path, command, fix
     assert line in (err + out).splitlines()
 
 
+def _gapped_quotient(raw):
+    """Edit of modular.json: ``collapse-pair`` glues y and z of x -> y, z -> w,
+    so the class morphisms [x] -> [y+z] -> [w] have no composite."""
+    ids = {o: f"id_{o}" for o in "xyzw"}
+    composition = {f"{i}|{i}": i for i in ids.values()}
+    composition.update({"f|id_x": "f", "id_y|f": "f", "g|id_z": "g", "id_w|g": "g"})
+    morphisms = {i: [o, o] for o, i in ids.items()}
+    morphisms.update({"f": ["x", "y"], "g": ["z", "w"]})
+    raw["categories"]["gap"] = {
+        "objects": list(ids), "morphisms": morphisms, "identities": ids, "composition": composition
+    }
+    every = sorted(morphisms)
+    raw["model_cats"]["MG"] = {"category": "gap", "weq": every, "cof": every, "fib": every}
+    raw["partitions"]["yz"] = {"category": "gap", "blocks": [["x"], ["y", "z"], ["w"]]}
+    raw["checks"][10].update(model="MG", partition="yz")
+
+
+# one edit of a bundled fixture per rule that a check's runner in cli gives:
+# (command, fixture, label, edits, exit code, a line of the text report)
+CHECK_RULES = [
+    pytest.param(
+        "model-check", "modular.json", "mixed-types", [put("checks", 9, "expect_types", value=["cof"])],
+        1, "  [law] expected_types (cof): observed ['cof', 'weq']", id="expected_types",
+    ),
+    pytest.param(
+        "model-check", "modular.json", "collapse-pair", [_gapped_quotient], 1,
+        "  [law] quotient_composability ([x], [y+z], [w]): classes [x]->[y+z] and [y+z]->[w] compose to the "
+        "uninhabited [x]->[w]",
+        id="quotient_rejected",
+    ),
+    pytest.param(
+        "fingerprint", "fingerprint.json", "parts", [put("fingerprints", "tab", value={"b": [2]})],
+        2, "  [structural] fingerprint_known (-): no fingerprint for base object a", id="fingerprint_known-invariant",
+    ),
+    pytest.param(
+        "fingerprint", "fingerprint.json", "same-dims", [put("fingerprints", "tab", value={"b": [2]})],
+        2, "  [structural] fingerprint_known (-): no fingerprint for base object a", id="fingerprint_known-z_equiv",
+    ),
+    pytest.param(
+        "fingerprint", "fingerprint.json", "same-dims", [put("checks", 1, "expect", value=False)],
+        1, "  [law] expected_outcome (-): expected False, observed True", id="z_equiv-expected_outcome",
+    ),
+    pytest.param(
+        "sheaf-check", "chain3.json", "representable-additive", [put("checks", 13, "flavor", value="mixed")],
+        2, "error: checks[13]: unknown additivity flavor 'mixed'", id="additivity-flavor",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,fixture,label,edits,code,line", CHECK_RULES)
+def test_each_check_rule_fires_on_an_edited_fixture(capsys, tmp_path, command, fixture, label, edits, code, line):
+    got, out, err = _run_edited(capsys, tmp_path, command, fixture, label, edits)
+    assert got == code
+    assert line in (err + out).splitlines()
+
+
 @pytest.mark.parametrize(
     "command,label,edits,error",
     [

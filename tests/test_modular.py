@@ -41,6 +41,14 @@ class TestAxioms:
         report = model_axiom_check(broken)
         assert any(f.rule == "identities_in_class" for f in report.failures())
 
+    def test_unknown_class_member_is_structural(self, ws):
+        M = ws.model_cats["MC2"]
+        ghostly = ModelLabeledCat(base=M.base, weq=M.weq | {"ghost"}, cof=M.cof, fib=M.fib)
+        report = model_axiom_check(ghostly)
+        assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
+            ("structural", "class_member_known", ("weq", "ghost"))
+        ]
+
     def test_two_of_three_violation(self, ws):
         # u and its composite with v are equivalences, v alone is not
         M = ws.model_cats["M2"]

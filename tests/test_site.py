@@ -461,6 +461,14 @@ def _square_sides(ws):
     return square_endpoint_findings(ws.categories["chain3"], ws.squares["sq"][1])
 
 
+def _square(ws):
+    return distinguished_square_check(ws.pointed_bases["base"], ws.squares["sq"][1]).findings
+
+
+def _nisnevich(ws):
+    return nisnevich_cover_check(ws.pointed_bases["base"], ws.zobjects["X"], [ws.zmorphisms["psi1"][1]]).findings
+
+
 def _layered(ws):
     return validate_layered(ws.layered["L"]).findings
 
@@ -563,6 +571,22 @@ SITE_RULES = [
     pytest.param(
         "chain3.json", [drop("categories", "chain3", "composition", "B<T|A<B")], _square_sides,
         ("structural", "square_commutes", ("A<B", "id_A", "A<T", "B<T")), id="square_commutes",
+    ),
+    pytest.param(
+        "chain3.json", [put(*BASE, "residue_preserving", "B<T", value=["1"])], _square,
+        ("law", "complement_residue", ("2",)), id="complement_residue",
+    ),
+    pytest.param(
+        "chain3.json",
+        [put(*BASE, "points", "B", value=["1", "2", "3"]), put(*BASE, "point_map", "B<T", "3", value="2"),
+         put(*BASE, "residue_preserving", "B<T", value=["1", "2", "3"])],
+        _square, ("law", "complement_injective", ("2", "2", "3")), id="complement_injective",
+    ),
+    pytest.param(
+        "etale2.json",
+        [put("zobjects", "Y", value={"components": [[1, "X1", 2], [2, "X2", 1], [3, "X1", 1]]}),
+         put("zmorphisms", "psi1", "target", value="Y")],
+        _nisnevich, ("structural", "member_target", ("0",)), id="member_target",
     ),
     pytest.param(
         "layered2.json", [put("layered", "L", "membership", value=[])], _layered,
