@@ -21,7 +21,7 @@ from . import reports
 from .fincat import FinCat, InputError, ResourceBudgetError, reference_findings
 from .records import Record, Value
 from .reports import Report
-from .zlin import ZMorphism, ZObject, z_validate
+from .zlin import ZObject, z_validate
 
 
 def _family_label(family: frozenset[str]) -> str:

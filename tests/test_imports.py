@@ -1,0 +1,35 @@
+"""Import hygiene of the package: no unused module-level import, and no
+re-exports, so every name is imported from the module that defines it."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import cli_env
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "zsite"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in bound.items() if name not in used} == {}
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "import sys, zsite; print(sorted(m for m in sys.modules if m.startswith('zsite.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), check=True
+    )
+    assert proc.stdout == "[]\n"
