@@ -10,8 +10,10 @@ kernel as the base site (``site.covering_axiom_findings``) on the quotient,
 with class base change read off representative base cospans
 (``fincat.class_representatives``).  It downgrades to Skipped when its
 preconditions fail, since a probe over a broken base proves nothing either
-way.  The powered check takes one blurry site per level and a ladder of
-class morphisms; a loose level must name one of the sites.
+way.  The powered check is one call on one blurry site per level and a
+ladder of class morphisms: it probes every level not declared loose (a loose
+level must name one of the sites), then checks that each level's class
+arrow is covered.
 """
 
 from __future__ import annotations
