@@ -195,11 +195,8 @@ def _z_compose(r: _Resolver):
     """The composite's report and, when it is defined, its document."""
     base, outer = r.on("outer", "zmorphism")
     inner_base, inner = r.on("inner", "zmorphism")
+    r.lives_on("outer", base.name, "inner", inner_base.name)
     names = (r.value("outer"), r.value("inner"))
-    if base.name != inner_base.name:
-        return Report.collect(
-            "z_compose", [reports.structural("compose_inputs", names, "factors live on different categories")]
-        )
     rows = [
         reports.structural("compose_inputs", (label,), "factor fails validation")
         for label, phi in zip(names, (outer, inner))
@@ -226,11 +223,8 @@ def _nisnevich_inputs(r: _Resolver):
     base = r.id("pointed_base")
     target = r.zobject("target", base.cat)
     pairs = [r.lookup("zmorphism", name) for name in r.values("family")]
-    cats = {c for c, _m in pairs}
-    if len(cats) > 1:
-        raise r.error(f"zmorphisms live on different categories {sorted(cats)}")
-    if pairs:
-        r.lives_on("family", pairs[0][0], "base", base.cat.name)
+    for pos, (catname, _m) in enumerate(pairs):
+        r.lives_on(f"family[{pos}]", catname, "base", base.cat.name)
     return base, target, [m for _c, m in pairs]
 
 
@@ -282,7 +276,7 @@ def _powered_stability(r: _Resolver):
 def _blurry_site(r: _Resolver):
     cat, assignment = r.on("covering")
     rel_cat, rel = r.on("partition")
-    r.lives_on("covering", repr(cat.name), "partition", repr(rel_cat.name))
+    r.lives_on("covering", cat.name, "partition", rel_cat.name)
     return blurry_topology(cat, assignment, rel)
 
 
@@ -322,8 +316,7 @@ def _squares_probe(r: _Resolver):
     squares = []
     for name in r.values("squares"):
         catname, square = r.lookup("square", name)
-        if catname != F.cat.name:
-            raise r.error(f"square {name!r} lives on {catname}")
+        r.lives_on(f"square {name!r}", catname, "presheaf", F.cat.name)
         squares.append(square)
     asserted = r.value("asserted", bool, True)
     return squares_vs_sheaf_probe(F, assignment, squares, asserted)
@@ -365,8 +358,7 @@ def _precompose(r: _Resolver):
 def _model_and_partition(r: _Resolver):
     model = r.id("model")
     cat, rel = r.on("partition")
-    if cat.name != model.base.name:
-        raise r.error(f"partition lives on {cat.name!r}")
+    r.lives_on("partition", cat.name, "model", model.base.name)
     return model, rel
 
 

@@ -472,13 +472,13 @@ def _run_edited(capsys, tmp_path, command, fixture, label, edits):
             "site-check", "etale2.json", "full-cover",
             [_twin("etale2"), _copy("zmorphisms", "psi1", "psi9", category="etale22"),
              put("checks", 6, "family", value=["psi1", "psi9"])],
-            "error: checks[6]: zmorphisms live on different categories ['etale2', 'etale22']",
+            "error: checks[6]: family[1] lives on etale22, base on etale2",
             id="nisnevich-family",
         ),
         pytest.param(
             "site-check", "etale2.json", "full-cover",
             [_twin("etale2"), put("zmorphisms", "psi1", "category", value="etale22")],
-            "error: checks[6]: family lives on etale22, base on etale2",
+            "error: checks[6]: family[0] lives on etale22, base on etale2",
             id="nisnevich-base",
         ),
         pytest.param(
@@ -496,7 +496,7 @@ def _run_edited(capsys, tmp_path, command, fixture, label, edits):
         pytest.param(
             "blur-check", "chain3.json", "blurry-triv",
             [_twin("chain3"), put("partitions", "triv", "category", value="chain32")],
-            "error: checks[17]: covering lives on 'chain3', partition on 'chain32'",
+            "error: checks[17]: covering lives on chain3, partition on chain32",
             id="blurry-site",
         ),
         pytest.param(
@@ -514,19 +514,19 @@ def _run_edited(capsys, tmp_path, command, fixture, label, edits):
         pytest.param(
             "sheaf-check", "chain3.json", "glues-probe",
             [_twin("chain3"), put("squares", "sq", "category", value="chain32")],
-            "error: checks[11]: square 'sq' lives on chain32",
+            "error: checks[11]: square 'sq' lives on chain32, presheaf on chain3",
             id="squares-probe",
         ),
         pytest.param(
             "model-check", "modular.json", "mixed-types",
             [_twin("m3"), put("partitions", "m3p", "category", value="m32")],
-            "error: checks[9]: partition lives on 'm32'",
+            "error: checks[9]: partition lives on m32, model on m3",
             id="class-types",
         ),
         pytest.param(
             "model-check", "modular.json", "collapse-pair",
             [_twin("m2"), put("partitions", "mab", "category", value="m22")],
-            "error: checks[10]: partition lives on 'm22'",
+            "error: checks[10]: partition lives on m22, model on m2",
             id="quotient-model",
         ),
         pytest.param(
@@ -538,7 +538,7 @@ def _run_edited(capsys, tmp_path, command, fixture, label, edits):
         pytest.param(
             "z-compose", "zlin.json", "split-composite",
             [_twin("zbase"), put("zmorphisms", "psi", "category", value="zbase2")],
-            "  [structural] compose_inputs (psi, phi): factors live on different categories",
+            "error: checks[3]: outer lives on zbase2, inner on zbase",
             id="z-compose",
         ),
     ],
