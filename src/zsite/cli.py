@@ -141,12 +141,12 @@ class _Resolver:
         catname, doc = self.id(field, role)
         return self.ws.categories[catname], doc
 
-    def valid(self, role: str, name: str, validate, *args, **kwargs) -> bool:
-        """Whether the ``role`` document ``name`` passes ``validate(*args, **kwargs)``,
+    def valid(self, role: str, name: str, entry) -> bool:
+        """Whether the ``role`` document ``name`` passes its role's validator,
         which runs once per document and run."""
         key = (role, name)
         if key not in self.verdicts:
-            self.verdicts[key] = validate(*args, **kwargs).ok
+            self.verdicts[key] = _VALIDATORS[role](self.ws, name, entry).ok
         return self.verdicts[key]
 
     def zobject(self, field: str, cat):
@@ -197,13 +197,6 @@ def _z_compose(r: _Resolver):
     inner_base, inner = r.on("inner", "zmorphism")
     r.lives_on("outer", base.name, "inner", inner_base.name)
     names = (r.value("outer"), r.value("inner"))
-    rows = [
-        reports.structural("compose_inputs", (label,), "factor fails validation")
-        for label, phi in zip(names, (outer, inner))
-        if not r.valid("zmorphism", label, z_validate, base, phi, subject=label)
-    ]
-    if rows:
-        return Report.collect("z_compose", rows)
     try:
         composite = z_compose(base, outer, inner)
     except (SignIncoherent, MarginalMismatch) as exc:
@@ -410,10 +403,12 @@ def _z_equiv(r: _Resolver):
 # =====================================================================
 
 # role -> the validator of a document of that role that a law may need valid,
-# called by its global name like the checkers
+# called with the workspace, the document's name and its entry, and calling
+# its checker by its global name like the kinds do
 _VALIDATORS = {
-    "category": lambda cat: validate_category(cat),
-    "pointed_base": lambda base: validate_pointed_base(base),
+    "category": lambda ws, name, cat: validate_category(cat),
+    "pointed_base": lambda ws, name, base: validate_pointed_base(base),
+    "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
 }
 _CATEGORY, _POINTS = ("category",), ("pointed_base",)
 
@@ -437,7 +432,7 @@ KINDS = {
     "z_validate": (
         "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, ()
     ),
-    "z_compose": ("z-compose", _z_compose, False, ()),
+    "z_compose": ("z-compose", _z_compose, False, ("zmorphism",)),
     "grothendieck": (
         "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, _CATEGORY
     ),
@@ -480,8 +475,9 @@ COMMAND_KINDS = {
 
 def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
     """The check's report and payload.  The gate applies only when the run
-    returns: what it raises (an unknown id, a blown budget) names what
-    stopped the check, as does an unknown id that stops a validator."""
+    returns, and a check it fails keeps no payload: what the run raises (an
+    unknown id, a blown budget) names what stopped the check, as does an
+    unknown id that stops a validator."""
     kind = spec["kind"]
     _command, run, owns_expectation, gated = KINDS[kind]
     r = _Resolver(ws, spec, path, budget, verdicts, {})
@@ -494,10 +490,10 @@ def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict
             reports.structural("precondition", (name,), f"{DOCUMENTS[role][1]} fails validation")
             for role in gated
             for name, doc in r.read.get(role, {}).items()
-            if not r.valid(role, name, _VALIDATORS[role], doc)
+            if not r.valid(role, name, doc)
         ]
         if invalid:
-            report = Report.collect(kind, invalid)
+            report, payload = Report.collect(kind, invalid), None
     except KeyError as exc:
         missing = exc.args[0] if exc.args else ""
         report = Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")])

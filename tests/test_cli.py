@@ -595,6 +595,10 @@ CHECK_RULES = [
         "sheaf-check", "chain3.json", "representable-additive", [put("checks", 13, "flavor", value="mixed")],
         2, "error: checks[13]: unknown additivity flavor 'mixed'", id="additivity-flavor",
     ),
+    pytest.param(
+        "z-compose", "zlin.json", "split-composite", [put("zmorphisms", "phi", "terms", 0, value=[1, 1, 1, "f1"])],
+        2, "  [structural] precondition (phi): zmorphism fails validation", id="z_compose-precondition",
+    ),
 ]
 
 
