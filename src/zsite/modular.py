@@ -269,22 +269,6 @@ def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> P
     return _named_family(source, M, members)
 
 
-def validate_param_family(family: ParamFamily) -> Report:
-    rows = []
-    for fun in family.members:
-        verdict = check_functor(fun)
-        if not verdict.ok:
-            rows.append(
-                reports.law(
-                    "member_fes",
-                    (fun.name,),
-                    f"functorial={verdict.functorial} full={verdict.full} "
-                    f"es={verdict.essentially_surjective}",
-                )
-            )
-    return Report.collect("param_family", rows)
-
-
 def compose_functors(outer: Functor, inner: Functor) -> Functor:
     if inner.target is not outer.source and inner.target.name != outer.source.name:
         raise InputError("functors do not chain")

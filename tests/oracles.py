@@ -9,6 +9,8 @@ Slow is fine here; these only run at test scale.
 
 import itertools
 
+from zsite.fincat import check_functor
+
 
 def overlap_by_atoms(rows, cols):
     """Interval-overlap table computed by pairing unit atoms one by one.
@@ -146,6 +148,12 @@ def fes_bruteforce(source, target):
                 if functorial(omap, mmap) and full(omap, mmap) and surjective(omap):
                     members.add((tuple(sorted(omap.items())), tuple(sorted(mmap.items()))))
     return members, work
+
+
+def non_fes_members(family):
+    """Names of the members of a parametrization family that ``check_functor``
+    finds not functorial, not full or not essentially surjective."""
+    return [fun.name for fun in family.members if not check_functor(fun).ok]
 
 
 def count_fes_bruteforce(source, target):

@@ -599,6 +599,15 @@ CHECK_RULES = [
         "z-compose", "zlin.json", "split-composite", [put("zmorphisms", "phi", "terms", 0, value=[1, 1, 1, "f1"])],
         2, "  [structural] precondition (phi): zmorphism fails validation", id="z_compose-precondition",
     ),
+    pytest.param(
+        "parametrize", "modular.json", "pullback-chain",
+        [put("functors", "idm3", value={
+            "source": "m3", "target": "m3", "objects": {o: o for o in ("A", "A'", "B")},
+            "morphisms": {m: m for m in ("f", "g", "id_A", "id_A'", "id_B")},
+         }),
+         put("checks", 8, "inner", value="idm3")],
+        2, "  [structural] inputs (-): functor lands in m3, the family is parametrized by m2", id="precompose-chain",
+    ),
 ]
 
 
