@@ -88,8 +88,7 @@ def gamma_check(cat: FinCat, rel: ObjEquiv) -> Report:
 class BlurrySite(Record):
     """A site, a partition, and the induced class-level covering assignment.
 
-    quotient_assignment lives on the thin quotient category; witnesses maps
-    each (block, class family) to the first base family that produced it.
+    quotient_assignment lives on the thin quotient category.
     """
 
     def __init__(
@@ -100,24 +99,20 @@ class BlurrySite(Record):
         quotient: FinCat,
         quotient_report: Report,
         quotient_assignment: CoveringAssignment,
-        witnesses: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] | None = None,
     ):
         vars(self).update(
             cat=cat, assignment=assignment, relation=relation, quotient=quotient,
             quotient_report=quotient_report, quotient_assignment=quotient_assignment,
-            witnesses={} if witnesses is None else witnesses,
         )
 
 
 def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) -> BlurrySite:
     """Push a covering assignment down to the quotient category.
 
-    A class family is assigned to a block iff some base family maps onto it;
-    the first witness (in canonical order) is recorded per class family.
+    A class family is assigned to a block iff some base family maps onto it.
     """
     quotient, qreport = quotient_category(cat, rel)
     families: dict[str, frozenset[frozenset[str]]] = {}
-    witnesses: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] = {}
     for obj in sorted(cat.objects):
         block = rel.block_id(obj)
         for fam in assignment.families_of(obj):
@@ -125,7 +120,6 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
                 class_morphism(rel.block_id(cat.source(m)), rel.block_id(cat.target(m))) for m in fam
             )
             families[block] = families.get(block, frozenset()) | {class_family}
-            witnesses.setdefault((block, class_family), (obj, fam))
     return BlurrySite(
         cat=cat,
         assignment=assignment,
@@ -133,7 +127,6 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
         quotient=quotient,
         quotient_report=qreport,
         quotient_assignment=CoveringAssignment(families=families),
-        witnesses=witnesses,
     )
 
 

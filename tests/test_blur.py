@@ -95,19 +95,6 @@ class TestBlurryTopology:
             },
         }
 
-    def test_each_class_family_names_a_base_witness(self, poset2_ws):
-        cat = poset2_ws.categories["poset2"]
-        K = poset2_ws.coverings["K"][1]
-        rel = poset2_ws.partitions["ep"][1]
-        site = blurry_topology(cat, K, rel)
-        for (block, class_family), (obj, fam) in site.witnesses.items():
-            assert rel.block_id(obj) == block
-            assert K.has(obj, fam)
-            mapped = frozenset(
-                f"{rel.block_id(cat.source(m))}->{rel.block_id(cat.target(m))}" for m in fam
-            )
-            assert mapped == class_family
-
 
 class TestBlurryProbe:
     def test_every_compatible_pair_passes(self, poset2_ws, chain3_ws):

@@ -70,7 +70,6 @@ DEFAULT_CONTAINERS = [
     (lambda: RefinementTable((1,), (1,)), "entries"),
     (CoveringAssignment, "families"),
     (lambda: PointedBase(_cat(), {}, {}), "residue_preserving"),
-    (_blurry_site, "witnesses"),
     *((Workspace, table) for table, _noun, _decode, _cats in DOCUMENTS.values()),
 ]
 
