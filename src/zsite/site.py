@@ -785,7 +785,7 @@ def powered_stability_probe(
                 break
             if (f, g) not in level.pullbacks:
                 detail = "no declared pullback for this cospan"
-                rows.append(reports.unverifiable("stability_pullback", (n, f, g), detail))
+                rows.append(reports.unverifiable("stability_pullback", (pos, n, f, g), detail))
                 break
             chosen.append(level.pullbacks[f, g])
         if len(chosen) < layered.depth():

@@ -311,16 +311,27 @@ class TestLayered:
             report = powered_stability_probe(L, fam, layered_ws.ladders[test][1], Ks)
             assert report.ok, report.render()
 
-    def test_missing_pullback_is_unverifiable(self, layered_ws):
-        L = layered_ws.layered["L"]
-        Ks = self._assignments(layered_ws)
-        fam = [layered_ws.ladders["lad"][1]]
+    def _probe_without_upper_pullback(self, ws, family):
+        """The probe of ``family`` along ladc once the pullback of P'<T' and E'<T' is undeclared."""
+        L = ws.layered["L"]
         upper = L.levels[1]
         pullbacks = {k: v for k, v in upper.pullbacks.items() if k != ("P'<T'", "E'<T'")}
         L = replace(L, levels=(L.levels[0], replace(upper, pullbacks=pullbacks)))
-        report = powered_stability_probe(L, fam, layered_ws.ladders["ladc"][1], Ks)
+        return powered_stability_probe(L, family, ws.ladders["ladc"][1], self._assignments(ws))
+
+    def test_missing_pullback_is_unverifiable(self, layered_ws):
+        report = self._probe_without_upper_pullback(layered_ws, [layered_ws.ladders["lad"][1]])
         assert report.ok
-        assert [f.witnesses for f in report.unverifiable if f.rule == "stability_pullback"] == [("1", "P'<T'", "E'<T'")]
+        assert [f.witnesses for f in report.unverifiable if f.rule == "stability_pullback"] == [("0", "1", "P'<T'", "E'<T'")]
+
+    def test_members_with_equal_arrows_are_each_unverifiable(self, layered_ws):
+        # the finding names the member's position, so two members with the
+        # same arrows at the level are not merged into one
+        lad = layered_ws.ladders["lad"][1]
+        report = self._probe_without_upper_pullback(layered_ws, [lad, lad])
+        assert [f.witnesses for f in report.unverifiable] == [
+            ("0", "1", "P'<T'", "E'<T'"), ("1", "1", "P'<T'", "E'<T'")
+        ]
 
     def test_arrows_into_different_targets_are_no_cospan(self, layered_ws):
         # lad ends in T, lad2 in P: there is nothing to pull back, which is
