@@ -311,7 +311,7 @@ def _squares_probe(r: _Resolver):
         r.lives_on(f"square {name!r}", catname, "presheaf", F.cat.name)
         squares.append(square)
     asserted = r.value("asserted", bool, True)
-    return squares_vs_sheaf_probe(F, assignment, squares, asserted)
+    return squares_vs_sheaf_probe(F, assignment, squares, asserted, r.budget)
 
 
 def _enumerate_fes(r: _Resolver):
@@ -441,7 +441,7 @@ KINDS = {
     "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
     "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _CATEGORY),
     "powered_blurry": ("blur-check", _powered_blurry, False, _CATEGORY),
-    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering")), False, _CATEGORY),
+    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering"), r.budget), False, _CATEGORY),
     "additivity": ("sheaf-check", _additivity, False, ()),
     "cartesian": (
         "sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, _CATEGORY

@@ -22,7 +22,7 @@ import functools
 import itertools
 
 from . import reports
-from .fincat import FinCat, InputError
+from .fincat import FinCat, InputError, ResourceBudgetError
 from .records import Record
 from .reports import Report
 from .search import backtrack
@@ -121,14 +121,18 @@ def representable(cat: FinCat, obj: str) -> Presheaf:
 # =====================================================================
 
 
-def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...], list]:
+def matching_families(
+    F: Presheaf, family, budget: int | None = None
+) -> tuple[tuple[tuple[str, ...], ...], list]:
     """All compatible section tuples for the family, in enumeration order.
 
     The family is ordered canonically (sorted ids); a tuple assigns one
     section over each member's source, agreeing on every declared pairwise
     pullback.  ``search.backtrack`` assigns the members in order and tests
     each pair, both ways round, once both of its sections are assigned.
-    Missing pullbacks are returned, not raised.
+    Missing pullbacks are returned, not raised.  ``budget`` caps the
+    candidate sections tested in the search; past it ResourceBudgetError is
+    raised.
     """
     cat = F.cat
     order = sorted(family)
@@ -150,7 +154,16 @@ def matching_families(F: Presheaf, family) -> tuple[tuple[tuple[str, ...], ...],
             rows.append((other, p_other, p_pos, None if mirrored else q_pos, q_other))
         legs.append((rows, cat.pullbacks[g, g][1:]))
 
+    tested = 0
+
     def compatible(prefix, s):
+        nonlocal tested
+        tested += 1
+        if budget is not None and tested > budget:
+            raise ResourceBudgetError(
+                f"matching families over {_family_label(family)} need more than {budget} candidate sections; "
+                "refusing to truncate"
+            )
         rows, (a, b) = legs[len(prefix)]
         for other, p_other, p_pos, q_pos, q_other in rows:
             t = prefix[other]
@@ -184,13 +197,14 @@ def bijection_findings(mapped, targets, injective, surjective, context=()) -> li
     return rows
 
 
-def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
+def sheaf_check(F: Presheaf, assignment: CoveringAssignment, budget: int | None = None) -> Report:
     """Equalizer condition for every assigned family.
 
     For each family the canonical map from sections over the object to
     matching families must be injective (separation) and surjective
     (gluing).  Families with an undeclared pairwise pullback are
-    Unverifiable, naming the pair.
+    Unverifiable, naming the pair.  ``budget`` caps each family's
+    matching-family search.
     """
     if not F.shape.ok:
         return F.shape
@@ -200,7 +214,7 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment) -> Report:
         for fam in assignment.families_of(obj):
             order = sorted(fam)
             label = _family_label(fam)
-            matching, missing = matching_families(F, fam)
+            matching, missing = matching_families(F, fam, budget)
             if missing:
                 for f, g in sorted(set(missing)):
                     rows.append(
@@ -344,6 +358,7 @@ def squares_vs_sheaf_probe(
     assignment: CoveringAssignment,
     squares,
     generation_asserted: bool = True,
+    budget: int | None = None,
 ) -> Report:
     """Sheaf condition against cartesianness on the declared squares.
 
@@ -351,7 +366,8 @@ def squares_vs_sheaf_probe(
     generated by the declared squares; that is the caller's assertion and it
     is recorded, not checked.  Disagreement is a law finding either way.
     With no square there is nothing to compare, and the report holds only
-    the structural ``squares_declared`` finding.
+    the structural ``squares_declared`` finding.  ``budget`` caps each
+    matching-family search of the sheaf check.
     """
     squares = tuple(squares)
     if not squares:
@@ -366,7 +382,7 @@ def squares_vs_sheaf_probe(
             else "no generation assertion made; disagreement below is uninterpretable",
         )
     ]
-    sheaf_report = sheaf_check(F, assignment)
+    sheaf_report = sheaf_check(F, assignment, budget)
     sheaf_ok = sheaf_report.ok
     square_ok = True
     for pos, sq in enumerate(squares):

@@ -145,6 +145,17 @@ def test_transitivity_refinement_is_budgeted(capsys):
     assert entry["findings"][0]["kind"] == "structural"
 
 
+def test_matching_family_search_is_budgeted(capsys):
+    code, out, _err = run(capsys, ["sheaf-check", fixture_path("chain3.json"), "--budget", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    (entry, *_rest) = [e for e in doc["checks"] if e["kind"] == "sheaf"]
+    assert entry["findings"] == [{
+        "kind": "structural", "rule": "budget", "witnesses": [],
+        "detail": "matching families over {id_B} need more than 1 candidate sections; refusing to truncate",
+    }]
+
+
 def test_dangling_projection_fails_only_its_checks(capsys, tmp_path):
     with open(fixture_path("chain3.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
