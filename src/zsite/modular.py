@@ -248,7 +248,8 @@ def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> P
             )
         key = frozenset(images)
         if key not in surjective:
-            surjective[key] = all(any(tgt.isomorphic(x, d) for x in key) for d in tgt.objects)
+            # in sorted order, so the hom lookups made do not depend on the hash seed
+            surjective[key] = all(any(tgt.isomorphic(x, d) for x in sorted(key)) for d in tgt.objects)
         if not surjective[key]:
             continue
         values[len(arrows):] = [tgt.identity(images[pos]) for pos in owner.values()]

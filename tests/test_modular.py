@@ -1,9 +1,11 @@
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from conftest import fixture_path
+from conftest import cli_env, fixture_path
 from fuzz import cyclic_groupoid, drop_composites, rand_small_category
 from oracles import count_fes_bruteforce, fes_bruteforce, non_fes_members
 from zsite.fincat import FinCat, ResourceBudgetError, partition_from_blocks
@@ -140,6 +142,27 @@ class TestEnumeration:
         family = enumerate_fes(cyclic_groupoid(2, 3), ModelLabeledCat(base=cyclic_groupoid(1, 3)), budget=10**6)
         assert len(family.members) == 6
         assert time.perf_counter() - start < 2.0
+
+    def test_hom_lookups_do_not_depend_on_the_hash_seed(self):
+        # surjectivity tests the image objects in sorted order, so the search
+        # makes the same hom lookups, and a traced run the same count, under
+        # every hash seed
+        script = (
+            "from zsite.fincat import FinCat; from zsite.jsonio import load_workspace; "
+            "from zsite.modular import enumerate_fes; "
+            f"ws = load_workspace({fixture_path('modular.json')!r}); "
+            "calls = []; hom = FinCat.hom; "
+            "FinCat.hom = lambda self, a, b: calls.append(1) or hom(self, a, b); "
+            "enumerate_fes(ws.categories['chain2'], ws.model_cats['MC2']); print(len(calls))"
+        )
+        counts = [
+            subprocess.run(
+                [sys.executable, "-c", script], env=cli_env(PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert counts[0] == counts[1]
 
 
 class TestPrecomposition:
