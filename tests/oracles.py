@@ -9,8 +9,6 @@ Slow is fine here; these only run at test scale.
 
 import itertools
 
-from zsite.fincat import check_functor
-
 
 def overlap_by_atoms(rows, cols):
     """Interval-overlap table computed by pairing unit atoms one by one.
@@ -151,9 +149,14 @@ def fes_bruteforce(source, target):
 
 
 def non_fes_members(family):
-    """Names of the members of a parametrization family that ``check_functor``
-    finds not functorial, not full or not essentially surjective."""
-    return [fun.name for fun in family.members if not check_functor(fun).ok]
+    """Names of the members of a parametrization family that ``fes_bruteforce``
+    does not find among the full, essentially surjective functors."""
+    members, _work = fes_bruteforce(family.source, family.model.base)
+    return [
+        fun.name
+        for fun in family.members
+        if (tuple(sorted(fun.object_map.items())), tuple(sorted(fun.morphism_map.items()))) not in members
+    ]
 
 
 def count_fes_bruteforce(source, target):
