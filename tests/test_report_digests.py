@@ -19,7 +19,8 @@ def test_bundled_reports_match_the_pinned_digests():
     # exit code, stdout and stderr of every bundled fixture x command x format,
     # every output of the seeded checker sweep, the term layouts of
     # seeded z-composites, z-compose on a seeded wide-sum workspace, every
-    # command on each fixture with one composite deleted and the load error
+    # command on each fixture with one composite deleted, every command on
+    # four fixture edits that fail their own validator and the load error
     # of each fixture with one reference field naming nothing are pinned by
     # tools/report_digests.py, as are the covering closures of seeded poset
     # sites and the powered cover and stability reports of seeded towers;

@@ -22,7 +22,11 @@ stderr of COMMAND, in both formats, on a copy of the fixture whose category
 lacks one composite (see ``holed_fixtures``).  The ``"decode errors"`` entry
 is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
 of each bundled fixture with one reference field of one document naming
-nothing (see ``dangling_fixtures``).  Run from the repository root:
+nothing (see ``dangling_fixtures``).  The ``"invalid inputs"`` entry is the
+sha256 of the exit code, stdout and stderr of every command, in both
+formats, on four schema-valid edits of bundled fixtures whose edited
+document fails its own validator (see ``invalid_fixtures``).  Run from the
+repository root:
 
     python3 tools/report_digests.py [OUT]
 
@@ -167,6 +171,7 @@ def digests() -> dict[str, str]:
     result["layouts"] = _sha(layout_outputs())
     result["wide z-compose"] = _sha(wide_outputs())
     result["decode errors"] = _sha(decode_error_outputs())
+    result["invalid inputs"] = _sha(invalid_outputs())
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in holed_fixtures():
             path = pathlib.Path(tmp) / f"{name}.json"
@@ -235,6 +240,46 @@ def decode_error_outputs() -> list:
         for label, doc in dangling_fixtures():
             path.write_text(json.dumps(doc), encoding="utf-8")
             out.append([label, *run(["validate", str(path)])])
+    return out
+
+
+# (fixture, label, path of the edited entry, its new value): each edit keeps
+# the workspace schema-valid and makes one document fail its validator
+INVALID_EDITS = (
+    ("zlin.json", "composite", ("categories", "zbase", "composition", "g1|f1"), "g2f1"),
+    ("chain3.json", "covering", ("coverings", "K", "families", "T", 0), ["B<T", "A<B"]),
+    ("chain3.json", "square", ("squares", "sq", "w_to_u"), "id_T"),
+    ("chain3.json", "presheaf", ("presheaves", "glues", "restrictions", "id_B", "s"), "t"),
+)
+
+
+def invalid_fixtures():
+    """``("FIXTURE LABEL", workspace)`` per edit of ``INVALID_EDITS``.
+
+    ``validate`` fails the edited document: composite ``g1|f1`` of zbase
+    leaves its factors' endpoints, covering K gives T a member into B,
+    square sq's W-leg ``id_T`` leaves W, and presheaf glues' identity on B
+    moves a section.
+    """
+    for fixture, label, keys, value in INVALID_EDITS:
+        doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        yield f"{fixture} {label}", doc
+
+
+def invalid_outputs() -> list:
+    """Exit code, stdout and stderr of every command, per format, on each ``invalid_fixtures`` workspace."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "invalid.json"
+        for label, doc in invalid_fixtures():
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for command in COMMAND_KINDS:
+                runs = [run([command, str(path), "--format", fmt]) for fmt in ("json", "text")]
+                out.append([label, command, *runs])
     return out
 
 
