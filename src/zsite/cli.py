@@ -10,10 +10,13 @@ derived from it.  Each run function reads its spec through a ``_Resolver``,
 which resolves ids in the workspace table of their role (a row of
 ``jsonio.DOCUMENTS``), records the documents it read and the categories
 they live on and turns a missing or mistyped field into a WorkspaceError.
-Reports are byte-deterministic for identical inputs (canonical finding
-order, sorted JSON keys).  Exit status: 0 all checks pass, 1 some check
-failed a law, 2 structural trouble (schema violation, unresolved reference,
-mistyped spec field, malformed document, blown enumeration budget).
+Each check's entry is encoded as the check ends, and its report dropped;
+nothing is written before every check has run, so a WorkspaceError prints
+only its ``error:`` line.  Reports are byte-deterministic for identical
+inputs (canonical finding order, sorted JSON keys).  Exit status: 0 all
+checks pass, 1 some check failed a law, 2 structural trouble (schema
+violation, unresolved reference, mistyped spec field, malformed document,
+blown enumeration budget).
 """
 
 from __future__ import annotations
@@ -506,17 +509,6 @@ def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict
 # =====================================================================
 
 
-def _exit_code(report_rows) -> int:
-    worst = 0
-    for _label, _kind, report, _payload in report_rows:
-        kinds = {f.kind for f in report.findings}
-        if reports.STRUCTURAL in kinds:
-            return 2
-        if not report.ok:
-            worst = max(worst, 1)
-    return worst
-
-
 def dumps_indented(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``.
 
@@ -549,37 +541,19 @@ def dumps_indented(value, indent: str = "") -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _emit_json(command: str, rows) -> str:
-    doc = {
-        "command": command,
-        "ok": all(r.ok for _l, _k, r, _p in rows),
-        "checks": [],
-    }
-    for label, kind, report, payload in rows:
-        entry = {
-            "label": label,
-            "kind": kind,
-            "ok": report.ok,
-            "findings": [f.to_json_dict() for f in report.findings],
-        }
-        if payload is not None:
-            entry["result"] = payload
-        doc["checks"].append(entry)
-    return dumps_indented(doc) + "\n"
+def _emit_json(label: str, kind: str, report: Report, payload) -> str:
+    """The check's entry, indented to its place in the document's ``checks`` list."""
+    entry = {"label": label, "kind": kind, "ok": report.ok, "findings": [f.to_json_dict() for f in report.findings]}
+    if payload is not None:
+        entry["result"] = payload
+    return dumps_indented(entry, "    ")
 
 
-def _emit_text(command: str, rows) -> str:
-    lines = []
-    passed = 0
-    for label, kind, report, payload in rows:
-        mark = "PASS" if report.ok else "FAIL"
-        passed += report.ok
-        lines.append(f"[{mark}] {label} ({kind})")
-        for f in report.findings:
-            lines.append("  " + f.render())
-        if payload is not None:
-            lines.append("  result: " + json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    lines.append(f"{command}: {len(rows)} checks, {passed} passed, {len(rows) - passed} failed")
+def _emit_text(label: str, kind: str, report: Report, payload) -> str:
+    lines = [f"[{'PASS' if report.ok else 'FAIL'}] {label} ({kind})"]
+    lines += ["  " + f.render() for f in report.findings]
+    if payload is not None:
+        lines.append("  result: " + json.dumps(payload, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
 
 
@@ -632,17 +606,32 @@ def main(argv=None) -> int:
             specs = [("--outer/--inner", spec)]
         if args.only is not None:
             specs = [(path, spec) for path, spec in specs if spec.get("label") == args.only]
-        rows, verdicts = [], {}
+        emit = _emit_json if args.format == "json" else _emit_text
+        entries, passed, code, verdicts = [], 0, 0, {}
         for path, spec in specs:
             report, payload = _run_check(ws, spec, path, args.budget, verdicts)
-            rows.append((spec["label"], spec["kind"], report, payload))
+            entries.append(emit(spec["label"], spec["kind"], report, payload))
+            passed += report.ok
+            structural = any(f.kind == reports.STRUCTURAL for f in report.findings)
+            code = max(code, 2 if structural else int(not report.ok))
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    emit = _emit_json if args.format == "json" else _emit_text
-    sys.stdout.write(emit(args.command, rows))
-    return _exit_code(rows)
+    # one write per entry: joining them would hold the whole document again
+    write, failed = sys.stdout.write, len(entries) - passed
+    if args.format == "json":
+        write('{\n  "checks": [')
+        for pos, entry in enumerate(entries):
+            write(",\n    " if pos else "\n    ")
+            write(entry)
+        write("\n  ]" if entries else "]")
+        write(f',\n  "command": {encode_basestring(args.command)},\n  "ok": {json.dumps(not failed)}\n}}\n')
+    else:
+        for entry in entries:
+            write(entry)
+        write(f"{args.command}: {len(entries)} checks, {passed} passed, {failed} failed\n")
+    return code
 
 
 if __name__ == "__main__":
