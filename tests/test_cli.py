@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import weakref
 from importlib import resources
 
 import pytest
@@ -856,6 +857,24 @@ def test_text_format_summarizes(capsys):
     assert code == 0
     assert "[PASS] cat (validate_category)" in out
     assert out.rstrip().endswith("validate: 3 checks, 3 passed, 0 failed")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_report_is_dropped_when_its_check_ends(capsys, monkeypatch, fmt):
+    # main keeps a check's encoded entry, not its report: when a check
+    # starts, at most the report of the check before it is still alive
+    alive, refs, real = [], [], cli._run_check
+
+    def wrapper(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        report, payload = real(*args)
+        refs.append(weakref.ref(report))
+        return report, payload
+
+    monkeypatch.setattr(cli, "_run_check", wrapper)
+    code, _out, err = run(capsys, ["validate", fixture_path("chain3.json"), "--format", fmt])
+    assert code == 0 and err == "" and len(alive) == 5
+    assert max(alive) <= 1, alive
 
 
 # strings a report can hold: quotes, backslashes, control characters,
