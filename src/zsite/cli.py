@@ -430,7 +430,7 @@ KINDS = {
     "z_validate": (
         "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, ()
     ),
-    "z_compose": ("z-compose", _z_compose, False, ("zmorphism",)),
+    "z_compose": ("z-compose", _z_compose, False, _CATEGORY + ("zmorphism",)),
     "grothendieck": (
         "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, _CATEGORY
     ),

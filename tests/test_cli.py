@@ -359,6 +359,41 @@ def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypa
     assert sorted(calls) == ["phi", "phi", "psi", "psi"]
 
 
+@pytest.mark.parametrize(
+    "command,fixture,edit,gated,name,noun",
+    [
+        pytest.param(
+            "z-compose", "zlin.json", put("categories", "zbase", "composition", "g1|f1", value="g2f1"),
+            {"split-composite"}, "zbase", "category", id="z_compose-category",
+        ),
+    ],
+)
+def test_checks_reading_an_invalid_document_are_precondition_failures(
+    capsys, tmp_path, command, fixture, edit, gated, name, noun
+):
+    # the edit keeps the workspace schema-valid but makes the document
+    # ``name`` fail its validator; no check that reads it may then give a
+    # verdict or a result, and the checks that do not read it run as before
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and err == ""
+    entries = {entry["label"]: entry for entry in json.loads(out)["checks"]}
+    assert gated <= set(entries)
+    for label, entry in entries.items():
+        if label in gated:
+            assert entry["findings"] == [
+                {"kind": "structural", "rule": "precondition", "witnesses": [name],
+                 "detail": f"{noun} fails validation"}
+            ]
+            assert "result" not in entry
+        else:
+            assert all(f["rule"] != "precondition" for f in entry["findings"]), label
+
+
 def test_a_wrong_expect_terms_lists_both_term_lists(capsys, tmp_path):
     with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
