@@ -68,6 +68,7 @@ from .site import (
     nisnevich_cover_check,
     powered_cover_check,
     powered_stability_probe,
+    square_endpoint_findings,
     validate_covering,
     validate_layered,
     validate_pointed_base,
@@ -407,8 +408,15 @@ _VALIDATORS = {
     "category": lambda ws, name, cat: validate_category(cat),
     "pointed_base": lambda ws, name, base: validate_pointed_base(base),
     "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
+    "covering": lambda ws, name, entry: validate_covering(ws.categories[entry[0]], entry[1]),
+    "presheaf": lambda ws, name, F: validate_presheaf(F),
+    "square": lambda ws, name, entry: Report.collect(
+        name, square_endpoint_findings(ws.categories[entry[0]], entry[1])
+    ),
 }
 _CATEGORY, _POINTS = ("category",), ("pointed_base",)
+_COVER, _PRESHEAF = _CATEGORY + ("covering",), _CATEGORY + ("presheaf",)
+_SHEAF = _COVER + ("presheaf",)
 
 # kind -> (command, run, owns_expectation, gated).  run(r) reads the spec
 # through the resolver r and returns the check's Report (z_compose: the
@@ -439,17 +447,17 @@ KINDS = {
         "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, _POINTS
     ),
     "square": ("site-check", _square, False, _CATEGORY + _POINTS),
-    "powered_cover": ("site-check", _powered_cover, False, _CATEGORY),
-    "powered_stability": ("site-check", _powered_stability, False, _CATEGORY),
+    "powered_cover": ("site-check", _powered_cover, False, _COVER),
+    "powered_stability": ("site-check", _powered_stability, False, _COVER),
     "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
-    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _CATEGORY),
-    "powered_blurry": ("blur-check", _powered_blurry, False, _CATEGORY),
-    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering"), r.budget), False, _CATEGORY),
+    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _COVER),
+    "powered_blurry": ("blur-check", _powered_blurry, False, _COVER),
+    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering"), r.budget), False, _SHEAF),
     "additivity": ("sheaf-check", _additivity, False, ()),
     "cartesian": (
-        "sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, _CATEGORY
+        "sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, _PRESHEAF
     ),
-    "squares_probe": ("sheaf-check", _squares_probe, False, _CATEGORY),
+    "squares_probe": ("sheaf-check", _squares_probe, False, _SHEAF + ("square",)),
     "enumerate_fes": ("parametrize", _enumerate_fes, False, _CATEGORY),
     "precompose": ("parametrize", _precompose, False, _CATEGORY),
     "model_axioms": (

@@ -366,6 +366,31 @@ def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypa
             "z-compose", "zlin.json", put("categories", "zbase", "composition", "g1|f1", value="g2f1"),
             {"split-composite"}, "zbase", "category", id="z_compose-category",
         ),
+        pytest.param(
+            "sheaf-check", "chain3.json", put("coverings", "K", "families", "T", 0, value=["B<T", "A<B"]),
+            {"glues-sheaf", "gapped-sheaf", "glues-probe", "gapped-probe"}, "K", "covering", id="sheaf-covering",
+        ),
+        pytest.param(
+            "blur-check", "chain3.json", put("coverings", "K", "families", "T", 0, value=["B<T", "A<B"]),
+            {"blurry-triv", "blurry-ab"}, "K", "covering", id="blurry-covering",
+        ),
+        pytest.param(
+            "site-check", "layered2.json", put("coverings", "K1", "families", "P'", 0, value=["E'<T'"]),
+            {"top-cover", "mid-cover", "composite-cover", "stable-identity", "stable-corner"}, "K1", "covering",
+            id="powered-covering",
+        ),
+        pytest.param(
+            "blur-check", "layered2.json", put("coverings", "K1", "families", "P'", 0, value=["E'<T'"]),
+            {"two-level-blurry"}, "K1", "covering", id="powered-blurry-covering",
+        ),
+        pytest.param(
+            "sheaf-check", "chain3.json", put("presheaves", "glues", "restrictions", "id_B", "s", value="t"),
+            {"glues-sheaf", "glues-cartesian", "glues-probe"}, "glues", "presheaf", id="presheaf",
+        ),
+        pytest.param(
+            "sheaf-check", "chain3.json", put("squares", "sq", "w_to_u", value="id_T"),
+            {"glues-probe", "gapped-probe"}, "sq", "square", id="squares-probe-square",
+        ),
     ],
 )
 def test_checks_reading_an_invalid_document_are_precondition_failures(
