@@ -381,3 +381,63 @@ def damage_workspace(rng: random.Random, raw: dict, edits: int = 3) -> dict:
     for _ in range(edits):
         rng.choice(_MUTATIONS)(rng, raw)
     return raw
+
+
+# =====================================================================
+# schema-valid reassignments
+# =====================================================================
+
+
+def _reassignable(raw) -> list:
+    """(container, key, candidates) of every entry ``reassign_workspace`` may
+    set, each candidate an id of the same sort, so the document stays
+    schema-valid and every reference still resolves."""
+    cats = raw.get("categories", {})
+    arrows = {name: sorted(cat["morphisms"]) for name, cat in cats.items()}
+    objects = {name: sorted(cat["objects"]) for name, cat in cats.items()}
+    slots = []
+    for name, cat in cats.items():
+        slots += [(cat["composition"], key, arrows[name]) for key in cat["composition"]]
+        slots += [(row, leg, arrows[name]) for row in cat.get("pullbacks", {}).values() for leg in (1, 2)]
+    for F in raw.get("presheaves", {}).values():
+        sections = sorted({s for over in F["sections"].values() for s in over})
+        slots += [(table, s, sections) for table in F["restrictions"].values() for s in table]
+    for base in raw.get("pointed_bases", {}).values():
+        points = sorted({p for over in base["points"].values() for p in over})
+        slots += [(table, p, points) for table in base["point_map"].values() for p in table]
+    for phi in raw.get("zmorphisms", {}).values():
+        slots += [(term, 3, arrows[phi["category"]]) for term in phi["terms"]]
+    for K in raw.get("coverings", {}).values():
+        families = [family for fams in K["families"].values() for family in fams]
+        slots += [(family, pos, arrows[K["category"]]) for family in families for pos in range(len(family))]
+    for fun in raw.get("functors", {}).values():
+        slots += [(fun["objects"], obj, objects[fun["target"]]) for obj in fun["objects"]]
+        slots += [(fun["morphisms"], m, arrows[fun["target"]]) for m in fun["morphisms"]]
+    for layered in raw.get("layered", {}).values():
+        for lower, mapping in zip(layered["levels"], layered["membership"]):
+            slots += [(mapping, obj, objects[lower]) for obj in mapping]
+    for model in raw.get("model_cats", {}).values():
+        for label in ("weq", "cof", "fib"):
+            slots += [(model[label], pos, arrows[model["category"]]) for pos in range(len(model[label]))]
+    for square in raw.get("squares", {}).values():
+        sides = ("u_to_x", "v_to_x", "w_to_u", "w_to_v")
+        slots += [(square, side, arrows[square["category"]]) for side in sides]
+    return slots
+
+
+def reassign_workspace(rng: random.Random, raw: dict, edits: int = 1) -> dict:
+    """Apply ``edits`` schema-valid reassignments to a raw workspace in place.
+
+    Each sets one entry to another id of its sort: a composite value, a
+    pullback leg, a restriction or point-map entry, a term's arrow, a
+    covering member, a functor's object or morphism image, a layered
+    membership entry, a class label of a model category or a square's side.
+    The edited workspace still loads; whether its documents still pass
+    their validators is left to chance.
+    """
+    for _ in range(edits):
+        slots = _reassignable(raw)
+        if slots:
+            node, key, candidates = rng.choice(slots)
+            node[key] = rng.choice(candidates)
+    return raw

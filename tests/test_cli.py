@@ -12,9 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES, cli_env, fixture_path, put
-from fuzz import damage_workspace
+from fuzz import damage_workspace, reassign_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
+from zsite.fincat import check_functor, validate_category, validate_partition
+from zsite.sheaf import validate_presheaf
+from zsite.site import (
+    square_endpoint_findings,
+    validate_covering,
+    validate_ladder,
+    validate_layered,
+    validate_pointed_base,
+)
+from zsite.zlin import z_validate
 
 # every (command, fixture) pair whose check list is non-empty and all green
 PASSING = [
@@ -127,6 +137,73 @@ def test_damaged_workspaces_keep_the_exit_table(tmp_path_factory, name, seed, ed
         else:
             assert err == ""
             assert code != 2 or _has_structural_finding(out)
+
+
+# role -> whether a document of that role, read as the resolver records it,
+# fails its validator; the validators are called here directly, not through
+# the command line's gate
+_FAILS_VALIDATION = {
+    "category": lambda ws, cat: not validate_category(cat).ok,
+    "functor": lambda ws, fun: not check_functor(fun).report.ok,
+    "partition": lambda ws, entry: not validate_partition(ws.categories[entry[0]], entry[1]).ok,
+    "pointed_base": lambda ws, base: not validate_pointed_base(base).ok,
+    "zmorphism": lambda ws, entry: not z_validate(ws.categories[entry[0]], entry[1]).ok,
+    "covering": lambda ws, entry: not validate_covering(ws.categories[entry[0]], entry[1]).ok,
+    "presheaf": lambda ws, F: not validate_presheaf(F).ok,
+    "square": lambda ws, entry: bool(square_endpoint_findings(ws.categories[entry[0]], entry[1])),
+    "layered": lambda ws, layered: not validate_layered(layered).ok,
+    "ladder": lambda ws, entry: not validate_ladder(ws.layered[entry[0]], entry[1]).ok,
+}
+
+# validate's kinds report on invalid documents by design; additivity reads no
+# composite, and its ungated verdict is pinned
+_UNGATED = set(COMMAND_KINDS["validate"]) | {"additivity"}
+
+
+def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, monkeypatch):
+    # one seeded, schema-valid reassignment per case; every check whose
+    # resolver read a document that fails its role's validator must carry a
+    # structural finding, under every command
+    resolvers, checks, real = [], [], cli._run_check
+
+    class Recording(cli._Resolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            resolvers.append(self)
+
+    def run_check(ws, spec, *args):
+        first = len(resolvers)
+        report, payload = real(ws, spec, *args)
+        checks.append((spec["kind"], ws, resolvers[first].read, report))
+        return report, payload
+
+    monkeypatch.setattr(cli, "_Resolver", Recording)
+    monkeypatch.setattr(cli, "_run_check", run_check)
+    names = [name for name in FIXTURE_NAMES if name != "malformed.json"]
+    violations = []
+    for seed in range(100):
+        rng = random.Random(seed)
+        name = rng.choice(names)
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            raw = reassign_workspace(rng, json.load(fh))
+        path = tmp_path / name
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        for command in COMMAND_KINDS:
+            checks.clear()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main([command, str(path), "--budget", "2000"])
+            for kind, ws, read, report in checks:
+                if kind in _UNGATED or any(f.kind == "structural" for f in report.findings):
+                    continue
+                invalid = [
+                    (role, doc)
+                    for role, docs in read.items()
+                    for doc, entry in docs.items()
+                    if role in _FAILS_VALIDATION and _FAILS_VALIDATION[role](ws, entry)
+                ]
+                if invalid:
+                    violations.append((seed, name, command, kind, invalid))
+    assert violations == []
 
 
 def test_budget_overrun_is_structural(capsys):
