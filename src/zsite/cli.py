@@ -403,13 +403,14 @@ def _z_equiv(r: _Resolver):
 
 # role -> the validator of a document of that role that a law may need valid,
 # called with the workspace, the document's name and its entry, and calling
-# its checker by its global name like the kinds do
+# its checker by its global name like the kinds do; a presheaf's verdict is
+# the ``validate_presheaf`` report its checkers already cached as ``shape``
 _VALIDATORS = {
     "category": lambda ws, name, cat: validate_category(cat),
     "pointed_base": lambda ws, name, base: validate_pointed_base(base),
     "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
     "covering": lambda ws, name, entry: validate_covering(ws.categories[entry[0]], entry[1]),
-    "presheaf": lambda ws, name, F: validate_presheaf(F),
+    "presheaf": lambda ws, name, F: F.shape,
     "square": lambda ws, name, entry: Report.collect(
         name, square_endpoint_findings(ws.categories[entry[0]], entry[1])
     ),
