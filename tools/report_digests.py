@@ -49,7 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import replace  # noqa: E402
+from conftest import put, replace  # noqa: E402
 from fuzz import (  # noqa: E402
     atom_coupling,
     cyclic_groupoid,
@@ -243,30 +243,27 @@ def decode_error_outputs() -> list:
     return out
 
 
-# (fixture, label, path of the edited entry, its new value): each edit keeps
-# the workspace schema-valid and makes one document fail its validator
+# (fixture, label, edit): each edit keeps the workspace schema-valid and makes
+# one document fail its validator
 INVALID_EDITS = (
-    ("zlin.json", "composite", ("categories", "zbase", "composition", "g1|f1"), "g2f1"),
-    ("chain3.json", "covering", ("coverings", "K", "families", "T", 0), ["B<T", "A<B"]),
-    ("chain3.json", "square", ("squares", "sq", "w_to_u"), "id_T"),
-    ("chain3.json", "presheaf", ("presheaves", "glues", "restrictions", "id_B", "s"), "t"),
+    ("zlin.json", "composite", put("categories", "zbase", "composition", "g1|f1", value="g2f1")),
+    ("chain3.json", "covering", put("coverings", "K", "families", "T", 0, value=["B<T", "A<B"])),
+    ("chain3.json", "square", put("squares", "sq", "w_to_u", value="id_T")),
+    ("chain3.json", "presheaf", put("presheaves", "glues", "restrictions", "id_B", "s", value="t")),
 )
 
 
 def invalid_fixtures():
     """``("FIXTURE LABEL", workspace)`` per edit of ``INVALID_EDITS``.
 
-    ``validate`` fails the edited document: composite ``g1|f1`` of zbase
-    leaves its factors' endpoints, covering K gives T a member into B,
-    square sq's W-leg ``id_T`` leaves W, and presheaf glues' identity on B
-    moves a section.
+    The edited document fails its validator: composite ``g1|f1`` of zbase
+    has other endpoints than its factors, covering K gives T a member into
+    B, square sq's W-legs ``id_T`` and ``A<B`` start at different objects,
+    and presheaf glues' identity on B moves a section.
     """
-    for fixture, label, keys, value in INVALID_EDITS:
+    for fixture, label, edit in INVALID_EDITS:
         doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+        edit(doc)
         yield f"{fixture} {label}", doc
 
 
