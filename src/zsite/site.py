@@ -44,16 +44,13 @@ class CoveringAssignment(Record):
         vars(self).update(families={} if families is None else families)
 
     def families_of(self, obj: str) -> tuple[frozenset[str], ...]:
-        ordered = self._ordered
-        if obj not in ordered:
-            ordered[obj] = _ordered_families(self.families.get(obj, frozenset()))
-        return ordered[obj]
+        return self._ordered.get(obj, ())
 
     @functools.cached_property
     def _ordered(self) -> dict[str, tuple[frozenset[str], ...]]:
-        """Object -> its families in canonical order, each sorted on first use:
+        """Object -> its families in canonical order, all sorted on first use:
         the table never changes."""
-        return {}
+        return {obj: _ordered_families(fams) for obj, fams in self.families.items()}
 
     def has(self, obj: str, family: frozenset[str]) -> bool:
         return family in self.families.get(obj, frozenset())
@@ -131,22 +128,17 @@ def refined_families(
     the distinct partial unions gives the same set as walking the product of
     the choices, without visiting each composite once per choice tuple that
     yields it.  ``budget`` caps the partial unions.  An undefined composite
-    raises the InputError that the product walk meets first.
+    raises the InputError of the first one met by member, then by family of
+    its source, then by arrow.
     """
     members = sorted(family)
     choices = [assignment.families_of(cat.source(f)) for f in members]
     if not all(choices):
         return frozenset()
-    rows = []
-    for f, subs in zip(members, choices):
-        row = []
-        for sub in subs:
-            try:
-                row.append(frozenset(cat.compose(f, g) for g in sorted(sub)))
-            except InputError as exc:
-                row.append(exc)
-        rows.append(row)
-    _raise_first_undefined(rows)
+    rows = [
+        [frozenset(cat.compose(f, g) for g in sorted(sub)) for sub in subs]
+        for f, subs in zip(members, choices)
+    ]
 
     partial = {frozenset()}
     for row in rows:
@@ -157,22 +149,6 @@ def refined_families(
                 "refusing to truncate"
             )
     return frozenset(partial)
-
-
-def _raise_first_undefined(rows) -> None:
-    """Raise the error at the first choice tuple, in product order, that fails.
-
-    The all-first tuple fails at its first failing member; when it passes,
-    the first failing tuple varies only the last member that can fail, at
-    that member's first failing choice.
-    """
-    for row in rows:
-        if isinstance(row[0], InputError):
-            raise row[0]
-    for row in reversed(rows):
-        for entry in row:
-            if isinstance(entry, InputError):
-                raise entry
 
 
 def covering_gaps(cat: FinCat, assignment: CoveringAssignment, pull, budget: int | None = None) -> list:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, cli_env, fixture_path, put
+from conftest import FIXTURE_NAMES, cli_env, drop, fixture_path, put
 from fuzz import damage_workspace, reassign_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
@@ -824,6 +824,15 @@ def test_a_squares_probe_without_squares_gets_no_verdict(capsys, tmp_path):
     assert (code, err) == (2, "")
     assert "  [structural] squares_declared (-): no declared square to compare the sheaf condition with\n" in out
     assert "squares_sheaf_agreement" not in out
+
+
+def test_a_refinement_names_its_first_missing_composite_by_member(capsys, tmp_path):
+    # {P<T, Q<T} refines by the families of P and of Q; with the composites
+    # through E<P and E<Q both gone, the first member's is the one named
+    edits = [drop("categories", "poset2", "composition", key) for key in ("P<T|E<P", "Q<T|E<Q")]
+    code, out, err = _run_edited(capsys, tmp_path, "site-check", "poset2.json", "axioms", edits)
+    assert (code, err) == (2, "")
+    assert "  [structural] inputs (-): poset2: no composite for (P<T after E<P)" in out.splitlines()
 
 
 @pytest.mark.parametrize("command,fixture,count", PASSING)
