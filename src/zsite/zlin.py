@@ -401,28 +401,16 @@ def _middle_table(middle_idx: int, table: RefinementTable, row_vals, col_vals) -
     return table
 
 
-def _terms(base: FinCat, pairs) -> list:
-    """(inner term, outer term, composite term) for each nonzero (inner term, outer term, mass)."""
-    compose = base.compose
-    return [(it, ot, ZTerm(it.row, ot.col, v, compose(ot.arrow, it.arrow))) for it, ot, v in pairs if v]
-
-
-def _explicit_cells(base: FinCat, middle_idx: int, table: RefinementTable, row_terms, col_terms) -> list:
-    """(inner term, outer term, composite term) of each nonzero entry, by row then column.
-
-    Arrows are composed in entry order, so the first missing composite
-    raised is that of the first entry listed.
-    """
+def _explicit_cells(middle_idx: int, table: RefinementTable, row_terms, col_terms) -> list:
+    """(row position, column position, mass) of each nonzero entry, by row then column."""
     row_vals = tuple(t.coefficient for t in row_terms)
     col_vals = tuple(t.coefficient for t in col_terms)
     table = _middle_table(middle_idx, table, row_vals, col_vals)
-    positions = [pos for pos, v in table.entries.items() if v]
-    made = _terms(base, [(row_terms[a - 1], col_terms[b - 1], table.entries[a, b]) for a, b in positions])
-    return [cell for _pos, cell in sorted(zip(positions, made))]
+    return sorted((a - 1, b - 1, v) for (a, b), v in table.entries.items() if v)
 
 
-def _computed_cells(base: FinCat, middle_idx: int, middle_coeff: int, row_terms, col_terms) -> list:
-    """(inner term, outer term, composite term) of each cell of one middle's table, by row then column.
+def _computed_cells(middle_idx: int, middle_coeff: int, row_terms, col_terms) -> list:
+    """(row position, column position, mass) of each cell of one middle's table, by row then column.
 
     The table is the unique one when either side is a single term, else the
     interval overlaps of the two sign-coherent splittings.  Both splittings
@@ -435,54 +423,18 @@ def _computed_cells(base: FinCat, middle_idx: int, middle_coeff: int, row_terms,
             f"middle {middle_idx}: splittings {row_vals}/{col_vals} do not sum to {middle_coeff}"
         )
     # a single interval on either side forces the unique marginal-correct table
-    if len(row_terms) == 1:
-        pairs = [(row_terms[0], ot, ot.coefficient) for ot in col_terms]
-    elif len(col_terms) == 1:
-        pairs = [(it, col_terms[0], it.coefficient) for it in row_terms]
-    else:
-        vals = row_vals + col_vals
-        if (min(vals) <= 0) if middle_coeff > 0 else (max(vals) >= 0):
-            raise SignIncoherent(
-                f"middle {middle_idx} mixes signs ({row_vals} against {col_vals}); supply an explicit table"
-            )
-        sgn = _sign(middle_coeff)
-        overlaps = _overlaps([abs(v) for v in row_vals], [abs(v) for v in col_vals])
-        pairs = [(row_terms[a], col_terms[b], sgn * length) for a, b, length in overlaps]
-    return _terms(base, pairs)
-
-
-def _couple(base: FinCat, outer: ZMorphism, inner: ZMorphism, explicit) -> ZMorphism:
-    """Pair inner's target-side layouts against outer's source-side layouts.
-
-    Walks the middles in order, so the first error raised does not depend
-    on the layouts.  Each new term joins the list of its outer term and of
-    its inner term; the composite's ``into[col]`` joins those lists in
-    ``outer.into[col]`` order, its ``out_of[row]`` in ``inner.out_of[row]``
-    order.
-    """
-    by_outer: dict[int, list[ZTerm]] = {}
-    by_inner: dict[int, list[ZTerm]] = {}
-    for idx, _obj, coeff in inner.target.components:
-        row_terms, col_terms = inner.terms_into(idx), outer.terms_out_of(idx)
-        if explicit and idx in explicit:
-            cells = _explicit_cells(base, idx, explicit[idx], row_terms, col_terms)
-        else:
-            cells = _computed_cells(base, idx, coeff, row_terms, col_terms)
-        for it, ot, term in cells:
-            by_outer.setdefault(id(ot), []).append(term)
-            by_inner.setdefault(id(it), []).append(term)
-    return ZMorphism(
-        source=inner.source,
-        target=outer.target,
-        into={
-            col: tuple(t for ot in terms for t in by_outer.get(id(ot), ()))
-            for col, terms in outer.into.items()
-        },
-        out_of={
-            row: tuple(t for it in terms for t in by_inner.get(id(it), ()))
-            for row, terms in inner.out_of.items()
-        },
-    )
+    if len(row_vals) == 1:
+        return [(0, b, v) for b, v in enumerate(col_vals)]
+    if len(col_vals) == 1:
+        return [(a, 0, v) for a, v in enumerate(row_vals)]
+    vals = row_vals + col_vals
+    if (min(vals) <= 0) if middle_coeff > 0 else (max(vals) >= 0):
+        raise SignIncoherent(
+            f"middle {middle_idx} mixes signs ({row_vals} against {col_vals}); supply an explicit table"
+        )
+    sgn = _sign(middle_coeff)
+    overlaps = _overlaps([abs(v) for v in row_vals], [abs(v) for v in col_vals])
+    return [(a, b, sgn * length) for a, b, length in overlaps]
 
 
 def z_compose(
@@ -500,13 +452,44 @@ def z_compose(
     signs without an explicit table, MarginalMismatch for tables or
     splittings that do not reproduce the marginals, and InputError when the
     middle objects differ.
+
+    The middles are walked in order and each table by row, then column, so
+    the first error raised does not depend on the layouts.  Each new term
+    joins the list of its outer term and of its inner term; the composite's
+    ``into[col]`` joins those lists in ``outer.into[col]`` order, its
+    ``out_of[row]`` in ``inner.out_of[row]`` order.
     """
     if inner.target != outer.source:
         ours, theirs = set(inner.target.components), set(outer.source.components)
         diff = sorted(ours ^ theirs)
         what = f"first difference {diff[0]}" if diff else "same components"
         raise InputError(f"middle mismatch: target(inner) != source(outer); {what}")
-    return _couple(base, outer, inner, explicit)
+    compose = base.compose
+    by_outer: dict[int, list[ZTerm]] = {}
+    by_inner: dict[int, list[ZTerm]] = {}
+    for idx, _obj, coeff in inner.target.components:
+        row_terms, col_terms = inner.terms_into(idx), outer.terms_out_of(idx)
+        if explicit and idx in explicit:
+            cells = _explicit_cells(idx, explicit[idx], row_terms, col_terms)
+        else:
+            cells = _computed_cells(idx, coeff, row_terms, col_terms)
+        for a, b, v in cells:
+            it, ot = row_terms[a], col_terms[b]
+            term = ZTerm(it.row, ot.col, v, compose(ot.arrow, it.arrow))
+            by_outer.setdefault(id(ot), []).append(term)
+            by_inner.setdefault(id(it), []).append(term)
+    return ZMorphism(
+        source=inner.source,
+        target=outer.target,
+        into={
+            col: tuple(t for ot in terms for t in by_outer.get(id(ot), ()))
+            for col, terms in outer.into.items()
+        },
+        out_of={
+            row: tuple(t for it in terms for t in by_inner.get(id(it), ()))
+            for row, terms in inner.out_of.items()
+        },
+    )
 
 
 # =====================================================================

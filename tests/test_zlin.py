@@ -187,9 +187,9 @@ class TestMixedSignMiddles:
         with pytest.raises(MarginalMismatch, match="lies outside"):
             z_compose(self.base, self.outer, self.inner, explicit={1: table})
 
-    def test_explicit_entries_compose_in_the_order_listed(self):
-        # two entries lack a composite; the one listed first is raised,
-        # though the composite lays its cells out by row then column
+    def test_explicit_entries_compose_by_row_then_column(self):
+        # two entries lack a composite; the first by row, then column, is
+        # raised, though another is listed first
         holed = replace(
             self.base,
             composition={
@@ -197,7 +197,7 @@ class TestMixedSignMiddles:
             },
         )
         table = RefinementTable(rows=(2, -1), cols=(3, -2), entries={(2, 2): -1, (1, 1): 3, (1, 2): -1})
-        with pytest.raises(InputError, match=r"^mx: no composite for \(b<c2 after a2<b\)$"):
+        with pytest.raises(InputError, match=r"^mx: no composite for \(b<c1 after a1<b\)$"):
             z_compose(holed, self.outer, self.inner, explicit={1: table})
 
     def test_singleton_side_is_forced_without_a_table(self):
