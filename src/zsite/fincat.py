@@ -104,12 +104,6 @@ class FinCat(Record):
     def _into(self) -> dict[str, tuple[str, ...]]:
         return _index_sorted(self.morphisms, lambda ends: ends[1])
 
-    def composable_pairs(self):
-        for g, (gs, _gt) in self.morphisms.items():
-            for f, (_fs, ft) in self.morphisms.items():
-                if ft == gs:
-                    yield g, f
-
     # --- isomorphism search ------------------------------------------
 
     def inverse_of(self, m: str) -> str | None:
@@ -255,9 +249,10 @@ def validate_category(cat: FinCat) -> Report:
         return Report.collect(cat.name, rows + refs)
 
     # Composition domain: defined exactly on composable pairs.
-    for g, f in cat.composable_pairs():
-        if (g, f) not in cat.composition:
-            rows.append(reports.law("composition_total", (g, f), "composable pair has no composite"))
+    for g, (gs, _gt) in cat.morphisms.items():
+        for f in cat.morphisms_into(gs):
+            if (g, f) not in cat.composition:
+                rows.append(reports.law("composition_total", (g, f), "composable pair has no composite"))
     for (g, f), h in sorted(cat.composition.items()):
         if not cat.composable(g, f):
             rows.append(reports.law("composition_domain", (g, f), "composite declared for a non-composable pair"))
@@ -291,10 +286,8 @@ def validate_category(cat: FinCat) -> Report:
                         reports.law("associativity", (h, g, f), f"(h∘g)∘f = {one} but h∘(g∘f) = {two}")
                     )
 
-    base = Report.collect(cat.name, rows)
-    if cat.pullbacks or cat.products:
-        base = base.merged_with(chosen_limit_check(cat))
-    return base
+    rows.extend(chosen_limit_check(cat).findings)
+    return Report.collect(cat.name, rows)
 
 
 # =====================================================================

@@ -76,13 +76,7 @@ def invariant_of(obj: ZObject, table: dict[str, GradedDims]) -> ZInvariant:
 
 def z_equiv(left: ZObject, right: ZObject, table: dict[str, GradedDims]) -> bool:
     """Same index set, same coefficient per index, equal fingerprints per index."""
-    a, b = invariant_of(left, table), invariant_of(right, table)
-    if a.indices() != b.indices():
-        return False
-    return all(
-        ca == cb and da == db
-        for (_, ca, da), (_, cb, db) in zip(a.parts, b.parts)
-    )
+    return invariant_of(left, table) == invariant_of(right, table)
 
 
 def positive_fold(inv: ZInvariant) -> GradedDims:

@@ -73,9 +73,6 @@ class Report(Value):
     def failures(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.kind in _FAILING_KINDS)
 
-    def merged_with(self, other: "Report") -> "Report":
-        return Report.collect(self.subject, self.findings + other.findings)
-
     def render(self) -> str:
         head = f"{self.subject}: {'ok' if self.ok else 'FAIL'}"
         if not self.findings:
