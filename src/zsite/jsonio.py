@@ -269,6 +269,10 @@ def load_workspace(path: str) -> Workspace:
         raise WorkspaceError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError:
+        raise WorkspaceError(f"{path}: JSON nested too deeply to parse") from None
 
     validator = jsonschema.Draft202012Validator(inlined_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))

@@ -112,6 +112,38 @@ def test_a_bad_zobject_is_a_workspace_error(tmp_path, command, fixture, zobject,
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: zobjects.{zobject}: {message}\n")
 
 
+def _deep_expect_terms(path):
+    """Write zlin.json with its z_compose check's ``expect_terms`` nested 990 deep;
+    spliced in as text, since encoding it would itself recurse that deep."""
+    with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    next(c for c in raw["checks"] if c["kind"] == "z_compose")["expect_terms"] = "DEEP"
+    path.write_text(json.dumps(raw).replace('"DEEP"', "[" * 990 + "]" * 990), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "write,message",
+    [
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "not UTF-8: invalid start byte at byte 0"),
+        (lambda path: path.write_text("[" * 100_000, encoding="utf-8"), "JSON nested too deeply to parse"),
+        (_deep_expect_terms, "JSON nested too deeply to parse"),
+    ],
+    ids=["not-utf8", "nested-lists", "nested-expect-terms"],
+)
+def test_an_unreadable_workspace_is_a_workspace_error(tmp_path, write, message):
+    # the decoder's and the parser's own errors once escaped as a traceback, exit 1
+    path = tmp_path / "unreadable.json"
+    write(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsite.cli", "z-compose", str(path)],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: {message}\n")
+
+
 def _has_structural_finding(out: str) -> bool:
     return any(f["kind"] == "structural" for check in json.loads(out)["checks"] for f in check["findings"])
 
