@@ -81,6 +81,11 @@ _REQUIRED = object()
 _TYPE_NAMES = {object: "id", dict: "object", str: "string", int: "integer", bool: "boolean", list: "list"}
 
 
+def _is(item, of) -> bool:
+    """Whether ``item`` has the JSON type ``of``; a JSON boolean is no integer."""
+    return isinstance(item, of) and not (of is int and isinstance(item, bool))
+
+
 class _Resolver:
     """One check spec, read against the workspace for the check at ``path``.
 
@@ -111,13 +116,13 @@ class _Resolver:
             if default is _REQUIRED:
                 raise self.error(f"missing field {field!r}")
             return default
-        if not isinstance(self.spec[field], of):
+        if not _is(self.spec[field], of):
             raise self.error(f"field {field!r} must be of type {_TYPE_NAMES[of]}")
         return self.spec[field]
 
     def values(self, field: str, of=object, default=_REQUIRED):
         items = self.value(field, default=default)
-        if field in self.spec and not (isinstance(items, list) and all(isinstance(i, of) for i in items)):
+        if field in self.spec and not (isinstance(items, list) and all(_is(i, of) for i in items)):
             raise self.error(f"field {field!r} must be a list of {_TYPE_NAMES[of]}s")
         return items
 

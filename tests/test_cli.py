@@ -622,6 +622,21 @@ def test_mistyped_spec_field_is_a_workspace_error(
     assert err == f"error: checks[{pos}]: field {field!r} must be {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "command,fixture,label,field,value,expected",
+    [
+        ("parametrize", "modular.json", "chain-into-chain", "expect_count", True, "of type integer"),
+        ("blur-check", "layered2.json", "two-level-blurry", "loose", [True], "a list of integers"),
+    ],
+)
+def test_a_boolean_is_no_integer_in_a_check_spec(capsys, tmp_path, command, fixture, label, field, value, expected):
+    # JSON true is a Python int: it counted as 1, or declared level 1 loose
+    with open(fixture_path(fixture), encoding="utf-8") as fh:
+        pos = next(pos for pos, c in enumerate(json.load(fh)["checks"]) if c["label"] == label)
+    code, out, err = _run_edited(capsys, tmp_path, command, fixture, label, [put("checks", pos, field, value=value)])
+    assert (code, out, err) == (2, "", f"error: checks[{pos}]: field {field!r} must be {expected}\n")
+
+
 def _copy(table, name, new, **fields):
     """Edit of a raw workspace: a copy of ``table[name]`` named ``new``, with ``fields`` set."""
 
