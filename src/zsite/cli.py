@@ -440,6 +440,9 @@ KINDS = {
     "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False, ()),
     "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False, ()),
     "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False, ()),
+    "validate_square": (
+        "validate", lambda r: _VALIDATORS["square"](r.ws, r.value("square"), r.id("square")), False, ()
+    ),
     "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, ()),
     "z_validate": (
         "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, ()

@@ -873,6 +873,24 @@ def test_a_squares_probe_without_squares_gets_no_verdict(capsys, tmp_path):
     assert "squares_sheaf_agreement" not in out
 
 
+def test_validate_reports_a_square_that_the_gate_refuses(capsys, tmp_path, monkeypatch):
+    # validate_square reads the gate's own definition of a valid square
+    calls, real = [], cli._VALIDATORS["square"]
+    monkeypatch.setitem(cli._VALIDATORS, "square", lambda ws, name, entry: calls.append(name) or real(ws, name, entry))
+    edits = [
+        put("squares", "sq", "w_to_u", value="id_T"),
+        lambda raw: raw["checks"].append({"kind": "validate_square", "label": "square-shape", "square": "sq"}),
+    ]
+    code, out, err = _run_edited(capsys, tmp_path, "validate", "chain3.json", "square-shape", edits)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:3] == [
+        "[FAIL] square-shape (validate_square)",
+        "  [structural] square_apex (A<B, id_T): the two W-legs have different sources",
+        "  [structural] square_u_side (id_T, A<T): U mismatch",
+    ]
+    assert calls == ["sq"]
+
+
 def test_a_refinement_names_its_first_missing_composite_by_member(capsys, tmp_path):
     # {P<T, Q<T} refines by the families of P and of Q; with the composites
     # through E<P and E<Q both gone, the first member's is the one named
