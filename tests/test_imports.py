@@ -1,9 +1,11 @@
-"""Import hygiene of the package: no unused module-level import, and no
-re-exports, so every name is imported from the module that defines it."""
+"""Import hygiene of the package: no unused module-level import, no
+re-exports, so every name is imported from the module that defines it, and
+no private module-level helper that nothing in the package names."""
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,28 @@ def test_every_module_level_import_is_used(path):
             bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in bound.items() if name not in used} == {}
+
+
+def _names(tree) -> list[str]:
+    """Every name and attribute name read or written under ``tree``."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_private_helper_is_named_outside_its_own_def():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        if named[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert unused == []
 
 
 def test_importing_the_package_loads_no_submodule():
