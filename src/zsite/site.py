@@ -668,6 +668,10 @@ class LadderMorphism(Value):
 
 
 def validate_ladder(layered: LayeredCategory, ladder: LadderMorphism) -> Report:
+    """The ladder's findings, or the layered category's when it fails validation."""
+    shape = validate_layered(layered)
+    if not shape.ok:
+        return shape
     if len(ladder.arrows) != layered.depth():
         detail = f"need one morphism per level ({layered.depth()})"
         return Report.collect("ladder", [reports.structural("ladder_length", (len(ladder.arrows),), detail)])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import assert_rule_fires, drop, fixture_path, put, replace
+from conftest import assert_rule_fires, drop, fixture_path, mutated_workspace, put, replace
 from fuzz import rand_poset, rand_seeds
 from oracles import refinements_product
 from zsite.fincat import InputError, ResourceBudgetError, poset_category
@@ -279,6 +279,19 @@ class TestLayered:
         report = validate_ladder(L, LadderMorphism(arrows=("P<T", "E'<P'")))
         rules = {f.rule for f in report.failures()}
         assert "ladder_source_chain" in rules or "ladder_target_chain" in rules
+
+    def test_ladder_on_an_invalid_layered_category_gets_its_findings(self, tmp_path):
+        # with no membership map the ladder's chain cannot be read: every
+        # ladder reader reports the layered category's findings, and none raises
+        ws = mutated_workspace(tmp_path, "layered2.json", put("layered", "L", "membership", value=[]))
+        L, lad, Ks = ws.layered["L"], ws.ladders["lad"][1], self._assignments(ws)
+        want = [("structural", "membership_count", ("0",))]
+        for report in (
+            validate_ladder(L, lad),
+            powered_cover_check(L, lad, Ks),
+            powered_stability_probe(L, [lad], ws.ladders["lid"][1], Ks),
+        ):
+            assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == want
 
     def _assignments(self, ws):
         return [ws.coverings["K0"][1], ws.coverings["K1"][1]]
