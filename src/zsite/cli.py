@@ -59,7 +59,6 @@ from .sheaf import (
     representable_z,
     sheaf_check,
     squares_vs_sheaf_probe,
-    validate_presheaf,
 )
 from .site import (
     distinguished_square_check,
@@ -70,6 +69,7 @@ from .site import (
     powered_stability_probe,
     square_endpoint_findings,
     validate_covering,
+    validate_ladder,
     validate_layered,
     validate_pointed_base,
 )
@@ -258,17 +258,11 @@ def _coverings(r: _Resolver, layered) -> list:
 
 def _powered_cover(r: _Resolver):
     layered = r.id("layered")
-    shape = validate_layered(layered)
-    if not shape.ok:
-        return shape
     return powered_cover_check(layered, _ladder(r, r.value("ladder")), _coverings(r, layered))
 
 
 def _powered_stability(r: _Resolver):
     layered = r.id("layered")
-    shape = validate_layered(layered)
-    if not shape.ok:
-        return shape
     family = [_ladder(r, name) for name in r.values("family")]
     test = _ladder(r, r.value("test"))
     return powered_stability_probe(layered, family, test, _coverings(r, layered))
@@ -406,22 +400,27 @@ def _z_equiv(r: _Resolver):
 # the kind table
 # =====================================================================
 
-# role -> the validator of a document of that role that a law may need valid,
-# called with the workspace, the document's name and its entry, and calling
-# its checker by its global name like the kinds do; a presheaf's verdict is
-# the ``validate_presheaf`` report its checkers already cached as ``shape``
+# role -> the one definition of a valid document of that role, read by the
+# gate and by validate's kinds: called with the workspace, the document's name
+# and its entry, it calls its checker by its global name like the kinds do; a
+# presheaf's verdict is the ``validate_presheaf`` report cached as ``shape``
 _VALIDATORS = {
     "category": lambda ws, name, cat: validate_category(cat),
-    "pointed_base": lambda ws, name, base: validate_pointed_base(base),
+    "functor": lambda ws, name, fun: check_functor(fun).report,
+    "partition": lambda ws, name, entry: validate_partition(ws.categories[entry[0]], entry[1]),
     "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
+    "pointed_base": lambda ws, name, base: validate_pointed_base(base),
     "covering": lambda ws, name, entry: validate_covering(ws.categories[entry[0]], entry[1]),
     "presheaf": lambda ws, name, F: F.shape,
     "square": lambda ws, name, entry: Report.collect(
         name, square_endpoint_findings(ws.categories[entry[0]], entry[1])
     ),
+    "layered": lambda ws, name, layered: validate_layered(layered),
+    "ladder": lambda ws, name, entry: validate_ladder(ws.layered[entry[0]], entry[1]),
 }
 _CATEGORY, _POINTS = ("category",), ("pointed_base",)
 _COVER, _PRESHEAF = _CATEGORY + ("covering",), _CATEGORY + ("presheaf",)
+_POWERED = _COVER + ("layered",)
 _SHEAF = _COVER + ("presheaf",)
 
 # kind -> (command, run, owns_expectation, gated).  run(r) reads the spec
@@ -434,19 +433,13 @@ _SHEAF = _COVER + ("presheaf",)
 # live on (role "category") and every document of the other roles it read
 # passes that role's validator.
 KINDS = {
-    "validate_category": ("validate", lambda r: validate_category(r.id("category")), False, ()),
-    "validate_functor": ("validate", lambda r: check_functor(r.id("functor")).report, False, ()),
-    "validate_partition": ("validate", lambda r: validate_partition(*r.on("partition")), False, ()),
-    "validate_pointed_base": ("validate", lambda r: validate_pointed_base(r.id("pointed_base")), False, ()),
-    "validate_presheaf": ("validate", lambda r: validate_presheaf(r.id("presheaf")), False, ()),
-    "validate_covering": ("validate", lambda r: validate_covering(*r.on("covering")), False, ()),
-    "validate_square": (
-        "validate", lambda r: _VALIDATORS["square"](r.ws, r.value("square"), r.id("square")), False, ()
-    ),
+    **{  # validate's kind of each role: that role's validator on the document its field names
+        "z_validate" if role == "zmorphism" else f"validate_{role}": (
+            "validate", lambda r, role=role: _VALIDATORS[role](r.ws, r.value(role), r.id(role)), False, ()
+        )
+        for role in _VALIDATORS
+    },
     "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, ()),
-    "z_validate": (
-        "validate", lambda r: z_validate(*r.on("zmorphism"), subject=r.value("zmorphism")), False, ()
-    ),
     "z_compose": ("z-compose", _z_compose, False, _CATEGORY + ("zmorphism",)),
     "grothendieck": (
         "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, _CATEGORY
@@ -456,11 +449,11 @@ KINDS = {
         "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, _POINTS
     ),
     "square": ("site-check", _square, False, _CATEGORY + _POINTS),
-    "powered_cover": ("site-check", _powered_cover, False, _COVER),
-    "powered_stability": ("site-check", _powered_stability, False, _COVER),
+    "powered_cover": ("site-check", _powered_cover, False, _POWERED),
+    "powered_stability": ("site-check", _powered_stability, False, _POWERED),
     "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
     "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _COVER),
-    "powered_blurry": ("blur-check", _powered_blurry, False, _COVER),
+    "powered_blurry": ("blur-check", _powered_blurry, False, _POWERED),
     "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering"), r.budget), False, _SHEAF),
     "additivity": ("sheaf-check", _additivity, False, ()),
     "cartesian": (
