@@ -493,6 +493,15 @@ def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypa
             {"two-level-blurry"}, "K1", "covering", id="powered-blurry-covering",
         ),
         pytest.param(
+            "site-check", "layered2.json", drop("layered", "L", "membership", 0, "E'"),
+            {"top-cover", "mid-cover", "composite-cover", "stable-identity", "stable-corner"}, "L",
+            "layered category", id="powered-layered",
+        ),
+        pytest.param(
+            "blur-check", "layered2.json", drop("layered", "L", "membership", 0, "E'"),
+            {"two-level-blurry"}, "L", "layered category", id="powered-blurry-layered",
+        ),
+        pytest.param(
             "sheaf-check", "chain3.json", put("presheaves", "glues", "restrictions", "id_B", "s", value="t"),
             {"glues-sheaf", "glues-cartesian", "glues-probe"}, "glues", "presheaf", id="presheaf",
         ),
@@ -873,22 +882,53 @@ def test_a_squares_probe_without_squares_gets_no_verdict(capsys, tmp_path):
     assert "squares_sheaf_agreement" not in out
 
 
-def test_validate_reports_a_square_that_the_gate_refuses(capsys, tmp_path, monkeypatch):
-    # validate_square reads the gate's own definition of a valid square
-    calls, real = [], cli._VALIDATORS["square"]
-    monkeypatch.setitem(cli._VALIDATORS, "square", lambda ws, name, entry: calls.append(name) or real(ws, name, entry))
-    edits = [
-        put("squares", "sq", "w_to_u", value="id_T"),
-        lambda raw: raw["checks"].append({"kind": "validate_square", "label": "square-shape", "square": "sq"}),
-    ]
-    code, out, err = _run_edited(capsys, tmp_path, "validate", "chain3.json", "square-shape", edits)
-    assert (code, err) == (2, "")
-    assert out.splitlines()[:3] == [
-        "[FAIL] square-shape (validate_square)",
-        "  [structural] square_apex (A<B, id_T): the two W-legs have different sources",
-        "  [structural] square_u_side (id_T, A<T): U mismatch",
-    ]
-    assert calls == ["sq"]
+# one validate kind per role of cli._VALIDATORS, on a fixture edited so
+# that the named document fails: (kind, fixture, name, edit, exit code, the
+# check's first finding)
+_BROKEN = "  [structural] membership_total (1, E'): object not mapped"
+VALIDATE_KINDS = [
+    ("validate_category", "chain3.json", "chain3", put("categories", "chain3", "composition", "B<T|A<B", value="B<T"),
+     1, "  [law] composite_endpoints (B<T, A<B, B<T): composite endpoints ('B', 'T') != ('A', 'T')"),
+    ("validate_functor", "modular.json", "swap", put("functors", "swap", "morphisms", "u", value="u"),
+     1, "  [law] composition_preservation (id_b, u): F(g∘f) = u but F(g)∘F(f) = None"),
+    ("validate_partition", "chain3.json", "ab", put("partitions", "ab", "blocks", value=[["A", "B"]]),
+     2, "  [structural] blocks_exhaustive (T): object missing from the partition"),
+    ("z_validate", "zlin.json", "phi", put("zmorphisms", "phi", "terms", 0, 3, value="f2"),
+     2, "  [structural] term_arrow_endpoints (1, 1, f2): arrow endpoints ('X2', 'Y') != ('X1', 'Y')"),
+    ("validate_pointed_base", "chain3.json", "base", drop("pointed_bases", "base", "point_map", "A<B"),
+     2, "  [structural] point_map_declared (A<B): no point map"),
+    ("validate_covering", "chain3.json", "K", put("coverings", "K", "families", "T", 0, value=["B<T", "A<B"]),
+     2, "  [structural] covering_member_target (T, A<B): targets B, not the assigned object"),
+    ("validate_presheaf", "chain3.json", "glues", put("presheaves", "glues", "restrictions", "id_B", "s", value="t"),
+     1, "  [law] contravariance (B<T, id_B, s): F(B<T) sends s to s, the factors send it to t"),
+    ("validate_square", "chain3.json", "sq", put("squares", "sq", "w_to_u", value="id_T"),
+     2, "  [structural] square_apex (A<B, id_T): the two W-legs have different sources"),
+    ("validate_layered", "layered2.json", "L", drop("layered", "L", "membership", 0, "E'"), 2, _BROKEN),
+    ("validate_ladder", "layered2.json", "lad", drop("layered", "L", "membership", 0, "E'"), 2, _BROKEN),
+]
+
+
+def test_validate_has_one_kind_per_validator_besides_quotient():
+    kinds = [kind for kind, *_rest in VALIDATE_KINDS]
+    assert sorted(COMMAND_KINDS["validate"]) == sorted(kinds + ["quotient"])
+    assert len(cli._VALIDATORS) == len(kinds)
+
+
+def test_the_gate_and_the_fuzz_oracle_validate_the_same_roles():
+    assert set(cli._VALIDATORS) == set(_FAILS_VALIDATION)
+
+
+@pytest.mark.parametrize("kind,fixture,name,edit,code,line", VALIDATE_KINDS, ids=[c[0] for c in VALIDATE_KINDS])
+def test_validate_reports_what_the_gate_refuses(capsys, tmp_path, monkeypatch, kind, fixture, name, edit, code, line):
+    # each validate kind reads the gate's own definition of a valid document
+    role = "zmorphism" if kind == "z_validate" else kind.removeprefix("validate_")
+    calls, real = [], cli._VALIDATORS[role]
+    monkeypatch.setitem(cli._VALIDATORS, role, lambda ws, name, entry: calls.append(name) or real(ws, name, entry))
+    edits = [edit, lambda raw: raw["checks"].append({"kind": kind, "label": "shape", role: name})]
+    got, out, err = _run_edited(capsys, tmp_path, "validate", fixture, "shape", edits)
+    assert (got, err) == (code, "")
+    assert out.splitlines()[:2] == [f"[FAIL] shape ({kind})", line]
+    assert calls == [name]
 
 
 def test_a_refinement_names_its_first_missing_composite_by_member(capsys, tmp_path):
