@@ -24,7 +24,7 @@ is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
 of each bundled fixture with one reference field of one document naming
 nothing (see ``dangling_fixtures``).  The ``"invalid inputs"`` entry is the
 sha256 of the exit code, stdout and stderr of every command, in both
-formats, on four schema-valid edits of bundled fixtures whose edited
+formats, on five schema-valid edits of bundled fixtures whose edited
 document fails its own validator (see ``invalid_fixtures``).  Run from the
 repository root:
 
@@ -49,7 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import put, replace  # noqa: E402
+from conftest import drop, put, replace  # noqa: E402
 from fuzz import (  # noqa: E402
     atom_coupling,
     cyclic_groupoid,
@@ -250,6 +250,7 @@ INVALID_EDITS = (
     ("chain3.json", "covering", put("coverings", "K", "families", "T", 0, value=["B<T", "A<B"])),
     ("chain3.json", "square", put("squares", "sq", "w_to_u", value="id_T")),
     ("chain3.json", "presheaf", put("presheaves", "glues", "restrictions", "id_B", "s", value="t")),
+    ("layered2.json", "layered", drop("layered", "L", "membership", 0, "E'")),
 )
 
 
@@ -259,7 +260,8 @@ def invalid_fixtures():
     The edited document fails its validator: composite ``g1|f1`` of zbase
     has other endpoints than its factors, covering K gives T a member into
     B, square sq's W-legs ``id_T`` and ``A<B`` start at different objects,
-    and presheaf glues' identity on B moves a section.
+    presheaf glues' identity on B moves a section, and layered category L
+    maps level 1's object E' to no object of level 0.
     """
     for fixture, label, edit in INVALID_EDITS:
         doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
