@@ -911,7 +911,6 @@ VALIDATE_KINDS = [
 def test_validate_has_one_kind_per_validator_besides_quotient():
     kinds = [kind for kind, *_rest in VALIDATE_KINDS]
     assert sorted(COMMAND_KINDS["validate"]) == sorted(kinds + ["quotient"])
-    assert len(cli._VALIDATORS) == len(kinds)
 
 
 def test_the_gate_and_the_fuzz_oracle_validate_the_same_roles():
