@@ -28,7 +28,6 @@ from .fincat import (
     class_morphism,
     class_representatives,
     quotient_category,
-    validate_partition,
 )
 from .records import Record
 from .reports import Report
@@ -41,15 +40,12 @@ from .site import CoveringAssignment, covering_axiom_findings, grothendieck_axio
 
 
 def gamma_check(cat: FinCat, rel: ObjEquiv) -> Report:
-    """Partition compatibility with declared products.
+    """Partition compatibility with declared products, on a valid partition.
 
     For A related to A2 and B related to B2, the declared products A x B and
     A2 x B2 must land in one block.  Pairs without both products declared
     are Unverifiable, naming the missing pair.
     """
-    partition = validate_partition(cat, rel)
-    if not partition.ok:
-        return Report.collect("gamma", partition.findings)
     rows = []
     for block_a in rel.blocks:
         for a, a2 in itertools.product(sorted(block_a), repeat=2):
@@ -133,6 +129,7 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
 def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
     """Covering axioms on the quotient assignment (site.covering_axiom_findings).
 
+    Valid input: a site built from a valid category, covering and partition.
     Preconditions: the partition passes gamma_check, the base assignment
     passes grothendieck_axiom_check, and the quotient has no saturation
     failures.  Violated preconditions make the probe Skipped, not failed.

@@ -4,12 +4,15 @@ Subcommands partition the check kinds: validate covers structural checks of
 every document, z-compose prints composites, site-check / blur-check /
 sheaf-check / parametrize / model-check / fingerprint run their modules'
 checks.  One table, ``KINDS``, maps each kind to its command, to the
-function that runs it, to whether that function reads ``expect`` itself
-and to the roles of the documents its law needs valid; ``COMMAND_KINDS`` is
-derived from it.  Each run function reads its spec through a ``_Resolver``,
-which resolves ids in the workspace table of their role (a row of
-``jsonio.DOCUMENTS``), records the documents it read and the categories
-they live on and turns a missing or mistyped field into a WorkspaceError.
+function that runs it and to whether that function reads ``expect``
+itself; ``COMMAND_KINDS`` is derived from it.  Each run function reads its
+spec through a ``_Resolver``, which resolves ids in the workspace table of
+their role (a row of ``jsonio.DOCUMENTS``), records the documents it read
+and the categories they live on and turns a missing or mistyped field into
+a WorkspaceError.  Every kind but validate's ten validator kinds runs its
+checker through ``_Resolver.check``, the one gate: a check that read a
+document failing its ``_VALIDATORS`` row gets a ``precondition`` finding
+per such document instead, so no checker validates its input again.
 Each check's entry is encoded as the check ends, and its report dropped;
 nothing is written before every check has run, so a WorkspaceError prints
 only its ``error:`` line.  Reports are byte-deterministic for identical
@@ -59,6 +62,7 @@ from .sheaf import (
     representable_z,
     sheaf_check,
     squares_vs_sheaf_probe,
+    validate_presheaf,
 )
 from .site import (
     distinguished_square_check,
@@ -100,8 +104,9 @@ class _Resolver:
     check alone.  ``read`` maps "category" to the name and category of
     every category a resolved document lives on, and every other role to
     the names and documents resolved in it; nested resolvers share it.
+    ``check`` runs a checker once every document in ``read`` is valid.
     ``verdicts`` is shared by every check of one run and holds the
-    validation verdict of each document a check needed valid.
+    validation verdict of each document validated in it.
     """
 
     def __init__(self, ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict, read: dict):
@@ -149,13 +154,29 @@ class _Resolver:
         catname, doc = self.id(field, role)
         return self.ws.categories[catname], doc
 
+    def report(self, role: str, name: str, entry) -> Report:
+        """The ``role`` document ``name``'s validator report; the run keeps its verdict."""
+        report = _VALIDATORS[role](self.ws, name, entry)
+        self.verdicts[role, name] = report.ok
+        return report
+
     def valid(self, role: str, name: str, entry) -> bool:
-        """Whether the ``role`` document ``name`` passes its role's validator,
-        which runs once per document and run."""
-        key = (role, name)
-        if key not in self.verdicts:
-            self.verdicts[key] = _VALIDATORS[role](self.ws, name, entry).ok
-        return self.verdicts[key]
+        """Whether the document passes its role's validator, run at most once per document and run."""
+        return self.verdicts[role, name] if (role, name) in self.verdicts else self.report(role, name, entry).ok
+
+    def check(self, checker, *args, **kwargs):
+        """``checker(*args, **kwargs)`` if every document read so far is
+        valid; else raise _Precondition with a finding per one that is not."""
+        failing = [
+            reports.structural("precondition", (name,), f"{DOCUMENTS[role][1]} fails validation")
+            for role, docs in self.read.items()
+            if role in _VALIDATORS
+            for name, entry in docs.items()
+            if not self.valid(role, name, entry)
+        ]
+        if failing:
+            raise _Precondition(failing)
+        return checker(*args, **kwargs)
 
     def zobject(self, field: str, cat):
         """The zobject named in ``field``, each of whose components must be an object of ``cat``."""
@@ -171,6 +192,10 @@ class _Resolver:
         """Raise unless ``a``, which lives on ``x``, and ``b``, on ``y``, share a category."""
         if x != y:
             raise self.error(f"{a} lives on {x}, {b} on {y}")
+
+
+class _Precondition(Exception):
+    """A check read documents that fail validation: its findings."""
 
 
 def _with_expectation(report: Report, expect) -> Report:
@@ -206,7 +231,7 @@ def _z_compose(r: _Resolver):
     r.lives_on("outer", base.name, "inner", inner_base.name)
     names = (r.value("outer"), r.value("inner"))
     try:
-        composite = z_compose(base, outer, inner)
+        composite = r.check(z_compose, base, outer, inner)
     except (SignIncoherent, MarginalMismatch) as exc:
         return Report.collect("z_compose", [reports.law("compose_defined", names, str(exc))])
     except InputError as exc:
@@ -233,7 +258,7 @@ def _square(r: _Resolver):
     base = r.id("pointed_base")
     cat, square = r.on("square")
     r.lives_on("square", cat.name, "base", base.cat.name)
-    return distinguished_square_check(base, square)
+    return r.check(distinguished_square_check, base, square)
 
 
 def _ladder(r: _Resolver, name):
@@ -258,30 +283,37 @@ def _coverings(r: _Resolver, layered) -> list:
 
 def _powered_cover(r: _Resolver):
     layered = r.id("layered")
-    return powered_cover_check(layered, _ladder(r, r.value("ladder")), _coverings(r, layered))
+    return r.check(powered_cover_check, layered, _ladder(r, r.value("ladder")), _coverings(r, layered))
 
 
 def _powered_stability(r: _Resolver):
     layered = r.id("layered")
     family = [_ladder(r, name) for name in r.values("family")]
     test = _ladder(r, r.value("test"))
-    return powered_stability_probe(layered, family, test, _coverings(r, layered))
+    return r.check(powered_stability_probe, layered, family, test, _coverings(r, layered))
 
 
 def _blurry_site(r: _Resolver):
+    """The category, covering and partition of a blurry site; ``blurry_topology`` builds it."""
     cat, assignment = r.on("covering")
     rel_cat, rel = r.on("partition")
     r.lives_on("covering", cat.name, "partition", rel_cat.name)
-    return blurry_topology(cat, assignment, rel)
+    return cat, assignment, rel
+
+
+def _blurry_probe(r: _Resolver):
+    site = _blurry_site(r)
+    return r.check(lambda: blurry_axiom_probe(blurry_topology(*site), r.budget))
 
 
 def _powered_blurry(r: _Resolver):
-    sites = [_blurry_site(level) for level in r.objects("levels")]
+    levels = [_blurry_site(level) for level in r.objects("levels")]
     layered = r.id("layered") if "layered" in r.spec else None
     if layered is not None:
-        _on_levels(r, "levels", [site.cat.name for site in sites], layered)
-    return powered_blurry_check(
-        sites, r.values("arrows", str), layered=layered, loose_levels=r.values("loose", int, ()), budget=r.budget
+        _on_levels(r, "levels", [cat.name for cat, _k, _rel in levels], layered)
+    arrows, loose = r.values("arrows", str), r.values("loose", int, ())
+    return r.check(
+        lambda: powered_blurry_check([blurry_topology(*level) for level in levels], arrows, layered, loose, r.budget)
     )
 
 
@@ -303,7 +335,7 @@ def _additivity(r: _Resolver):
         zp = constant_z(base, r.values("labels", str, ()))
     else:
         raise r.error(f"unknown additivity flavor {flavor!r}")
-    return additivity_check(zp, obj)
+    return r.check(additivity_check, zp, obj)
 
 
 def _squares_probe(r: _Resolver):
@@ -314,11 +346,11 @@ def _squares_probe(r: _Resolver):
         r.lives_on(f"square {name!r}", catname, "presheaf", F.cat.name)
         squares.append(square)
     asserted = r.value("asserted", bool, True)
-    return squares_vs_sheaf_probe(F, assignment, squares, asserted, r.budget)
+    return r.check(squares_vs_sheaf_probe, F, assignment, squares, asserted, r.budget)
 
 
 def _enumerate_fes(r: _Resolver):
-    family = enumerate_fes(r.id("source", "category"), r.id("model"), budget=r.budget)
+    family = r.check(enumerate_fes, r.id("source", "category"), r.id("model"), budget=r.budget)
     count = len(family.members)
     rows = [reports.info("member_count", (str(count),), "full, essentially surjective functors")]
     for fun in family.members:
@@ -337,7 +369,7 @@ def _precompose(r: _Resolver):
     model = r.id("model")
     if outer.target.name != model.base.name:
         raise r.error("outer functor must land in the model's base")
-    family = enumerate_fes(outer.target, model, budget=r.budget)
+    family = r.check(enumerate_fes, outer.target, model, budget=r.budget)
     pulled = precompose(inner, precompose(outer, family))
     rows = [
         reports.info("family_size", (str(len(family.members)),), "parametrizations of the model"),
@@ -355,8 +387,8 @@ def _model_and_partition(r: _Resolver):
 
 def _class_types(r: _Resolver):
     model, rel = _model_and_partition(r)
-    source, target = rel.block_id(r.value("from_object", str)), rel.block_id(r.value("to_object", str))
-    types = class_types(model, rel, source, target)
+    source, target = r.value("from_object", str), r.value("to_object", str)
+    types = r.check(lambda: class_types(model, rel, rel.block_id(source), rel.block_id(target)))
     rows = [reports.info("types", tuple(sorted(types)), "labels carried by representatives")]
     expected = r.values("expect_types", str, None)
     if expected is not None and frozenset(expected) != types:
@@ -366,7 +398,7 @@ def _class_types(r: _Resolver):
 
 def _quotient_model(r: _Resolver):
     try:
-        return quotient_model(*_model_and_partition(r))[1]
+        return r.check(quotient_model, *_model_and_partition(r))[1]
     except QuotientRejected as exc:
         return exc.report
 
@@ -374,7 +406,7 @@ def _quotient_model(r: _Resolver):
 def _invariant(r: _Resolver):
     obj, table = r.id("zobject"), r.id("table")
     try:
-        inv = invariant_of(obj, table)
+        inv = r.check(invariant_of, obj, table)
     except InputError as exc:
         return Report.collect("invariant", [reports.structural("fingerprint_known", (), str(exc))])
     rows = [
@@ -387,7 +419,7 @@ def _invariant(r: _Resolver):
 def _z_equiv(r: _Resolver):
     left, right, table = r.id("left", "zobject"), r.id("right", "zobject"), r.id("table")
     try:
-        verdict = z_equiv(left, right, table)
+        verdict = r.check(z_equiv, left, right, table)
     except InputError as exc:
         return Report.collect("z_equiv", [reports.structural("fingerprint_known", (), str(exc))])
     rows = [reports.info("equivalent", (), str(verdict))]
@@ -400,10 +432,10 @@ def _z_equiv(r: _Resolver):
 # the kind table
 # =====================================================================
 
-# role -> the one definition of a valid document of that role, read by the
-# gate and by validate's kinds: called with the workspace, the document's name
-# and its entry, it calls its checker by its global name like the kinds do; a
-# presheaf's verdict is the ``validate_presheaf`` report cached as ``shape``
+# role -> the one definition of a valid document of that role, read by
+# ``_Resolver.check`` and by validate's kinds: called with the workspace, the
+# document's name and its entry, it calls its checker by its global name like
+# the kinds do
 _VALIDATORS = {
     "category": lambda ws, name, cat: validate_category(cat),
     "functor": lambda ws, name, fun: check_functor(fun).report,
@@ -411,67 +443,54 @@ _VALIDATORS = {
     "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
     "pointed_base": lambda ws, name, base: validate_pointed_base(base),
     "covering": lambda ws, name, entry: validate_covering(ws.categories[entry[0]], entry[1]),
-    "presheaf": lambda ws, name, F: F.shape,
+    "presheaf": lambda ws, name, F: validate_presheaf(F),
     "square": lambda ws, name, entry: Report.collect(
         name, square_endpoint_findings(ws.categories[entry[0]], entry[1])
     ),
     "layered": lambda ws, name, layered: validate_layered(layered),
     "ladder": lambda ws, name, entry: validate_ladder(ws.layered[entry[0]], entry[1]),
 }
-_CATEGORY, _POINTS = ("category",), ("pointed_base",)
-_COVER, _PRESHEAF = _CATEGORY + ("covering",), _CATEGORY + ("presheaf",)
-_POWERED = _COVER + ("layered",)
-_SHEAF = _COVER + ("presheaf",)
 
-# kind -> (command, run, owns_expectation, gated).  run(r) reads the spec
-# through the resolver r and returns the check's Report (z_compose: the
-# Report and its payload).  Checkers are called by their global name at call
-# time, so a wrapper installed on this module sees every call.  Only z_equiv
-# owns its expectation and reads ``expect`` itself; for the rest it is
-# applied after.  ``gated`` names the roles whose documents the kind's law
-# assumes valid: its verdict stands only if every category its documents
-# live on (role "category") and every document of the other roles it read
-# passes that role's validator.
+# kind -> (command, run, owns_expectation).  run(r) reads the spec through
+# the resolver r and returns the check's Report (z_compose: the Report and
+# its payload); every kind but validate's ten validator kinds calls its
+# checker through r.check.  Checkers are called by their global name at
+# call time, so a wrapper installed on this module sees every call.  Only
+# z_equiv owns its expectation and reads ``expect`` itself; for the rest it
+# is applied after.
 KINDS = {
     **{  # validate's kind of each role: that role's validator on the document its field names
         "z_validate" if role == "zmorphism" else f"validate_{role}": (
-            "validate", lambda r, role=role: _VALIDATORS[role](r.ws, r.value(role), r.id(role)), False, ()
+            "validate", lambda r, role=role: r.report(role, r.value(role), r.id(role)), False
         )
         for role in _VALIDATORS
     },
-    "quotient": ("validate", lambda r: quotient_category(*r.on("partition"))[1], False, ()),
-    "z_compose": ("z-compose", _z_compose, False, _CATEGORY + ("zmorphism",)),
-    "grothendieck": (
-        "site-check", lambda r: grothendieck_axiom_check(*r.on("covering"), r.budget), False, _CATEGORY
-    ),
-    "nisnevich": ("site-check", lambda r: nisnevich_cover_check(*_nisnevich_inputs(r)), False, _POINTS),
-    "component_lemma": (
-        "site-check", lambda r: nisnevich_component_lemma_check(*_nisnevich_inputs(r)), False, _POINTS
-    ),
-    "square": ("site-check", _square, False, _CATEGORY + _POINTS),
-    "powered_cover": ("site-check", _powered_cover, False, _POWERED),
-    "powered_stability": ("site-check", _powered_stability, False, _POWERED),
-    "gamma": ("blur-check", lambda r: gamma_check(*r.on("partition")), False, _CATEGORY),
-    "blurry_probe": ("blur-check", lambda r: blurry_axiom_probe(_blurry_site(r), r.budget), False, _COVER),
-    "powered_blurry": ("blur-check", _powered_blurry, False, _POWERED),
-    "sheaf": ("sheaf-check", lambda r: sheaf_check(*_presheaf_and(r, "covering"), r.budget), False, _SHEAF),
-    "additivity": ("sheaf-check", _additivity, False, ()),
-    "cartesian": (
-        "sheaf-check", lambda r: cartesian_square_check(*_presheaf_and(r, "square")), False, _PRESHEAF
-    ),
-    "squares_probe": ("sheaf-check", _squares_probe, False, _SHEAF + ("square",)),
-    "enumerate_fes": ("parametrize", _enumerate_fes, False, _CATEGORY),
-    "precompose": ("parametrize", _precompose, False, _CATEGORY),
+    "quotient": ("validate", lambda r: r.check(quotient_category, *r.on("partition"))[1], False),
+    "z_compose": ("z-compose", _z_compose, False),
+    "grothendieck": ("site-check", lambda r: r.check(grothendieck_axiom_check, *r.on("covering"), r.budget), False),
+    "nisnevich": ("site-check", lambda r: r.check(nisnevich_cover_check, *_nisnevich_inputs(r)), False),
+    "component_lemma": ("site-check", lambda r: r.check(nisnevich_component_lemma_check, *_nisnevich_inputs(r)), False),
+    "square": ("site-check", _square, False),
+    "powered_cover": ("site-check", _powered_cover, False),
+    "powered_stability": ("site-check", _powered_stability, False),
+    "gamma": ("blur-check", lambda r: r.check(gamma_check, *r.on("partition")), False),
+    "blurry_probe": ("blur-check", _blurry_probe, False),
+    "powered_blurry": ("blur-check", _powered_blurry, False),
+    "sheaf": ("sheaf-check", lambda r: r.check(sheaf_check, *_presheaf_and(r, "covering"), r.budget), False),
+    "additivity": ("sheaf-check", _additivity, False),
+    "cartesian": ("sheaf-check", lambda r: r.check(cartesian_square_check, *_presheaf_and(r, "square")), False),
+    "squares_probe": ("sheaf-check", _squares_probe, False),
+    "enumerate_fes": ("parametrize", _enumerate_fes, False),
+    "precompose": ("parametrize", _precompose, False),
     "model_axioms": (
         "model-check",
-        lambda r: model_axiom_check(r.id("model"), lifting=r.value("lifting", bool, False)),
+        lambda r: r.check(model_axiom_check, r.id("model"), lifting=r.value("lifting", bool, False)),
         False,
-        _CATEGORY,
     ),
-    "class_types": ("model-check", _class_types, False, _CATEGORY),
-    "quotient_model": ("model-check", _quotient_model, False, _CATEGORY),
-    "invariant": ("fingerprint", _invariant, False, ()),
-    "z_equiv": ("fingerprint", _z_equiv, True, ()),
+    "class_types": ("model-check", _class_types, False),
+    "quotient_model": ("model-check", _quotient_model, False),
+    "invariant": ("fingerprint", _invariant, False),
+    "z_equiv": ("fingerprint", _z_equiv, True),
 }
 
 # command -> the kinds it runs, in table order
@@ -482,26 +501,20 @@ COMMAND_KINDS = {
 
 
 def _run_check(ws: Workspace, spec: dict, path: str, budget: int, verdicts: dict):
-    """The check's report and payload.  The gate applies only when the run
-    returns, and a check it fails keeps no payload: what the run raises (an
-    unknown id, a blown budget) names what stopped the check, as does an
-    unknown id that stops a validator."""
+    """The check's report and payload.  A check that read a document which
+    fails validation gets one ``precondition`` finding per such document and
+    no payload; what its checker raises (an unknown id, a blown budget) is
+    the check's structural finding."""
     kind = spec["kind"]
-    _command, run, owns_expectation, gated = KINDS[kind]
+    _command, run, owns_expectation = KINDS[kind]
     r = _Resolver(ws, spec, path, budget, verdicts, {})
     payload = None
     try:
         report = run(r)
         if isinstance(report, tuple):
             report, payload = report
-        invalid = [
-            reports.structural("precondition", (name,), f"{DOCUMENTS[role][1]} fails validation")
-            for role in gated
-            for name, doc in r.read.get(role, {}).items()
-            if not r.valid(role, name, doc)
-        ]
-        if invalid:
-            report, payload = Report.collect(kind, invalid), None
+    except _Precondition as exc:
+        report = Report.collect(kind, exc.args[0])
     except KeyError as exc:
         missing = exc.args[0] if exc.args else ""
         report = Report.collect(kind, [reports.structural("inputs", (missing,), f"unknown id {missing!r}")])

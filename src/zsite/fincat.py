@@ -479,12 +479,9 @@ def quotient_category(cat: FinCat, rel: ObjEquiv) -> tuple[FinCat, Report]:
     Hom([X], [Y]) has at most one class morphism, present exactly when some
     representative morphism exists.  The saturation report flags composable
     class pairs whose composite class hom-set is uninhabited; the quotient is
-    a category exactly when that report is empty.
+    a category exactly when that report is empty.  Valid input: ``rel``
+    passes ``validate_partition``.
     """
-    bad = validate_partition(cat, rel)
-    if not bad.ok:
-        raise InputError(f"invalid partition: {bad.render()}")
-
     blocks = sorted({rel.block_id(o) for o in cat.objects})
     inhabited = class_representatives(cat, rel)
 

@@ -27,7 +27,6 @@ from .fincat import (
     check_functor,
     class_representatives,
     quotient_category,
-    validate_partition,
 )
 from .records import Record
 from .reports import Report
@@ -320,11 +319,8 @@ def class_types(M: ModelLabeledCat, rel: ObjEquiv, block_a: str, block_b: str) -
     A label belongs to the result iff some representative morphism from a
     member of the first block to a member of the second carries it; several
     labels at once are possible, and no connecting morphism means the empty
-    set.
+    set.  Valid input: ``rel`` passes ``validate_partition``.
     """
-    bad = validate_partition(M.base, rel)
-    if not bad.ok:
-        raise InputError(f"invalid partition: {bad.render()}")
     for block in (block_a, block_b):
         if block not in rel.labels.values():
             raise InputError(f"unknown block: {block}")

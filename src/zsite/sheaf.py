@@ -18,7 +18,6 @@ is for.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import reports
@@ -26,7 +25,7 @@ from .fincat import FinCat, InputError, ResourceBudgetError
 from .records import Record
 from .reports import Report
 from .search import backtrack
-from .site import CoveringAssignment, Square, square_endpoint_findings, _family_label
+from .site import CoveringAssignment, Square, _family_label
 from .zlin import ZObject, enumerate_correspondences, slice_correspondence
 
 
@@ -51,11 +50,6 @@ class Presheaf(Record):
 
     def restrict(self, m: str, section: str) -> str:
         return self.restriction[m][section]
-
-    @functools.cached_property
-    def shape(self) -> Report:
-        """``validate_presheaf(self)``, run on first use: the tables never change."""
-        return validate_presheaf(self)
 
 
 def validate_presheaf(F: Presheaf) -> Report:
@@ -204,11 +198,9 @@ def sheaf_check(F: Presheaf, assignment: CoveringAssignment, budget: int | None 
     matching families must be injective (separation) and surjective
     (gluing).  Families with an undeclared pairwise pullback are
     Unverifiable, naming the pair.  ``budget`` caps each family's
-    matching-family search.
+    matching-family search.  Valid input: ``F`` passes ``validate_presheaf``
+    and the assignment ``validate_covering``.
     """
-    if not F.shape.ok:
-        return F.shape
-
     rows = []
     for obj in sorted(assignment.families):
         for fam in assignment.families_of(obj):
@@ -327,13 +319,9 @@ def cartesian_square_check(F: Presheaf, square: Square) -> Report:
 
     Sends a section over X to its restrictions over U and V; the pair must
     agree over W, and the map must be a bijection onto all agreeing pairs.
+    Valid input: ``F`` passes ``validate_presheaf`` and the square has no
+    ``square_endpoint_findings``.
     """
-    if not F.shape.ok:
-        return F.shape
-    rows = square_endpoint_findings(F.cat, square)
-    if rows:
-        return Report.collect(F.name, rows)
-
     cat = F.cat
     x_obj = cat.target(square.u_to_x)
     u_obj, v_obj = cat.source(square.u_to_x), cat.source(square.v_to_x)
@@ -344,7 +332,7 @@ def cartesian_square_check(F: Presheaf, square: Square) -> Report:
         for b in F.sections_of(v_obj)
         if F.restrict(square.w_to_u, a) == F.restrict(square.w_to_v, b)
     ]
-    rows += bijection_findings(
+    rows = bijection_findings(
         ((t, (F.restrict(square.u_to_x, t), F.restrict(square.v_to_x, t))) for t in F.sections_of(x_obj)),
         fiber,
         ("square_injective", "two sections restrict to the same (U, V) pair"),
@@ -367,7 +355,7 @@ def squares_vs_sheaf_probe(
     is recorded, not checked.  Disagreement is a law finding either way.
     With no square there is nothing to compare, and the report holds only
     the structural ``squares_declared`` finding.  ``budget`` caps each
-    matching-family search of the sheaf check.
+    matching-family search of the sheaf check.  Valid input as for both checks.
     """
     squares = tuple(squares)
     if not squares:

@@ -21,7 +21,7 @@ from . import reports
 from .fincat import FinCat, InputError, ResourceBudgetError, reference_findings
 from .records import Record, Value
 from .reports import Report
-from .zlin import ZObject, z_validate
+from .zlin import ZObject
 
 
 def _family_label(family: frozenset[str]) -> str:
@@ -212,15 +212,12 @@ def covering_axiom_findings(
 def grothendieck_axiom_check(
     cat: FinCat, assignment: CoveringAssignment, budget: int | None = None
 ) -> Report:
-    """Exhaustive check of the three covering axioms (covering_axiom_findings).
+    """Exhaustive check of the three covering axioms (covering_axiom_findings)
+    on valid input: a covering that passes ``validate_covering``.
 
     Base change goes through declared pullbacks; a cospan without one is
-    Unverifiable.  A covering that names unknown ids gets only its
-    structural findings.
+    Unverifiable.
     """
-    covering = validate_covering(cat, assignment)
-    if not covering.ok:
-        return Report.collect("grothendieck", covering.findings)
     pull = functools.partial(_pulled_family, cat)
     return Report.collect("grothendieck", covering_axiom_findings(cat, assignment, pull, "", budget))
 
@@ -387,14 +384,6 @@ def _family_preconditions(base: PointedBase, target: ZObject, family) -> list:
                 )
             )
             continue
-        sub = z_validate(base.cat, member)
-        if not sub.ok:
-            first = sub.failures()[0]
-            rows.append(
-                reports.structural(
-                    "member_valid", (str(pos), first.rule), "member fails validation"
-                )
-            )
         for t in member.terms:
             if t.arrow not in base.etale_marked:
                 rows.append(
@@ -423,9 +412,9 @@ def nisnevich_cover_check(base: PointedBase, target: ZObject, family) -> Report:
     Passes iff for every component and every point of its base object, some
     member has a term into that component whose arrow carries a
     residue-preserving point mapping onto it.  The terms are read once, in
-    each member's source-side layout.  Every term arrow must be
-    etale-marked (precondition; violations are structural findings naming
-    the term).
+    each member's source-side layout.  Valid input: a valid base and members
+    that pass ``z_validate``.  Every term arrow must be etale-marked
+    (precondition; violations are structural findings naming the term).
     """
     family = tuple(family)
     rows = _family_preconditions(base, target, family)
@@ -555,17 +544,14 @@ def square_endpoint_findings(cat: FinCat, square: Square) -> list:
 
 
 def distinguished_square_check(base: PointedBase, square: Square) -> Report:
-    """Open-leg, etale-leg, and complement conditions on a commuting square.
+    """Open-leg, etale-leg, and complement conditions on valid input: a
+    square with no ``square_endpoint_findings``, which commutes.
 
     The open leg must have an injective, everywhere residue-preserving point
     map; the etale leg must carry the mark; and away from the open image the
     etale leg must restrict to a residue-preserving bijection of points.
     """
-    cat = base.cat
-    rows = square_endpoint_findings(cat, square)
-    if rows:
-        return Report.collect("square", rows)
-
+    cat, rows = base.cat, []
     u_obj, x_obj = cat.morphisms[square.u_to_x]
     v_obj = cat.source(square.v_to_x)
 
@@ -717,15 +703,15 @@ def level_covering(n: int, cat: FinCat, assignment: CoveringAssignment, arrow: s
 
 
 def powered_cover_check(layered: LayeredCategory, ladder: LadderMorphism, assignments) -> Report:
-    """A ladder covers iff each level's morphism sits in an assigned family."""
+    """A valid ladder (one that passes ``validate_ladder``) covers iff each
+    level's morphism sits in an assigned family."""
     assignments = tuple(assignments)
     if len(assignments) != layered.depth():
         detail = f"need one covering assignment per level ({layered.depth()})"
         return Report.collect("powered_cover", [reports.structural("assignment_count", (len(assignments),), detail)])
-    rows = list(validate_ladder(layered, ladder).findings)
-    if not rows:
-        for n, arrow in enumerate(ladder.arrows):
-            rows += level_covering(n, layered.levels[n], assignments[n], arrow)
+    rows = []
+    for n, arrow in enumerate(ladder.arrows):
+        rows += level_covering(n, layered.levels[n], assignments[n], arrow)
     return Report.collect("powered_cover", rows)
 
 
@@ -743,15 +729,16 @@ def powered_stability_probe(
     A member arrow and a test arrow with different targets are no cospan, so
     the member is Skipped; a missing declared pullback is Unverifiable.  The
     pulled ladder of a broken apex chain is not checked, since its source
-    chain breaks at the same place.
+    chain breaks at the same place; once the apex chain holds, the pulled
+    ladder is valid.  Valid input: the test ladder and every member pass
+    ``validate_ladder``.
     """
     assignments = tuple(assignments)
-    rows = list(validate_ladder(layered, test).findings)
-    if not rows and len(assignments) != layered.depth():
+    if len(assignments) != layered.depth():
         rows = [reports.structural("assignment_count", (len(assignments),), "one assignment per level")]
-    if rows:
         return Report.collect("powered_stability", rows)
 
+    rows = []
     for pos, member in enumerate(family):
         if not powered_cover_check(layered, member, assignments).ok:
             detail = "family member does not itself cover; stability is probed on covers"
@@ -782,7 +769,6 @@ def powered_stability_probe(
             continue
         pulled = LadderMorphism(arrows=tuple(to_b for _apex, _to_a, to_b in chosen))
         findings = powered_cover_check(layered, pulled, assignments).findings
-        rows += [f for f in findings if f.kind == reports.STRUCTURAL]
         failing = next((f for f in findings if f.rule == "level_covering"), None)
         if failing is not None:
             detail = "base-changed ladder is not covering"

@@ -60,21 +60,6 @@ class TestGamma:
         assert report.unverifiable
         assert all(f.rule == "product_compat" for f in report.unverifiable)
 
-    def test_partition_failing_validation_gets_only_its_structural_findings(self, poset2_ws):
-        # E in two blocks, T in none, or a block naming no object: no
-        # product_compat verdict either way
-        cat = poset2_ws.categories["poset2"]
-        cases = [
-            ([["E", "P"], ["Q", "E"], ["T"]], "blocks_disjoint", ("E",)),
-            ([["E"], ["P"], ["Q"]], "blocks_exhaustive", ("T",)),
-            ([["E"], ["P"], ["Q"], ["T", "ghost"]], "blocks_known", ("ghost",)),
-        ]
-        for blocks, rule, witnesses in cases:
-            report = gamma_check(cat, partition_from_blocks(blocks))
-            assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
-                ("structural", rule, witnesses)
-            ]
-
 
 class TestBlurryTopology:
     def test_class_families_of_the_ep_quotient(self, poset2_ws):

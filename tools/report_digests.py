@@ -24,9 +24,11 @@ is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
 of each bundled fixture with one reference field of one document naming
 nothing (see ``dangling_fixtures``).  The ``"invalid inputs"`` entry is the
 sha256 of the exit code, stdout and stderr of every command, in both
-formats, on five schema-valid edits of bundled fixtures whose edited
-document fails its own validator (see ``invalid_fixtures``).  Run from the
-repository root:
+formats, on seven schema-valid edits of bundled fixtures whose edited
+document fails its own validator (see ``invalid_fixtures``).  Like the
+command line, the sweeps call a checker only on documents that pass their
+validators: an invalid partition, presheaf or ladder is recorded by its
+validator's report instead.  Run from the repository root:
 
     python3 tools/report_digests.py [OUT]
 
@@ -76,10 +78,11 @@ from zsite.fincat import (  # noqa: E402
     partition_from_blocks,
     poset_category,
     quotient_category,
+    validate_partition,
 )
 from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc  # noqa: E402
 from zsite.modular import ModelLabeledCat, class_types, enumerate_fes, quotient_model  # noqa: E402
-from zsite.sheaf import matching_families, sheaf_check  # noqa: E402
+from zsite.sheaf import matching_families, sheaf_check, validate_presheaf  # noqa: E402
 from zsite.site import (  # noqa: E402
     CoveringAssignment,
     LadderMorphism,
@@ -88,6 +91,7 @@ from zsite.site import (  # noqa: E402
     grothendieck_axiom_check,
     powered_cover_check,
     powered_stability_probe,
+    validate_ladder,
 )
 from zsite.zlin import z_compose, z_morphism  # noqa: E402
 
@@ -251,6 +255,8 @@ INVALID_EDITS = (
     ("chain3.json", "square", put("squares", "sq", "w_to_u", value="id_T")),
     ("chain3.json", "presheaf", put("presheaves", "glues", "restrictions", "id_B", "s", value="t")),
     ("layered2.json", "layered", drop("layered", "L", "membership", 0, "E'")),
+    ("chain3.json", "partition", put("partitions", "ab", "blocks", value=[["A", "B"]])),
+    ("layered2.json", "ladder", put("ladders", "lad", "arrows", value=["E<T", "P'<T'"])),
 )
 
 
@@ -260,8 +266,10 @@ def invalid_fixtures():
     The edited document fails its validator: composite ``g1|f1`` of zbase
     has other endpoints than its factors, covering K gives T a member into
     B, square sq's W-legs ``id_T`` and ``A<B`` start at different objects,
-    presheaf glues' identity on B moves a section, and layered category L
-    maps level 1's object E' to no object of level 0.
+    presheaf glues' identity on B moves a section, layered category L
+    maps level 1's object E' to no object of level 0, partition ab leaves
+    T in no block, and ladder lad's arrows E<T and P'<T' cross L's
+    membership map.
     """
     for fixture, label, edit in INVALID_EDITS:
         doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
@@ -394,7 +402,10 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
     holed copy, sometimes under a budget of 2.  A random partition (one in
     eight invalid) drives the quotient, class-label and induced-functor
     checks, and the blurry probe runs on the unmutated closure, then once per
-    class family with that family removed from the quotient assignment.
+    class family with that family removed from the quotient assignment.  An
+    invalid partition is recorded, for each of these checkers, as the
+    ``InputError`` text those checkers raised on it when they validated it
+    themselves.
     """
     rng = random.Random(seed)
     out: dict[str, list] = {name: [] for name in SWEPT}
@@ -420,10 +431,17 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
             _render(_outcome(lambda: grothendieck_axiom_check(holed, mutated, budget)))
         )
         out["chosen_limit_check"].append(_render(chosen_limit_check(holed)))
+        labels = sorted({block_label(b) for b in rel.blocks}) + ["[ghost]"]
+        partition = validate_partition(cat, rel)
+        if not partition.ok:
+            invalid = f"InputError: invalid partition: {partition.render()}"
+            for name in ("quotient_category", "quotient_model", "induced_functor", "blurry_axiom_probe"):
+                out[name].append(invalid)
+            out["class_types"].append([invalid] * len(labels) ** 2)
+            continue
         out["quotient_category"].append(_outcome(lambda: _dump_quotient(quotient_category(holed, rel))))
         out["quotient_model"].append(_outcome(lambda: _dump_model(quotient_model(model, rel))))
         out["induced_functor"].append(_outcome(lambda: _dump_induced(induced_functor(fun, rel))))
-        labels = sorted({block_label(b) for b in rel.blocks}) + ["[ghost]"]
         out["class_types"].append(
             [_outcome(lambda: sorted(class_types(model, rel, a, b))) for a in labels for b in labels]
         )
@@ -486,8 +504,9 @@ def sheaf_outputs(cases: int = SHEAF_CASES, seed: int = SHEAF_SEED) -> list:
     Each case draws a random poset (3-5 objects) and the covering closure of
     random seeds; in half the cases one to six declared pullbacks are then
     dropped.  A random point presheaf, one in four with one restriction
-    entry damaged, is checked against the closure, and every family's
-    matching families and missing pullbacks are recorded.
+    entry damaged, is checked against the closure (a presheaf that fails
+    ``validate_presheaf`` is recorded by that report instead), and every
+    family's matching families and missing pullbacks are recorded.
     """
     rng = random.Random(seed)
     out = []
@@ -503,8 +522,9 @@ def sheaf_outputs(cases: int = SHEAF_CASES, seed: int = SHEAF_SEED) -> list:
         if rng.random() < 0.25:
             F = _damaged(rng, F)
         families = [fam for obj in sorted(closure.families) for fam in closure.families_of(obj)]
+        shape = validate_presheaf(F)
         out.append([
-            _render(_outcome(lambda: sheaf_check(F, closure))),
+            _render(_outcome(lambda: sheaf_check(F, closure)) if shape.ok else shape),
             [_outcome(lambda: matching_families(F, fam)) for fam in families],
         ])
     return out
@@ -674,7 +694,9 @@ def powered_outputs(cases: int = POWERED_CASES, seed: int = POWERED_SEED) -> lis
     ladder in twenty loses its last arrow or has one replaced by an unknown
     id, and one case in ten passes one assignment too few.  Each case
     records the rendered cover report of every ladder and the stability
-    report, or the type and text of what either raised.
+    report, or the type and text of what either raised; a case with a
+    ladder that fails ``validate_ladder`` records the rendered report of
+    each such ladder instead.
     """
     rng = random.Random(seed)
     out = []
@@ -706,6 +728,10 @@ def powered_outputs(cases: int = POWERED_CASES, seed: int = POWERED_SEED) -> lis
             assignments.pop()
 
         layered = LayeredCategory(levels=tuple(levels), membership=tuple(membership))
+        invalid = [report for report in (validate_ladder(layered, lad) for lad in family + [test]) if not report.ok]
+        if invalid:
+            out.append([report.render() for report in invalid])
+            continue
         out.append([
             [_render(_outcome(lambda: powered_cover_check(layered, lad, assignments))) for lad in family + [test]],
             _render(_outcome(lambda: powered_stability_probe(layered, family, test, assignments))),
