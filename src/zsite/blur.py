@@ -168,7 +168,7 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
             found = next(
                 (
                     (f, g)
-                    for f in reps.get(quotient.morphisms.get(cf), ())
+                    for f in reps[quotient.morphisms[cf]]
                     for g in cg_reps
                     if cat.target(f) == cat.target(g) and (f, g) in cat.pullbacks
                 ),

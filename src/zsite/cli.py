@@ -10,9 +10,13 @@ spec through a ``_Resolver``, which resolves ids in the workspace table of
 their role (a row of ``jsonio.DOCUMENTS``), records the documents it read
 and the categories they live on and turns a missing or mistyped field into
 a WorkspaceError.  Every kind but validate's ten validator kinds runs its
-checker through ``_Resolver.check``, the one gate: a check that read a
-document failing its ``_VALIDATORS`` row gets a ``precondition`` finding
-per such document instead, so no checker validates its input again.
+checker through ``_Resolver.check``, the one gate, which validates the
+categories the check read before any other document: a check that read
+a category failing its ``_VALIDATORS`` row gets a ``precondition``
+finding per such category, else one per other document that fails its
+row, instead of the checker's report.  Validate's kinds judge a document
+only on categories that pass, so no validator or checker meets a broken
+category and none validates its input again.
 Each check's entry is encoded as the check ends, and its report dropped;
 nothing is written before every check has run, so a WorkspaceError prints
 only its ``error:`` line.  Reports are byte-deterministic for identical
@@ -104,7 +108,8 @@ class _Resolver:
     check alone.  ``read`` maps "category" to the name and category of
     every category a resolved document lives on, and every other role to
     the names and documents resolved in it; nested resolvers share it.
-    ``check`` runs a checker once every document in ``read`` is valid.
+    ``check`` runs a checker once every category in ``read`` is valid and
+    then every other document in it.
     ``verdicts`` is shared by every check of one run and holds the
     validation verdict of each document validated in it.
     """
@@ -155,7 +160,11 @@ class _Resolver:
         return self.ws.categories[catname], doc
 
     def report(self, role: str, name: str, entry) -> Report:
-        """The ``role`` document ``name``'s validator report; the run keeps its verdict."""
+        """The ``role`` document ``name``'s validator report; the run keeps
+        its verdict.  Any other document than a category is judged only
+        once every category read so far passes; else _Precondition."""
+        if role != "category":
+            self.gate("category")
         report = _VALIDATORS[role](self.ws, name, entry)
         self.verdicts[role, name] = report.ok
         return report
@@ -164,18 +173,24 @@ class _Resolver:
         """Whether the document passes its role's validator, run at most once per document and run."""
         return self.verdicts[role, name] if (role, name) in self.verdicts else self.report(role, name, entry).ok
 
-    def check(self, checker, *args, **kwargs):
-        """``checker(*args, **kwargs)`` if every document read so far is
-        valid; else raise _Precondition with a finding per one that is not."""
+    def gate(self, *roles: str) -> None:
+        """Raise _Precondition with a finding per document of ``roles`` in ``read`` that fails validation."""
         failing = [
             reports.structural("precondition", (name,), f"{DOCUMENTS[role][1]} fails validation")
-            for role, docs in self.read.items()
+            for role in roles
             if role in _VALIDATORS
-            for name, entry in docs.items()
+            for name, entry in self.read.get(role, {}).items()
             if not self.valid(role, name, entry)
         ]
         if failing:
             raise _Precondition(failing)
+
+    def check(self, checker, *args, **kwargs):
+        """``checker(*args, **kwargs)`` once every category read so far is
+        valid, and then every other document; else raise _Precondition with
+        a finding per category that is not, or failing none, per document."""
+        self.gate("category")
+        self.gate(*self.read)
         return checker(*args, **kwargs)
 
     def zobject(self, field: str, cat):
@@ -435,7 +450,8 @@ def _z_equiv(r: _Resolver):
 # role -> the one definition of a valid document of that role, read by
 # ``_Resolver.check`` and by validate's kinds: called with the workspace, the
 # document's name and its entry, it calls its checker by its global name like
-# the kinds do
+# the kinds do.  Every row but the category's runs only once the categories
+# its document lives on pass theirs.
 _VALIDATORS = {
     "category": lambda ws, name, cat: validate_category(cat),
     "functor": lambda ws, name, fun: check_functor(fun).report,
@@ -459,7 +475,7 @@ _VALIDATORS = {
 # z_equiv owns its expectation and reads ``expect`` itself; for the rest it
 # is applied after.
 KINDS = {
-    **{  # validate's kind of each role: that role's validator on the document its field names
+    **{  # validate's kind of each role: that role's row on the document its field names
         "z_validate" if role == "zmorphism" else f"validate_{role}": (
             "validate", lambda r, role=role: r.report(role, r.value(role), r.id(role)), False
         )

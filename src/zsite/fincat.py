@@ -198,39 +198,6 @@ def discrete_partition(cat: FinCat) -> ObjEquiv:
 # =====================================================================
 
 
-def reference_findings(cat: FinCat) -> list[reports.Finding]:
-    """Structural findings on the ids the category's tables cannot resolve:
-    unknown morphism ends, missing or misplaced identities and composites
-    naming unknown morphisms.  Every other check of the tables assumes none."""
-    rows: list[reports.Finding] = []
-    objset = set(cat.objects)
-    for m, (src, tgt) in sorted(cat.morphisms.items()):
-        for end, label in ((src, "source"), (tgt, "target")):
-            if end not in objset:
-                rows.append(
-                    reports.structural("morphism_endpoints", (m, end), f"unknown {label} object")
-                )
-
-    for obj in cat.objects:
-        ident = cat.identities.get(obj)
-        if ident is None:
-            rows.append(reports.structural("identity_total", (obj,), "object has no identity"))
-        elif ident not in cat.morphisms:
-            rows.append(reports.structural("identity_total", (obj, ident), "identity id unknown"))
-        elif cat.morphisms[ident] != (obj, obj):
-            rows.append(
-                reports.structural("identity_endpoints", (obj, ident), "identity is not an endomorphism of its object")
-            )
-    for obj in sorted(set(cat.identities) - objset):
-        rows.append(reports.structural("identity_total", (obj,), "identity declared for unknown object"))
-
-    for (g, f), h in sorted(cat.composition.items()):
-        for m in (g, f, h):
-            if m not in cat.morphisms:
-                rows.append(reports.structural("composition_refs", (g, f, m), "unknown morphism id in composition table"))
-    return rows
-
-
 def validate_category(cat: FinCat) -> Report:
     """Full structural and law check; an empty report means a valid category.
 
@@ -244,7 +211,33 @@ def validate_category(cat: FinCat) -> Report:
         dupes = sorted({o for o in cat.objects if cat.objects.count(o) > 1})
         rows.append(reports.structural("object_ids_unique", dupes, "duplicate object ids"))
 
-    refs = reference_findings(cat)
+    # Dangling ids: every other check of the tables assumes none.
+    refs: list[reports.Finding] = []
+    objset = set(cat.objects)
+    for m, (src, tgt) in sorted(cat.morphisms.items()):
+        for end, label in ((src, "source"), (tgt, "target")):
+            if end not in objset:
+                refs.append(
+                    reports.structural("morphism_endpoints", (m, end), f"unknown {label} object")
+                )
+
+    for obj in cat.objects:
+        ident = cat.identities.get(obj)
+        if ident is None:
+            refs.append(reports.structural("identity_total", (obj,), "object has no identity"))
+        elif ident not in cat.morphisms:
+            refs.append(reports.structural("identity_total", (obj, ident), "identity id unknown"))
+        elif cat.morphisms[ident] != (obj, obj):
+            refs.append(
+                reports.structural("identity_endpoints", (obj, ident), "identity is not an endomorphism of its object")
+            )
+    for obj in sorted(set(cat.identities) - objset):
+        refs.append(reports.structural("identity_total", (obj,), "identity declared for unknown object"))
+
+    for (g, f), h in sorted(cat.composition.items()):
+        for m in (g, f, h):
+            if m not in cat.morphisms:
+                refs.append(reports.structural("composition_refs", (g, f, m), "unknown morphism id in composition table"))
     if refs:
         return Report.collect(cat.name, rows + refs)
 

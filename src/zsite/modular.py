@@ -286,17 +286,11 @@ def compose_functors(outer: Functor, inner: Functor) -> Functor:
 def precompose(G: Functor, family: ParamFamily) -> ParamFamily:
     """Contravariant action: each parametrization F becomes F after G.
 
-    G must itself be full and essentially surjective (the action is defined
-    on nothing larger), and every output member is re-verified rather than
-    assumed to inherit both properties from its factors.
+    Valid input: G passes ``check_functor``, so it is full and essentially
+    surjective (the action is defined on nothing larger).  Every output
+    member is re-verified rather than assumed to inherit both properties
+    from its factors.
     """
-    verdict = check_functor(G)
-    if not verdict.ok:
-        raise InputError(
-            "precomposition needs a full, essentially surjective functor; "
-            f"got functorial={verdict.functorial} full={verdict.full} "
-            f"es={verdict.essentially_surjective}"
-        )
     if G.target.name != family.source.name:
         raise InputError(
             f"functor lands in {G.target.name}, the family is parametrized by {family.source.name}"

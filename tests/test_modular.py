@@ -200,13 +200,15 @@ class TestPrecomposition:
         from zsite.fincat import Functor, InputError
 
         # the chain has no isomorphism between its objects, so a point
-        # misses an iso class and essential surjectivity fails
+        # misses an iso class and essential surjectivity fails; precompose
+        # takes G as valid (the command line's gate judges it), and the
+        # re-verification of each member still refuses the result
         point = Functor(
             name="pt", source=ws.categories["one"], target=ws.categories["chain2"],
             object_map={"*": "x"}, morphism_map={"id_*": "id_x"},
         )
         family = enumerate_fes(ws.categories["chain2"], ws.model_cats["MC2"])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="precomposed member fes0.pt lost fullness or surjectivity"):
             precompose(point, family)
 
 

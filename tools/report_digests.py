@@ -24,7 +24,7 @@ is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
 of each bundled fixture with one reference field of one document naming
 nothing (see ``dangling_fixtures``).  The ``"invalid inputs"`` entry is the
 sha256 of the exit code, stdout and stderr of every command, in both
-formats, on seven schema-valid edits of bundled fixtures whose edited
+formats, on ten schema-valid edits of bundled fixtures whose edited
 document fails its own validator (see ``invalid_fixtures``).  Like the
 command line, the sweeps call a checker only on documents that pass their
 validators: an invalid partition, presheaf or ladder is recorded by its
@@ -257,6 +257,9 @@ INVALID_EDITS = (
     ("layered2.json", "layered", drop("layered", "L", "membership", 0, "E'")),
     ("chain3.json", "partition", put("partitions", "ab", "blocks", value=[["A", "B"]])),
     ("layered2.json", "ladder", put("ladders", "lad", "arrows", value=["E<T", "P'<T'"])),
+    ("chain3.json", "identity", drop("categories", "chain3", "identities", "A")),
+    ("chain3.json", "right unit", put("categories", "chain3", "composition", "A<B|id_A", value="id_A")),
+    ("modular.json", "functor end", drop("categories", "m2", "identities", "a")),
 )
 
 
@@ -268,8 +271,10 @@ def invalid_fixtures():
     B, square sq's W-legs ``id_T`` and ``A<B`` start at different objects,
     presheaf glues' identity on B moves a section, layered category L
     maps level 1's object E' to no object of level 0, partition ab leaves
-    T in no block, and ladder lad's arrows E<T and P'<T' cross L's
-    membership map.
+    T in no block, ladder lad's arrows E<T and P'<T' cross L's
+    membership map, chain3 gives A no identity, chain3's composite
+    ``A<B|id_A`` is ``id_A`` rather than ``A<B``, and m2, the target of
+    functor swap, gives a no identity.
     """
     for fixture, label, edit in INVALID_EDITS:
         doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
