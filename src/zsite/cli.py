@@ -161,8 +161,8 @@ class _Resolver:
 
     def report(self, role: str, name: str, entry) -> Report:
         """The ``role`` document ``name``'s validator report; the run keeps
-        its verdict.  Any other document than a category is judged only
-        once every category read so far passes; else _Precondition."""
+        its verdict.  A document other than a category is judged only once
+        every category read so far passes; else _Precondition is raised."""
         if role != "category":
             self.gate("category")
         report = _VALIDATORS[role](self.ws, name, entry)
