@@ -597,81 +597,3 @@ def induced_functor(fun: Functor, rel: ObjEquiv) -> tuple[Functor, Report]:
     )
     return induced, Report.collect(induced.name, rows)
 
-
-# =====================================================================
-# constructors
-# =====================================================================
-
-
-def poset_category(name: str, elements, leq_pairs, with_meets: bool = True) -> FinCat:
-    """Category of a finite poset: one morphism a -> b for each a <= b.
-
-    ``leq_pairs`` lists the strict relations; reflexivity is implied and the
-    transitive closure is taken.  With ``with_meets``, every cospan whose two
-    sources have a unique greatest lower bound gets a declared pullback, and
-    every such object pair a declared product (in a poset both are the meet).
-    """
-    elements = tuple(elements)
-    below: dict[str, set[str]] = {e: {e} for e in elements}
-    for a, b in leq_pairs:
-        below[b].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for b in elements:
-            grow = set()
-            for a in below[b]:
-                grow |= below[a]
-            if not grow <= below[b]:
-                below[b] |= grow
-                changed = True
-
-    def leq(a: str, b: str) -> bool:
-        return a in below[b]
-
-    def arrow(a: str, b: str) -> str:
-        return f"id_{a}" if a == b else f"{a}<{b}"
-
-    morphisms: dict[str, tuple[str, str]] = {}
-    for b in elements:
-        for a in below[b]:
-            morphisms[arrow(a, b)] = (a, b)
-    identities = {e: arrow(e, e) for e in elements}
-    composition = {
-        (arrow(b, c), arrow(a, b)): arrow(a, c)
-        for a in elements
-        for b in elements
-        if leq(a, b)
-        for c in elements
-        if leq(b, c)
-    }
-
-    def meet(a: str, b: str) -> str | None:
-        lower = [x for x in elements if leq(x, a) and leq(x, b)]
-        tops = [x for x in lower if all(leq(y, x) for y in lower)]
-        return tops[0] if len(tops) == 1 else None
-
-    pullbacks: dict[tuple[str, str], tuple[str, str, str]] = {}
-    products: dict[tuple[str, str], tuple[str, str, str]] = {}
-    if with_meets:
-        for a, b in itertools.product(elements, repeat=2):
-            m = meet(a, b)
-            if m is not None:
-                products[(a, b)] = (m, arrow(m, a), arrow(m, b))
-        for f, (a, x1) in morphisms.items():
-            for g, (b, x2) in morphisms.items():
-                if x1 != x2:
-                    continue
-                m = meet(a, b)
-                if m is not None:
-                    pullbacks[(f, g)] = (m, arrow(m, a), arrow(m, b))
-
-    return FinCat(
-        name=name,
-        objects=elements,
-        morphisms=morphisms,
-        identities=identities,
-        composition=composition,
-        pullbacks=pullbacks,
-        products=products,
-    )

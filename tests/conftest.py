@@ -4,7 +4,8 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from zsite.jsonio import load_workspace
+from clibench.oracles import Tables
+from zsite.jsonio import cat_to_doc, load_workspace
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -12,6 +13,22 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def fixture_path(name: str) -> str:
     """Absolute path of a bundled workspace fixture."""
     return str(resources.files("zsite").joinpath("fixtures", name))
+
+
+def fixture_doc(name: str) -> dict:
+    """The raw JSON of a bundled workspace fixture."""
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def tables(cat) -> Tables:
+    """The oracles' raw-table index over ``cat``'s category document."""
+    return Tables(cat_to_doc(cat))
+
+
+def raw_presheaf(F) -> dict:
+    """``F``'s section and restriction tables, shaped as a presheaf document."""
+    return {"sections": F.sections, "restrictions": F.restriction}
 
 
 FIXTURE_NAMES = [
@@ -71,8 +88,7 @@ def drop(*path):
 
 def mutated_workspace(tmp_path, name: str, *edits):
     """Load a copy of a bundled fixture after applying ``edits`` to its JSON."""
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = fixture_doc(name)
     for edit in edits:
         edit(raw)
     path = tmp_path / f"mutated-{name}"

@@ -1,19 +1,42 @@
 """Randomized builders shared by the module and acceptance suites.
 
 Everything takes an explicit random.Random so failures reproduce from the
-seed in the test.  Chains are built level by level down a layered thin
-base, with positive and negative mass travelling in disjoint component
-sectors; that keeps every middle component sign-pure, which is exactly the
-regime where composition is total.
+seed in the test.  Categories, point presheaves and wide sums are drawn as
+raw documents by ``clibench.gen``, the one generator layer, and decoded
+through ``zsite.jsonio`` (see ``thin``, ``presheaf_on`` and
+``wide_sums``); this module keeps only the builders with no twin there.
+Chains are built level by level down a layered thin base, with positive
+and negative mass travelling in disjoint component sectors; that keeps
+every middle component sign-pure, which is exactly the regime where
+composition is total.
 """
 
 import itertools
 import random
 
+from clibench import gen
 from conftest import replace
-from zsite.fincat import FinCat, poset_category
+from zsite.fincat import FinCat
+from zsite.jsonio import _decode, cat_from_doc, cat_to_doc
 from zsite.sheaf import Presheaf
 from zsite.zlin import ZMorphism, z_morphism, z_object
+
+
+def thin(name, elements, pairs, with_meets=True) -> FinCat:
+    """``gen.thin_category`` of the preorder that ``pairs`` generate on ``elements``.
+
+    ``pairs`` lists (a, b) with a <= b; reflexivity is implied and the
+    transitive closure is taken (Warshall).  With ``with_meets`` every
+    unique greatest lower bound is declared as pullback and product.
+    """
+    below = {e: {e} for e in elements}
+    for a, b in pairs:
+        below[b].add(a)
+    for k in elements:
+        for b in elements:
+            if k in below[b]:
+                below[b] |= below[k]
+    return cat_from_doc(name, gen.thin_category(elements, lambda a, b: a in below[b], with_meets))
 
 
 def layered_base(sizes, name="layers"):
@@ -26,7 +49,7 @@ def layered_base(sizes, name="layers"):
         objs.extend(level)
     for below, above in zip(levels, levels[1:]):
         rels.extend((a, b) for a in below for b in above)
-    return poset_category(name, objs, rels), levels
+    return thin(name, objs, rels), levels
 
 
 def rand_poset(rng: random.Random, n_objs=5, edge_p=0.45, name="rp"):
@@ -38,7 +61,7 @@ def rand_poset(rng: random.Random, n_objs=5, edge_p=0.45, name="rp"):
         for j in range(i + 1, n_objs)
         if rng.random() < edge_p
     ]
-    return poset_category(name, objs, rels)
+    return thin(name, objs, rels)
 
 
 def rand_preorder(rng: random.Random, n_objs=4, edge_p=0.45, back_p=0.3, name="rq"):
@@ -52,47 +75,33 @@ def rand_preorder(rng: random.Random, n_objs=4, edge_p=0.45, back_p=0.3, name="r
         if rng.random() < edge_p
     ]
     rels += [(b, a) for a, b in rels if rng.random() < back_p]
-    return poset_category(name, objs, rels, with_meets=False)
+    return thin(name, objs, rels, with_meets=False)
 
 
 def rand_small_category(rng: random.Random, most: int, name: str, order=3):
-    """A random poset or preorder of up to ``most`` objects, or a cyclic
-    groupoid on one or two objects whose hom-sets have up to ``order`` arrows."""
+    """A random poset or preorder of up to ``most`` objects, or a
+    ``gen.groupoid`` on one or two objects whose hom-sets have up to
+    ``order`` arrows."""
     kind = rng.randrange(3)
     if kind == 0:
         return rand_poset(rng, n_objs=rng.randint(1, most), name=name)
     if kind == 1:
         return rand_preorder(rng, n_objs=rng.randint(1, most), name=name)
-    return cyclic_groupoid(rng.randint(1, 2), rng.randint(1, order), name=name)
+    return cat_from_doc(name, gen.groupoid(rng.randint(1, 2), rng.randint(1, order)))
+
+
+def presheaf_on(cat: FinCat, doc: dict):
+    """``doc``, the sections and restrictions of a presheaf on ``cat``,
+    decoded by ``jsonio._decode`` as presheaf P of a workspace holding only
+    the two."""
+    raw = {"categories": {cat.name: cat_to_doc(cat)}, "presheaves": {"P": {"category": cat.name, **doc}}}
+    return _decode(raw).presheaves["P"]
 
 
 def drop_composites(rng: random.Random, cat: FinCat, most=3) -> FinCat:
     """``cat`` without one to ``most`` random composites, identity composites included."""
     gone = set(rng.sample(sorted(cat.composition), min(len(cat.composition), rng.randint(1, most))))
     return replace(cat, composition={k: v for k, v in cat.composition.items() if k not in gone})
-
-
-def point_presheaf(rng: random.Random, cat: FinCat, points=3, labels=2, keep=0.6, name="P"):
-    """Restrictions of a random set of labelings of a few points of a poset.
-
-    A global labeling assigns a label to each chosen point; its section over
-    x keeps the labels of the points below x and blanks the rest.  Keeping a
-    random subset of all labelings makes gluing fail on some families and
-    hold on others.
-    """
-    objs = sorted(cat.objects)
-    chosen = sorted(rng.sample(objs, min(points, len(objs))))
-    every = list(itertools.product(range(labels), repeat=len(chosen)))
-    kept = [s for s in every if rng.random() < keep] or [rng.choice(every)]
-
-    def section(sigma, x):
-        return "".join(str(v) if cat.hom(p, x) else "-" for p, v in zip(chosen, sigma))
-
-    sections = {x: tuple(sorted({section(s, x) for s in kept})) for x in objs}
-    restriction = {
-        m: {section(s, v): section(s, u) for s in kept} for m, (u, v) in sorted(cat.morphisms.items())
-    }
-    return Presheaf(name=name, cat=cat, sections=sections, restriction=restriction)
 
 
 def rand_seeds(rng: random.Random, cat: FinCat, max_seeds=2):
@@ -233,64 +242,25 @@ def rand_chain(rng: random.Random, base: FinCat, levels, length=3, max_total=6):
     return chain
 
 
-def cyclic_groupoid(objects: int, order: int, name="cyc") -> FinCat:
-    """Connected groupoid on X0..X{objects-1}; every hom-set is Z/order.
+def wide_sums(rng: random.Random, positive: int, negative: int, endos: int, parts: int) -> dict:
+    """Raw z-compose workspace over ``gen.groupoid(3, 3)``, named G.
 
-    Arrow ``g{i}.{j}.{r}`` goes from Xi to Xj, and composing adds the
-    residues, so every pair of objects is joined by ``order`` parallel arrows.
+    W is a ``gen.wide_sum`` of ``positive`` and ``negative`` components of
+    mass 8-14, e0, e1, ... are ``endos`` random couplings W -> W, and p is
+    one onto a ``gen.narrow_sum`` V of ``parts`` components per sign.
     """
-    def arrow(i, j, r):
-        return f"g{i}.{j}.{r % order}"
-
-    idx = range(objects)
-    return FinCat(
-        name=name,
-        objects=tuple(f"X{i}" for i in idx),
-        morphisms={arrow(i, j, r): (f"X{i}", f"X{j}") for i in idx for j in idx for r in range(order)},
-        identities={f"X{i}": arrow(i, i, 0) for i in idx},
-        composition={
-            (arrow(j, k, s), arrow(i, j, r)): arrow(i, k, r + s)
-            for i, j, k in itertools.product(idx, repeat=3)
-            for r in range(order)
-            for s in range(order)
+    wide = gen.wide_sum(rng, 3, positive, negative, (8, 14))
+    narrow = gen.narrow_sum(rng, 3, wide, parts)
+    terms = {f"e{i}": gen.random_coupling(rng, 3, wide, wide) for i in range(endos)}
+    terms["p"] = gen.random_coupling(rng, 3, wide, narrow)
+    return {
+        "categories": {"G": gen.groupoid(3, 3)},
+        "zobjects": {"W": {"components": wide}, "V": {"components": narrow}},
+        "zmorphisms": {
+            name: {"category": "G", "source": "W", "target": "V" if name == "p" else "W", "terms": table}
+            for name, table in terms.items()
         },
-    )
-
-
-def wide_zobj(rng: random.Random, pool, positive: int, negative: int, coeff=(8, 14)):
-    """A positive sector of ``positive`` components, then a negative one."""
-    return z_object(
-        (idx, rng.choice(pool), (1 if idx <= positive else -1) * rng.randint(*coeff))
-        for idx in range(1, positive + negative + 1)
-    )
-
-
-def atom_coupling(rng: random.Random, base: FinCat, src, tgt) -> ZMorphism:
-    """Random sign-coherent morphism src -> tgt with both marginals exact.
-
-    Per sign, the unit atoms of the source components are dealt onto a
-    shuffled list of the target's atoms, each pair carried by a random
-    arrow; the two sums must have equal mass in each sign.
-    """
-    cells = []
-    for sign in (1, -1):
-        rows = [(i, o) for i, o, c in src.components if c * sign > 0 for _ in range(abs(c))]
-        cols = [(j, o) for j, o, c in tgt.components if c * sign > 0 for _ in range(abs(c))]
-        if len(rows) != len(cols):
-            raise ValueError("sector masses differ")
-        rng.shuffle(cols)
-        cells.extend((i, j, sign, rng.choice(base.hom(a, b))) for (i, a), (j, b) in zip(rows, cols))
-    return z_morphism(src, tgt, cells)
-
-
-def narrow_zobj(rng: random.Random, pool, wide, parts: int):
-    """``parts`` components per sign carrying the sector masses of ``wide``."""
-    comps = []
-    for sign in (1, -1):
-        mass = sum(abs(c) for _i, _o, c in wide.components if c * sign > 0)
-        for p in composition_of(rng, mass, parts):
-            comps.append((len(comps) + 1, rng.choice(pool), sign * p))
-    return z_object(comps)
+    }
 
 
 # =====================================================================

@@ -1,10 +1,19 @@
 """Independent oracles the tests compare library output against.
 
-Each one recomputes a result by a mechanism deliberately different from the
-implementation: atom pairing instead of interval arithmetic, full cartesian
-filtering instead of backtracking, polynomial evaluation instead of
-convolution, raw exhaustive functor search instead of the pruned enumerator.
-Slow is fine here; these only run at test scale.
+The shared oracles live in ``clibench.oracles``: covering closure, the
+sheaf verdict, the count of full, essentially surjective functors and
+Z-linear composition by atom pairing.  This module keeps the ones with no
+twin there: interval overlaps by atom pairing, polynomial evaluation, the
+matching families of one covering family by product-and-filter, the
+refinements of a family by the full product of choices, and the raw
+functor search that also yields its members and the enumerator's budget
+work.
+
+Like ``clibench.oracles`` they read raw tables only: a category is a
+``clibench.oracles.Tables`` index over its document, a presheaf a dict
+with ``sections`` and ``restrictions``, a covering a dict from object to
+families.  Nothing here imports ``zsite``.  Slow is fine here; these only
+run at test scale.
 """
 
 import itertools
@@ -37,50 +46,26 @@ def poly_eval(dims, x):
     return sum(d * x**k for k, d in enumerate(dims))
 
 
-def matching_tuples_product(F, cat, members):
+def matching_tuples_product(cat, presheaf, members):
     """All matching families over one covering family, by brute filtering.
 
     Takes the full product of section sets and keeps a tuple iff every
     ordered pair (self-pairs included) with a declared pullback agrees after
     restriction to the pullback apex.
     """
+    sections, restrict = presheaf["sections"], presheaf["restrictions"]
     members = sorted(members)
-    pools = [F.sections.get(cat.source(f), ()) for f in members]
-    out = []
-    for combo in itertools.product(*pools):
-        good = True
+    pools = [sections.get(cat.source(f), ()) for f in members]
+
+    def matches(combo):
         for i, f in enumerate(members):
             for j, g in enumerate(members):
                 chosen = cat.pullbacks.get((f, g))
-                if chosen is None:
-                    continue
-                _apex, to_f, to_g = chosen
-                if F.restriction[to_f][combo[i]] != F.restriction[to_g][combo[j]]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(combo)
-    return out
+                if chosen is not None and restrict[chosen[1]][combo[i]] != restrict[chosen[2]][combo[j]]:
+                    return False
+        return True
 
-
-def sheaf_verdict_bruteforce(F, cat, assignment):
-    """Separation + unique gluing, recomputed from the raw definition."""
-    for obj in sorted(assignment.families):
-        for members in assignment.families_of(obj):
-            members = sorted(members)
-            matching = matching_tuples_product(F, cat, members)
-            seen = {}
-            for s in F.sections.get(obj, ()):
-                key = tuple(F.restriction[f][s] for f in members)
-                if key in seen:
-                    return False  # two sections restrict identically
-                seen[key] = s
-            for combo in matching:
-                if tuple(combo) not in seen:
-                    return False  # a matching family with no gluing
-    return True
+    return [combo for combo in itertools.product(*pools) if matches(combo)]
 
 
 def fes_bruteforce(source, target):
@@ -98,34 +83,26 @@ def fes_bruteforce(source, target):
     src_objs = sorted(source.objects)
     tgt_objs = sorted(target.objects)
     idents = sorted(set(source.identities.values()))
-    arrows = sorted(m for m in source.morphisms if m not in idents)
+    arrows = sorted(m for m in source.ends if m not in idents)
 
     def between(a, b):
-        return [n for n, ends in sorted(target.morphisms.items()) if ends == (a, b)]
+        return [n for n, ends in sorted(target.ends.items()) if ends == (a, b)]
 
     def fits(omap, m):
-        s, t = source.morphisms[m]
+        s, t = source.ends[m]
         return between(omap[s], omap[t])
 
-    def is_iso(m):
-        a, b = target.morphisms[m]
-        return any(
-            target.composition.get((n, m)) == target.identity(a)
-            and target.composition.get((m, n)) == target.identity(b)
-            for n in between(b, a)
-        )
-
     def functorial(omap, mmap):
-        return all(mmap[source.identity(o)] == target.identity(omap[o]) for o in src_objs) and all(
-            mmap[h] == target.composition.get((mmap[g], mmap[f]))
-            for (g, f), h in source.composition.items()
-            if source.morphisms[f][1] == source.morphisms[g][0]
+        return all(mmap[source.identities[o]] == target.identities[omap[o]] for o in src_objs) and all(
+            mmap[h] == target.comp.get((mmap[g], mmap[f]))
+            for (g, f), h in source.comp.items()
+            if source.ends[f][1] == source.ends[g][0]
         )
 
     def full(omap, mmap):
         return all(
             set(between(omap[x], omap[y]))
-            <= {mmap[m] for m, ends in source.morphisms.items() if ends == (x, y)}
+            <= {mmap[m] for m, ends in source.ends.items() if ends == (x, y)}
             for x in src_objs
             for y in src_objs
         )
@@ -133,7 +110,7 @@ def fes_bruteforce(source, target):
     def surjective(omap):
         image = set(omap.values())
         return all(
-            t in image or any(is_iso(m) for o in image for m in between(o, t)) for t in tgt_objs
+            t in image or any(m in target.isos for o in image for m in between(o, t)) for t in tgt_objs
         )
 
     members, work = set(), 0
@@ -148,55 +125,29 @@ def fes_bruteforce(source, target):
     return members, work
 
 
-def non_fes_members(family):
-    """Names of the members of a parametrization family that ``fes_bruteforce``
-    does not find among the full, essentially surjective functors."""
-    members, _work = fes_bruteforce(family.source, family.model.base)
+def non_fes_members(source, target, members):
+    """Names of ``members``, name -> (object map, morphism map), that
+    ``fes_bruteforce`` does not find among the full, essentially surjective
+    functors source -> target."""
+    found, _work = fes_bruteforce(source, target)
     return [
-        fun.name
-        for fun in family.members
-        if (tuple(sorted(fun.object_map.items())), tuple(sorted(fun.morphism_map.items()))) not in members
+        name
+        for name, (omap, mmap) in members.items()
+        if (tuple(sorted(omap.items())), tuple(sorted(mmap.items()))) not in found
     ]
 
 
-def count_fes_bruteforce(source, target):
-    """Number of full, essentially surjective functors, by ``fes_bruteforce``."""
-    return len(fes_bruteforce(source, target)[0])
-
-
-def refinements_product(cat, assignment, family):
+def refinements_product(cat, K, family):
     """Refinements of a family by walking the full product of the choices.
 
-    One composite per choice tuple, members and each chosen family's arrows
-    in sorted order, so the first undefined composite raised is the one the
-    tuple walk meets first.
+    Each member's choices are the families K assigns its source, by (size,
+    sorted arrows); one composite per choice tuple, members and each chosen
+    family's arrows in sorted order, so the first undefined composite, a
+    KeyError naming the pair, is the one the tuple walk meets first.
     """
     members = sorted(family)
-    choices = [assignment.families_of(cat.source(f)) for f in members]
+    choices = [sorted(K.get(cat.source(f), ()), key=lambda sub: (len(sub), sorted(sub))) for f in members]
     return frozenset(
-        frozenset(cat.compose(f, g) for f, sub in zip(members, choice) for g in sorted(sub))
+        frozenset(cat.comp[(f, g)] for f, sub in zip(members, choice) for g in sorted(sub))
         for choice in itertools.product(*choices)
     )
-
-
-def compose_by_atoms(base, outer, inner):
-    """Normal form of ``outer`` after ``inner``, paired unit atom by unit atom.
-
-    Per middle component, the inner cells into it and the outer cells out of
-    it, each in (row, col, arrow) order, are expanded into unit atoms; atom t
-    of one side meets atom t of the other and carries the composite of
-    their arrows.  That order is the layout of a freshly built morphism, so
-    this is the composite of fresh factors on sign-coherent middles.
-    """
-    into: dict[int, list] = {}
-    for row, col, arrow, v in inner.normal_form():
-        into.setdefault(col, []).extend([(row, arrow, 1 if v > 0 else -1)] * abs(v))
-    out_of: dict[int, list] = {}
-    for row, col, arrow, v in outer.normal_form():
-        out_of.setdefault(row, []).extend([(col, arrow)] * abs(v))
-    cells: dict[tuple[int, int, str], int] = {}
-    for middle, atoms in into.items():
-        for (row, a_in, sign), (col, a_out) in zip(atoms, out_of[middle], strict=True):
-            key = (row, col, base.compose(a_out, a_in))
-            cells[key] = cells.get(key, 0) + sign
-    return tuple((r, c, a, v) for (r, c, a), v in sorted(cells.items()) if v != 0)

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from conftest import cli_env, fixture_path
+from clibench.oracles import Tables, count_fes, sheaf_verdict
+from conftest import cli_env, fixture_doc, fixture_path, raw_presheaf
 from fuzz import (
     chain_presheaves,
     composition_of,
@@ -25,7 +26,7 @@ from fuzz import (
     rand_step,
     rand_zobj,
 )
-from oracles import count_fes_bruteforce, poly_eval, sheaf_verdict_bruteforce
+from oracles import poly_eval
 from zsite.blur import blurry_axiom_probe, blurry_topology, gamma_check
 from zsite.cli import COMMAND_KINDS, main
 from zsite.fincat import FinCat, InputError
@@ -229,24 +230,26 @@ def test_c06_sheaf_checker_matches_the_bruteforce_oracle():
     start = time.monotonic()
     pairs = 0
     for name in ("poset2.json", "chain3.json", "etale2.json", "layered2.json"):
-        ws = ws_of(name)
-        for F in ws.presheaves.values():
-            for catname, assignment in ws.coverings.values():
+        ws, raw = ws_of(name), fixture_doc(name)
+        for pname, F in ws.presheaves.items():
+            for kname, (catname, assignment) in ws.coverings.items():
                 if catname != F.cat.name:
                     continue
                 verdict = sheaf_check(F, assignment).ok
-                assert verdict == sheaf_verdict_bruteforce(F, F.cat, assignment)
+                site, families = Tables(raw["categories"][catname]), raw["coverings"][kname]["families"]
+                assert verdict == sheaf_verdict(site, raw["presheaves"][pname], families)
                 pairs += 1
     assert pairs == 2
 
-    ws = ws_of("chain3.json")
+    ws, raw = ws_of("chain3.json"), fixture_doc("chain3.json")
     cat = ws.categories["chain3"]
     _catname, assignment = ws.coverings["K"]
+    chain3, families = Tables(raw["categories"]["chain3"]), raw["coverings"]["K"]["families"]
     sheaves = 0
     family = chain_presheaves(cat, max_sections=2)
     for F in family:
         verdict = sheaf_check(F, assignment).ok
-        assert verdict == sheaf_verdict_bruteforce(F, cat, assignment), F.name
+        assert verdict == sheaf_verdict(chain3, raw_presheaf(F), families), F.name
         sheaves += verdict
     assert len(family) == 47 and sheaves == 16
     assert time.monotonic() - start < 120
@@ -324,7 +327,7 @@ def test_c09_powered_covers_are_stable_and_compose():
 
 def test_c10_parametrization_counts_pullbacks_and_labels():
     start = time.monotonic()
-    ws = ws_of("modular.json")
+    ws, raw = ws_of("modular.json"), fixture_doc("modular.json")
     counts = [
         ("one", "M2", 2),
         ("chain2", "MC2", 1),
@@ -336,9 +339,8 @@ def test_c10_parametrization_counts_pullbacks_and_labels():
     for source, model, expected in counts:
         family = enumerate_fes(ws.categories[source], ws.model_cats[model])
         assert len(family.members) == expected, (source, model)
-        assert len(family.members) == count_fes_bruteforce(
-            ws.categories[source], ws.model_cats[model].base
-        )
+        target = Tables(raw["categories"][raw["model_cats"][model]["category"]])
+        assert len(family.members) == count_fes(Tables(raw["categories"][source]), target)
 
     family = enumerate_fes(ws.categories["m2"], ws.model_cats["M2"])
     pool = [ws.functors["swap"], ws.functors["idm2"]]

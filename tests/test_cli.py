@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, cli_env, drop, fixture_path, put
+from conftest import FIXTURE_NAMES, cli_env, drop, fixture_doc, fixture_path, put
 from fuzz import damage_workspace, reassign_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
@@ -99,8 +99,7 @@ def test_malformed_workspace_exits_two(capsys, command):
     ],
 )
 def test_a_bad_zobject_is_a_workspace_error(tmp_path, command, fixture, zobject, components, message):
-    with open(fixture_path(fixture), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = fixture_doc(fixture)
     raw["zobjects"][zobject]["components"] = components
     path = tmp_path / fixture
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -117,8 +116,7 @@ def test_a_bad_zobject_is_a_workspace_error(tmp_path, command, fixture, zobject,
 def _deep_expect_terms(path):
     """Write zlin.json with its z_compose check's ``expect_terms`` nested 990 deep;
     spliced in as text, since encoding it would itself recurse that deep."""
-    with open(fixture_path("zlin.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = fixture_doc("zlin.json")
     next(c for c in raw["checks"] if c["kind"] == "z_compose")["expect_terms"] = "DEEP"
     path.write_text(json.dumps(raw).replace('"DEEP"', "[" * 990 + "]" * 990), encoding="utf-8")
 

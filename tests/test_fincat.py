@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import FIXTURE_NAMES, assert_rule_fires, drop, fixture_path, put
+from fuzz import thin
 from zsite.fincat import (
     FinCat,
     Functor,
@@ -11,7 +12,6 @@ from zsite.fincat import (
     discrete_partition,
     induced_functor,
     partition_from_blocks,
-    poset_category,
     push_forward_partition,
     quotient_category,
     validate_category,
@@ -21,18 +21,18 @@ from zsite.jsonio import load_workspace
 
 
 def square_poset():
-    return poset_category(
+    return thin(
         "poset2", ["E", "P", "Q", "T"], [("E", "P"), ("E", "Q"), ("P", "T"), ("Q", "T")]
     )
 
 
-def test_poset_category_passes_all_checks():
+def test_thin_category_passes_all_checks():
     cat = square_poset()
     assert validate_category(cat).ok
     assert chosen_limit_check(cat).ok
 
 
-def test_poset_category_declares_meets_as_pullbacks():
+def test_thin_category_declares_meets_as_pullbacks():
     cat = square_poset()
     apex, to_p, to_q = cat.pullbacks[("P<T", "Q<T")]
     assert apex == "E"
@@ -284,7 +284,7 @@ def _indexed_categories():
         if name != "malformed.json":
             yield from load_workspace(fixture_path(name)).categories.values()
     yield square_poset()
-    yield poset_category("diamond3", ["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
+    yield thin("diamond3", ["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
 
 
 @pytest.mark.parametrize("cat", list(_indexed_categories()), ids=lambda cat: cat.name)

@@ -1,6 +1,7 @@
 """Import hygiene of the package: no unused module-level import, no
 re-exports, so every name is imported from the module that defines it, and
-no private module-level helper that nothing in the package names."""
+no private module-level helper that nothing in the package names; and an
+oracle layer that imports nothing of the package it judges."""
 
 import ast
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 
 from conftest import cli_env
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "zsite"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zsite"
 MODULES = sorted(SRC.glob("*.py"))
+ORACLE_LAYER = ("clibench/gen.py", "clibench/oracles.py", "tests/oracles.py")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -57,3 +60,11 @@ def test_importing_the_package_loads_no_submodule():
         [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), check=True
     )
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", ORACLE_LAYER)
+def test_the_generators_and_oracles_import_no_zsite_module(name):
+    tree = ast.parse((ROOT / name).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "zsite"] == []

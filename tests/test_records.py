@@ -10,8 +10,9 @@ import inspect
 import pytest
 
 from conftest import replace
+from fuzz import thin
 from zsite.blur import BlurrySite
-from zsite.fincat import FinCat, Functor, FunctorReport, InputError, ObjEquiv, poset_category
+from zsite.fincat import FinCat, Functor, FunctorReport, InputError, ObjEquiv
 from zsite.fingerprint import GradedDims, ZInvariant
 from zsite.jsonio import DOCUMENTS, Workspace
 from zsite.modular import ModelLabeledCat, ParamFamily
@@ -22,7 +23,7 @@ from zsite.zlin import RefinementTable, ZMorphism, ZObject, ZTerm, z_morphism
 
 
 def _cat():
-    return poset_category("p", ["a", "b"], [("a", "b")])
+    return thin("p", ["a", "b"], [("a", "b")])
 
 
 def _zobject():

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from conftest import assert_rule_fires, drop, fixture_path, put
-from fuzz import chain_presheaves
-from oracles import matching_tuples_product, sheaf_verdict_bruteforce
+from clibench import gen
+from clibench.oracles import Tables, sheaf_verdict
+from conftest import assert_rule_fires, drop, fixture_doc, fixture_path, put, raw_presheaf, replace, tables
+from fuzz import chain_presheaves, presheaf_on, rand_poset, rand_seeds
+from oracles import matching_tuples_product
 from zsite.fincat import FinCat
 from zsite.jsonio import load_workspace
 from zsite.sheaf import (
@@ -71,7 +75,8 @@ class TestSheafCondition:
         assert any(f.rule == "separated" for f in report.failures())
 
     def test_matching_families_enumeration_matches_the_oracle(self, chain3_ws):
-        cat = chain3_ws.categories["chain3"]
+        raw = fixture_doc("chain3.json")
+        chain3 = Tables(raw["categories"]["chain3"])
         K = chain3_ws.coverings["K"][1]
         for name in ("glues", "gapped"):
             F = chain3_ws.presheaves[name]
@@ -79,7 +84,7 @@ class TestSheafCondition:
                 for fam in K.families_of(obj):
                     ours, missing = matching_families(F, fam)
                     assert not missing
-                    assert sorted(ours) == sorted(matching_tuples_product(F, cat, fam))
+                    assert sorted(ours) == sorted(matching_tuples_product(chain3, raw["presheaves"][name], fam))
 
     def test_representables_are_sheaves_for_meet_covers(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
@@ -100,16 +105,36 @@ class TestSheafCondition:
             assert sheaf_check(representable(cat, obj), K).ok
 
     def test_verdicts_match_brute_force_on_the_small_family(self, chain3_ws):
-        cat = chain3_ws.categories["chain3"]
+        raw = fixture_doc("chain3.json")
+        chain3, families = Tables(raw["categories"]["chain3"]), raw["coverings"]["K"]["families"]
         K = chain3_ws.coverings["K"][1]
-        family = chain_presheaves(cat)
+        family = chain_presheaves(chain3_ws.categories["chain3"])
         assert len(family) == 47
         sheaves = 0
         for F in family:
             ours = sheaf_check(F, K).ok
-            assert ours == sheaf_verdict_bruteforce(F, cat, K), F.restriction
+            assert ours == sheaf_verdict(chain3, raw_presheaf(F), families), F.restriction
             sheaves += ours
         assert sheaves == 16
+
+    def test_families_with_an_undeclared_pullback_are_skipped_like_the_oracle(self):
+        # random seed families on poset sites with one declared pullback
+        # dropped: a family with an undeclared member pullback is
+        # unverifiable, so both the checker and the oracle skip it
+        rng = random.Random(20_261_024)
+        skipped = 0
+        for _ in range(300):
+            cat = rand_poset(rng, n_objs=rng.randint(3, 5))
+            gone = rng.choice(sorted(cat.pullbacks))
+            cat = replace(cat, pullbacks={k: v for k, v in cat.pullbacks.items() if k != gone})
+            K = rand_seeds(rng, cat, 3)
+            objs = sorted(cat.objects)
+            points = min(rng.randint(1, 3), len(objs))
+            doc = gen.point_presheaf(rng, objs, lambda a, b: bool(cat.hom(a, b)), points, 2, 0.6)
+            report = sheaf_check(presheaf_on(cat, doc), CoveringAssignment(K))
+            assert report.ok == sheaf_verdict(tables(cat), doc, K), (gone, K)
+            skipped += any(f.kind == "unverifiable" for f in report.findings)
+        assert skipped == 104
 
 
 class TestCartesianSquares:
@@ -253,13 +278,13 @@ class TestMatchingFamilyPruning:
             for fam in K.families_of(obj):
                 ours, missing = matching_families(F, fam)
                 assert not missing
-                want = matching_tuples_product(F, cat, fam)
+                want = matching_tuples_product(tables(cat), raw_presheaf(F), fam)
                 assert sorted(ours) == sorted(want)
                 pruned += 2 ** len(fam) - len(want)
         # {P<T, Q<T} meet in E: only the two constant tuples match
         assert matching_families(F, frozenset({"P<T", "Q<T"}))[0] == (("a", "a"), ("b", "b"))
         assert pruned > 0
-        assert sheaf_verdict_bruteforce(F, cat, K)
+        assert sheaf_verdict(tables(cat), raw_presheaf(F), K.families)
         assert sheaf_check(F, K).ok
 
     def test_both_orders_of_a_pair_constrain_the_family(self):
@@ -267,10 +292,10 @@ class TestMatchingFamilyPruning:
         assert validate_presheaf(F).ok
         fam = frozenset({"f", "g"})
         # (f, g) forces the section a over P, (g, f) forces b: nothing matches
-        assert matching_tuples_product(F, cat, fam) == []
+        assert matching_tuples_product(tables(cat), raw_presheaf(F), fam) == []
         assert matching_families(F, fam) == ((), [])
         K = CoveringAssignment(families={"T": frozenset({fam})})
-        assert sheaf_verdict_bruteforce(F, cat, K)
+        assert sheaf_verdict(tables(cat), raw_presheaf(F), K.families)
         assert sheaf_check(F, K).ok
 
 

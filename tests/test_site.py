@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import assert_rule_fires, drop, fixture_path, mutated_workspace, put, replace
-from fuzz import rand_poset, rand_seeds
+from clibench.oracles import Tables
+from conftest import assert_rule_fires, drop, fixture_doc, fixture_path, mutated_workspace, put, replace, tables
+from fuzz import rand_poset, rand_seeds, thin
 from oracles import refinements_product
-from zsite.fincat import InputError, ResourceBudgetError, poset_category, validate_category
+from zsite.fincat import InputError, ResourceBudgetError, validate_category
 from zsite.jsonio import load_workspace
 from zsite.site import (
     CoveringAssignment,
@@ -358,8 +359,8 @@ class TestLayered:
         # the pulled-back apexes m, m' break the chain; the ladder of pulled
         # legs breaks at the same place and adds nothing
         relations = [("m", "u"), ("m", "v"), ("u", "x"), ("v", "x")]
-        lower = poset_category("L0", ["m", "u", "v", "x"], relations)
-        upper = poset_category("L1", ["m'", "u'", "v'", "x'"], [(a + "'", b + "'") for a, b in relations])
+        lower = thin("L0", ["m", "u", "v", "x"], relations)
+        upper = thin("L1", ["m'", "u'", "v'", "x'"], [(a + "'", b + "'") for a, b in relations])
         over = {"m'": "x", "u'": "u", "v'": "v", "x'": "x"}
         L = LayeredCategory(levels=(lower, upper), membership=(over,))
         Ks = [
@@ -404,10 +405,11 @@ class TestRefinementKernel:
         return [fam for obj in sorted(K.families) for fam in K.families_of(obj)]
 
     def test_chain3_closure(self):
-        ws = load_workspace(fixture_path("chain3.json"))
+        ws, raw = load_workspace(fixture_path("chain3.json")), fixture_doc("chain3.json")
         cat, (_catname, K) = ws.categories["chain3"], ws.coverings["K"]
+        chain3, families = Tables(raw["categories"]["chain3"]), raw["coverings"]["K"]["families"]
         for fam in self._families(K):
-            assert refined_families(cat, K, fam) == refinements_product(cat, K, fam)
+            assert refined_families(cat, K, fam) == refinements_product(chain3, families, fam)
 
     def test_random_closures(self):
         rng = random.Random(8642)
@@ -418,8 +420,9 @@ class TestRefinementKernel:
                 K = generate_covering_assignment(cat, rand_seeds(rng, cat, max_seeds=3))
             except ResourceBudgetError:
                 continue
+            raw = tables(cat)
             for fam in self._families(K):
-                assert refined_families(cat, K, fam) == refinements_product(cat, K, fam)
+                assert refined_families(cat, K, fam) == refinements_product(raw, K.families, fam)
             done += 1
 
     def test_undefined_composites_raise_in_member_family_arrow_order(self):
@@ -436,6 +439,7 @@ class TestRefinementKernel:
             pairs = sorted(cat.composition)
             holes = set(rng.sample(pairs, rng.randint(1, min(4, len(pairs)))))
             holed = replace(cat, composition={k: v for k, v in cat.composition.items() if k not in holes})
+            raw = tables(holed)
             for fam in self._families(K):
                 subs = {
                     f: sorted(K.families.get(cat.morphisms[f][0], ()), key=lambda sub: (len(sub), sorted(sub)))
@@ -449,8 +453,8 @@ class TestRefinementKernel:
                     if (f, g) not in holed.composition
                 ]
                 try:
-                    want = refinements_product(holed, K, fam)
-                except InputError:
+                    want = refinements_product(raw, K.families, fam)
+                except KeyError:
                     f, g = missing[0]
                     with pytest.raises(InputError) as got:
                         refined_families(holed, K, fam)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from clibench.oracles import Tables, compose_by_atoms
 from conftest import assert_rule_fires, fixture_path, put, replace
-from fuzz import atom_coupling, cyclic_groupoid, layered_base, narrow_zobj, rand_chain, wide_zobj
-from oracles import compose_by_atoms, overlap_by_atoms
-from zsite.fincat import FinCat, InputError, poset_category
-from zsite.jsonio import load_workspace
+from fuzz import layered_base, rand_chain, thin, wide_sums
+from oracles import overlap_by_atoms
+from zsite.fincat import FinCat, InputError
+from zsite.jsonio import _decode, load_workspace
 from zsite.zlin import (
     MarginalMismatch,
     RefinementTable,
@@ -117,7 +118,7 @@ class TestMixedSignMiddles:
     canonical refinement; composition demands an explicit table there."""
 
     def setup_method(self):
-        self.base = poset_category(
+        self.base = thin(
             "mx", ["a1", "a2", "b", "c1", "c2"],
             [("a1", "b"), ("a2", "b"), ("b", "c1"), ("b", "c2")],
         )
@@ -474,7 +475,7 @@ class TestCoupler:
     """The per-middle pairing of ``z_compose`` against atom-pairing oracles,
     and the errors it raises on middles it cannot pair."""
 
-    line = poset_category("line", ["s", "m", "t"], [("s", "m"), ("m", "t")])
+    line = thin("line", ["s", "m", "t"], [("s", "m"), ("m", "t")])
 
     def _block_pair(self, blocks):
         """Factors through middles 1..k with no shared rows or columns.
@@ -525,16 +526,16 @@ class TestCoupler:
 
     def test_wide_sums_compose_by_atom_pairing(self):
         rng = random.Random(20261020)
-        base = cyclic_groupoid(3, 3)
-        pool = sorted(base.objects)
         for positive, negative in ((16, 16), (20, 17)):
-            wide = wide_zobj(rng, pool, positive, negative)
-            endos = [atom_coupling(rng, base, wide, wide) for _ in range(4)]
-            onto = atom_coupling(rng, base, wide, narrow_zobj(rng, pool, wide, 3))
-            for outer in endos + [onto]:
+            raw = wide_sums(rng, positive, negative, 4, 3)
+            ws, comp = _decode(raw), Tables(raw["categories"]["G"]).comp
+            base, terms = ws.categories["G"], {name: doc["terms"] for name, doc in raw["zmorphisms"].items()}
+            endos = [name for name in terms if name != "p"]
+            for outer in endos + ["p"]:
                 for inner in endos:
-                    composite = z_compose(base, outer, inner)
-                    assert composite.normal_form() == compose_by_atoms(base, outer, inner)
+                    composite = z_compose(base, ws.zmorphisms[outer][1], ws.zmorphisms[inner][1])
+                    want = compose_by_atoms(comp, terms[outer], terms[inner])
+                    assert [[r, c, v, a] for r, c, a, v in composite.normal_form()] == want
                     assert z_validate(base, composite).ok
 
     def _pair(self, inner_vals, middle, outer_vals):

@@ -1,7 +1,8 @@
 """Regenerate the bundled fixture workspaces under src/zsite/fixtures/.
 
-Every fixture is constructed through the library itself (poset construction,
-covering closure, quotients) and serialized with sorted keys, so reruns are
+Every fixture is constructed through the library itself (covering closure,
+quotients), its poset categories drawn by ``clibench.gen.thin_category``
+through the tests' ``fuzz.thin``, and serialized with sorted keys, so reruns are
 byte-identical and the committed files double as golden outputs.  Run from
 the repository root:
 
@@ -15,14 +16,16 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
 
-from zsite.fincat import FinCat, poset_category
+from fuzz import thin
+from zsite.fincat import FinCat
 from zsite.jsonio import cat_to_doc, load_workspace, zmorphism_to_doc, zobject_to_doc
 from zsite.site import CoveringAssignment, generate_covering_assignment
 from zsite.zlin import z_morphism, z_object
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "zsite" / "fixtures"
+OUT = ROOT / "src" / "zsite" / "fixtures"
 
 
 def covering_doc(category: str, assignment: CoveringAssignment) -> dict:
@@ -57,7 +60,7 @@ def zobj(name, parts):
 
 
 def poset2_cat() -> FinCat:
-    return poset_category(
+    return thin(
         "poset2", ["E", "P", "Q", "T"], [("E", "P"), ("E", "Q"), ("P", "T"), ("Q", "T")]
     )
 
@@ -199,7 +202,7 @@ def build_etale2() -> dict:
 
 
 def chain3_cat() -> FinCat:
-    return poset_category("chain3", ["A", "B", "T"], [("A", "B"), ("B", "T")])
+    return thin("chain3", ["A", "B", "T"], [("A", "B"), ("B", "T")])
 
 
 def build_chain3() -> dict:
@@ -305,7 +308,7 @@ def build_chain3() -> dict:
 
 def build_layered2() -> dict:
     lower = poset2_cat()
-    upper = poset_category("inner3", ["E'", "P'", "T'"], [("E'", "P'"), ("P'", "T'")])
+    upper = thin("inner3", ["E'", "P'", "T'"], [("E'", "P'"), ("P'", "T'")])
     K0 = generate_covering_assignment(lower, {"T": frozenset({frozenset({"P<T", "Q<T"})})})
     K1 = generate_covering_assignment(
         upper,
@@ -403,7 +406,7 @@ def m3_cat() -> FinCat:
 
 
 def build_modular() -> dict:
-    chain2 = poset_category("chain2", ["x", "y"], [("x", "y")], with_meets=False)
+    chain2 = thin("chain2", ["x", "y"], [("x", "y")], with_meets=False)
     cats = {"one": one_cat(), "m2": m2_cat(), "chain2": chain2, "m3": m3_cat()}
     model_cats = {
         "M2": {"category": "m2", "weq": ["id_a", "id_b", "u", "v"],
@@ -541,7 +544,7 @@ def build_zlin() -> dict:
 
 
 def build_failing() -> dict:
-    chain2 = poset_category("chain2", ["x", "y"], [("x", "y")], with_meets=False)
+    chain2 = thin("chain2", ["x", "y"], [("x", "y")], with_meets=False)
     zobjects = {"two": zobj("two", [(1, "x", 2)]), "one": zobj("one", [(1, "y", 1)])}
     return {
         "categories": {"chain2": cat_to_doc(chain2)},

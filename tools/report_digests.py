@@ -48,24 +48,22 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
 
+from clibench import gen  # noqa: E402
+from clibench.oracles import Tables, compose_by_atoms  # noqa: E402
 from conftest import drop, put, replace  # noqa: E402
 from fuzz import (  # noqa: E402
-    atom_coupling,
-    cyclic_groupoid,
     drop_composites,
     layered_base,
-    narrow_zobj,
-    point_presheaf,
+    presheaf_on,
     rand_chain,
     rand_poset,
     rand_seeds,
     rand_small_category,
-    wide_zobj,
+    thin,
+    wide_sums,
 )
-from oracles import compose_by_atoms  # noqa: E402
 from zsite.blur import blurry_axiom_probe, blurry_topology  # noqa: E402
 from zsite.cli import COMMAND_KINDS, main  # noqa: E402
 from zsite.fincat import (  # noqa: E402
@@ -76,11 +74,10 @@ from zsite.fincat import (  # noqa: E402
     chosen_limit_check,
     induced_functor,
     partition_from_blocks,
-    poset_category,
     quotient_category,
     validate_partition,
 )
-from zsite.jsonio import cat_to_doc, zmorphism_to_doc, zobject_to_doc  # noqa: E402
+from zsite.jsonio import _decode, zmorphism_to_doc  # noqa: E402
 from zsite.modular import ModelLabeledCat, class_types, enumerate_fes, quotient_model  # noqa: E402
 from zsite.sheaf import matching_families, sheaf_check, validate_presheaf  # noqa: E402
 from zsite.site import (  # noqa: E402
@@ -299,9 +296,10 @@ def invalid_outputs() -> list:
 # seeded checker sweep
 # =====================================================================
 #
-# Every random choice is drawn from a sorted view: poset_category's dict
-# order follows set iteration, so drawing from it directly would make the
-# digests depend on PYTHONHASHSEED.
+# Every random choice is drawn from a sorted view, never from a table's own
+# order: a category's tables keep the order its document lists them in,
+# which differs between builders, and covering families are frozensets,
+# whose order follows PYTHONHASHSEED.
 
 
 def _outcome(call):
@@ -523,7 +521,10 @@ def sheaf_outputs(cases: int = SHEAF_CASES, seed: int = SHEAF_SEED) -> list:
             continue
         if rng.random() < 0.5:
             cat = replace(cat, pullbacks=_drop(rng, cat.pullbacks, lambda k: False))
-        F = point_presheaf(rng, cat, points=rng.randint(1, 3))
+        objs = sorted(cat.objects)
+        points = min(rng.randint(1, 3), len(objs))
+        doc = gen.point_presheaf(rng, objs, lambda a, b: bool(cat.hom(a, b)), points, 2, 0.6)
+        F = presheaf_on(cat, doc)
         if rng.random() < 0.25:
             F = _damaged(rng, F)
         families = [fam for obj in sorted(closure.families) for fam in closure.families_of(obj)]
@@ -596,7 +597,7 @@ def _upper_level(rng: random.Random, lower, name: str):
         rels.append(rng.choice(loose))
     if rng.random() < 1 / 8:
         over[rng.choice(objs)] = rng.choice(sorted(lower.objects))
-    return poset_category(name, objs, rels), over
+    return thin(name, objs, rels), over
 
 
 def _tower_ladder(rng: random.Random, levels, membership, tops) -> LadderMorphism:
@@ -794,46 +795,42 @@ def layout_outputs(cases: int = LAYOUT_CASES, seed: int = LAYOUT_SEED) -> list:
 # =====================================================================
 
 
-def _wide_cells(phi) -> list:
-    return [(r, c, v, a) for r, c, a, v in phi.normal_form()]
-
-
 def wide_workspace(seed: int = WIDE_SEED) -> dict:
-    """A z-compose workspace of wide sums over a cyclic groupoid (3 objects, Z/3).
+    """A z-compose workspace of wide sums (``fuzz.wide_sums``).
 
     W has 16 positive and 16 negative components of mass 8-14; e0..e9 are
     random atom couplings W -> W (about 300 terms each) and p one onto a
-    narrower sum V.  Every pair ei.ej and every p.ej is composed with its
-    atom-pairing normal form as ``expect_terms`` (one pair, e3.e7, expects
-    one term too few).  x is e0 with one atom pair sent across a sign
+    narrower sum V of 4 components per sign.  Every pair ei.ej and every
+    p.ej is composed with its atom-pairing normal form as ``expect_terms``
+    (one pair, e3.e7, expects one term too few).  x is e0 with one atom pair sent across a sign
     boundary, so its marginals hold but a middle mixes signs, and b is e0
     with one coefficient raised, so it fails validation; x.e1, e1.x and
     b.e2 are composed too.
     """
     rng = random.Random(seed)
-    base = cyclic_groupoid(3, 3, name="G")
-    pool = sorted(base.objects)
-    wide = wide_zobj(rng, pool, 16, 16)
-    narrow = narrow_zobj(rng, pool, wide, 4)
-    maps = {f"e{i}": atom_coupling(rng, base, wide, wide) for i in range(WIDE_ENDOS)}
-    maps["p"] = atom_coupling(rng, base, wide, narrow)
-    e0 = _wide_cells(maps["e0"])
-    pos = [i for i, _o, c in wide.components if c > 0]
-    neg = [i for i, _o, c in wide.components if c < 0]
+    raw = wide_sums(rng, 16, 16, WIDE_ENDOS, 4)
+    ws = _decode(raw)
+    base, W, wide = ws.categories["G"], ws.zobjects["W"], raw["zobjects"]["W"]["components"]
+    terms = {name: doc["terms"] for name, doc in raw["zmorphisms"].items()}
+    pos = [i for i, _o, c in wide if c > 0]
+    neg = [i for i, _o, c in wide if c < 0]
     (r1, r2), c1, c2 = rng.sample(pos, 2), rng.choice(pos), rng.choice(neg)
-    obj = {i: o for i, o, _c in wide.components}
+    obj = {i: o for i, o, _c in wide}
     swap = [
         (row, col, v, rng.choice(base.hom(obj[row], obj[col])))
         for row, col, v in ((r1, c2, 1), (r1, c1, -1), (r2, c2, -1), (r2, c1, 1))
     ]
-    maps["x"] = z_morphism(wide, wide, e0 + swap)
+    e0 = terms["e0"]
     row, col, _v, arrow = e0[0]
-    maps["b"] = z_morphism(wide, wide, e0 + [(row, col, 1, arrow)])
+    for name, cells in (("x", e0 + swap), ("b", e0 + [(row, col, 1, arrow)])):
+        raw["zmorphisms"][name] = {"category": "G", "source": "W", "target": "W",
+                                   "terms": zmorphism_to_doc(z_morphism(W, W, cells))["terms"]}
+    comp = Tables(raw["categories"]["G"]).comp
     pairs = [(f"e{i}", f"e{j}") for i in range(WIDE_ENDOS) for j in range(WIDE_ENDOS)]
     pairs += [("p", f"e{j}") for j in range(WIDE_ENDOS)]
     checks = []
     for outer, inner in pairs:
-        expected = [[r, c, v, a] for r, c, a, v in compose_by_atoms(base, maps[outer], maps[inner])]
+        expected = compose_by_atoms(comp, terms[outer], terms[inner])
         if (outer, inner) == ("e3", "e7"):
             expected.pop()
         checks.append({"kind": "z_compose", "label": f"{outer}.{inner}", "outer": outer, "inner": inner,
@@ -842,16 +839,7 @@ def wide_workspace(seed: int = WIDE_SEED) -> dict:
         {"kind": "z_compose", "label": f"{outer}.{inner}", "outer": outer, "inner": inner}
         for outer, inner in (("x", "e1"), ("e1", "x"), ("b", "e2"))
     ]
-    return {
-        "categories": {"G": cat_to_doc(base)},
-        "zobjects": {"W": zobject_to_doc(wide), "V": zobject_to_doc(narrow)},
-        "zmorphisms": {
-            name: {"category": "G", "source": "W", "target": "V" if name == "p" else "W",
-                   "terms": zmorphism_to_doc(phi)["terms"]}
-            for name, phi in maps.items()
-        },
-        "checks": checks,
-    }
+    return {**raw, "checks": checks}
 
 
 def wide_outputs(seed: int = WIDE_SEED) -> list:
