@@ -22,6 +22,7 @@ import itertools
 
 from . import reports
 from .fincat import (
+    DEFAULT_BUDGET,
     FinCat,
     InputError,
     ObjEquiv,
@@ -126,7 +127,7 @@ def blurry_topology(cat: FinCat, assignment: CoveringAssignment, rel: ObjEquiv) 
     )
 
 
-def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
+def blurry_axiom_probe(site: BlurrySite, budget: int = DEFAULT_BUDGET) -> Report:
     """Covering axioms on the quotient assignment (site.covering_axiom_findings).
 
     Valid input: a site built from a valid category, covering and partition.
@@ -205,9 +206,7 @@ def blurry_axiom_probe(site: BlurrySite, budget: int | None = None) -> Report:
 # =====================================================================
 
 
-def powered_blurry_check(
-    sites, class_arrows, layered=None, loose_levels=(), budget: int | None = None
-) -> Report:
+def powered_blurry_check(sites, class_arrows, layered=None, loose_levels=(), budget: int = DEFAULT_BUDGET) -> Report:
     """A ladder of class morphisms covers iff every level's class arrow does.
 
     Each level not declared loose must first pass blurry_axiom_probe (under

@@ -9,7 +9,7 @@ itself; ``COMMAND_KINDS`` is derived from it.  Each run function reads its
 spec through a ``_Resolver``, which resolves ids in the workspace table of
 their role (a row of ``jsonio.DOCUMENTS``), records the documents it read
 and the categories they live on and turns a missing or mistyped field into
-a WorkspaceError.  Every kind but validate's ten validator kinds runs its
+a WorkspaceError.  Every kind but validate's eleven validator kinds runs its
 checker through ``_Resolver.check``, the one gate, which validates the
 categories the check read before any other document: a check that read
 a category failing its ``_VALIDATORS`` row gets a ``precondition``
@@ -41,6 +41,7 @@ from .blur import (
     powered_blurry_check,
 )
 from .fincat import (
+    DEFAULT_BUDGET,
     InputError,
     ResourceBudgetError,
     check_functor,
@@ -51,12 +52,12 @@ from .fincat import (
 from .fingerprint import invariant_of, z_equiv
 from .jsonio import DOCUMENTS, Workspace, WorkspaceError, load_workspace, zmorphism_to_doc
 from .modular import (
-    QuotientRejected,
     class_types,
     enumerate_fes,
     model_axiom_check,
     precompose,
     quotient_model,
+    validate_model,
 )
 from .reports import Report
 from .sheaf import (
@@ -75,11 +76,11 @@ from .site import (
     nisnevich_cover_check,
     powered_cover_check,
     powered_stability_probe,
-    square_endpoint_findings,
     validate_covering,
     validate_ladder,
     validate_layered,
     validate_pointed_base,
+    validate_square,
 )
 from .zlin import MarginalMismatch, SignIncoherent, z_compose, z_validate
 
@@ -147,17 +148,12 @@ class _Resolver:
         entry = self.ws.lookup(role, name, self.path)
         if role != "category":
             self.read.setdefault(role, {})[name] = entry
-        for cat in DOCUMENTS[role][3](self.ws, entry):
+        for cat in DOCUMENTS[role][3](entry):
             self.read.setdefault("category", {})[cat.name] = cat
         return entry
 
     def id(self, field: str, role: str | None = None):
         return self.lookup(role or field, self.value(field))
-
-    def on(self, field: str, role: str | None = None):
-        """The category and the document of a (category name, document) entry."""
-        catname, doc = self.id(field, role)
-        return self.ws.categories[catname], doc
 
     def report(self, role: str, name: str, entry) -> Report:
         """The ``role`` document ``name``'s validator report; the run keeps
@@ -165,7 +161,7 @@ class _Resolver:
         every category read so far passes; else _Precondition is raised."""
         if role != "category":
             self.gate("category")
-        report = _VALIDATORS[role](self.ws, name, entry)
+        report = _VALIDATORS[role](entry)
         self.verdicts[role, name] = report.ok
         return report
 
@@ -203,10 +199,10 @@ class _Resolver:
                 )
         return obj
 
-    def lives_on(self, a: str, x: str, b: str, y: str) -> None:
-        """Raise unless ``a``, which lives on ``x``, and ``b``, on ``y``, share a category."""
-        if x != y:
-            raise self.error(f"{a} lives on {x}, {b} on {y}")
+    def lives_on(self, a: str, x, b: str, y) -> None:
+        """Raise unless ``a``, which lives on the category ``x``, and ``b``, on ``y``, share one."""
+        if x is not y:
+            raise self.error(f"{a} lives on {x.name}, {b} on {y.name}")
 
 
 class _Precondition(Exception):
@@ -241,9 +237,9 @@ def _with_expectation(report: Report, expect) -> Report:
 
 def _z_compose(r: _Resolver):
     """The composite's report and, when it is defined, its document."""
-    base, outer = r.on("outer", "zmorphism")
-    inner_base, inner = r.on("inner", "zmorphism")
-    r.lives_on("outer", base.name, "inner", inner_base.name)
+    base, outer = r.id("outer", "zmorphism")
+    inner_base, inner = r.id("inner", "zmorphism")
+    r.lives_on("outer", base, "inner", inner_base)
     names = (r.value("outer"), r.value("inner"))
     try:
         composite = r.check(z_compose, base, outer, inner)
@@ -264,35 +260,35 @@ def _nisnevich_inputs(r: _Resolver):
     base = r.id("pointed_base")
     target = r.zobject("target", base.cat)
     pairs = [r.lookup("zmorphism", name) for name in r.values("family")]
-    for pos, (catname, _m) in enumerate(pairs):
-        r.lives_on(f"family[{pos}]", catname, "base", base.cat.name)
+    for pos, (cat, _m) in enumerate(pairs):
+        r.lives_on(f"family[{pos}]", cat, "base", base.cat)
     return base, target, [m for _c, m in pairs]
 
 
 def _square(r: _Resolver):
     base = r.id("pointed_base")
-    cat, square = r.on("square")
-    r.lives_on("square", cat.name, "base", base.cat.name)
+    cat, square = r.id("square")
+    r.lives_on("square", cat, "base", base.cat)
     return r.check(distinguished_square_check, base, square)
 
 
 def _ladder(r: _Resolver, name):
     layered, ladder = r.lookup("ladder", name)
-    if layered != r.value("layered"):
-        raise r.error(f"ladder {name!r} belongs to layered category {layered!r}")
+    if layered.name != r.value("layered"):
+        raise r.error(f"ladder {name!r} belongs to layered category {layered.name!r}")
     return ladder
 
 
-def _on_levels(r: _Resolver, field: str, catnames, layered) -> None:
+def _on_levels(r: _Resolver, field: str, cats, layered) -> None:
     """Raise unless the n-th entry of ``field`` lives on level n, for each n
     below both lengths."""
-    for n, (catname, level) in enumerate(zip(catnames, layered.levels)):
-        r.lives_on(f"{field}[{n}]", catname, f"level {n}", level.name)
+    for n, (cat, level) in enumerate(zip(cats, layered.levels)):
+        r.lives_on(f"{field}[{n}]", cat, f"level {n}", level)
 
 
 def _coverings(r: _Resolver, layered) -> list:
     entries = [r.lookup("covering", name) for name in r.values("coverings")]
-    _on_levels(r, "coverings", [catname for catname, _k in entries], layered)
+    _on_levels(r, "coverings", [cat for cat, _k in entries], layered)
     return [assignment for _c, assignment in entries]
 
 
@@ -310,9 +306,9 @@ def _powered_stability(r: _Resolver):
 
 def _blurry_site(r: _Resolver):
     """The category, covering and partition of a blurry site; ``blurry_topology`` builds it."""
-    cat, assignment = r.on("covering")
-    rel_cat, rel = r.on("partition")
-    r.lives_on("covering", cat.name, "partition", rel_cat.name)
+    cat, assignment = r.id("covering")
+    rel_cat, rel = r.id("partition")
+    r.lives_on("covering", cat, "partition", rel_cat)
     return cat, assignment, rel
 
 
@@ -325,7 +321,7 @@ def _powered_blurry(r: _Resolver):
     levels = [_blurry_site(level) for level in r.objects("levels")]
     layered = r.id("layered") if "layered" in r.spec else None
     if layered is not None:
-        _on_levels(r, "levels", [cat.name for cat, _k, _rel in levels], layered)
+        _on_levels(r, "levels", [cat for cat, _k, _rel in levels], layered)
     arrows, loose = r.values("arrows", str), r.values("loose", int, ())
     return r.check(
         lambda: powered_blurry_check([blurry_topology(*level) for level in levels], arrows, layered, loose, r.budget)
@@ -335,8 +331,8 @@ def _powered_blurry(r: _Resolver):
 def _presheaf_and(r: _Resolver, field: str):
     """The presheaf and the ``field`` document, which must live on its category."""
     F = r.id("presheaf")
-    cat, doc = r.on(field)
-    r.lives_on("presheaf", F.cat.name, field, cat.name)
+    cat, doc = r.id(field)
+    r.lives_on("presheaf", F.cat, field, cat)
     return F, doc
 
 
@@ -357,8 +353,8 @@ def _squares_probe(r: _Resolver):
     F, assignment = _presheaf_and(r, "covering")
     squares = []
     for name in r.values("squares"):
-        catname, square = r.lookup("square", name)
-        r.lives_on(f"square {name!r}", catname, "presheaf", F.cat.name)
+        cat, square = r.lookup("square", name)
+        r.lives_on(f"square {name!r}", cat, "presheaf", F.cat)
         squares.append(square)
     asserted = r.value("asserted", bool, True)
     return r.check(squares_vs_sheaf_probe, F, assignment, squares, asserted, r.budget)
@@ -395,8 +391,8 @@ def _precompose(r: _Resolver):
 
 def _model_and_partition(r: _Resolver):
     model = r.id("model")
-    cat, rel = r.on("partition")
-    r.lives_on("partition", cat.name, "model", model.base.name)
+    cat, rel = r.id("partition")
+    r.lives_on("partition", cat, "model", model.base)
     return model, rel
 
 
@@ -409,13 +405,6 @@ def _class_types(r: _Resolver):
     if expected is not None and frozenset(expected) != types:
         rows.append(reports.law("expected_types", tuple(sorted(expected)), f"observed {sorted(types)}"))
     return Report.collect("class_types", rows)
-
-
-def _quotient_model(r: _Resolver):
-    try:
-        return r.check(quotient_model, *_model_and_partition(r))[1]
-    except QuotientRejected as exc:
-        return exc.report
 
 
 def _invariant(r: _Resolver):
@@ -448,28 +437,27 @@ def _z_equiv(r: _Resolver):
 # =====================================================================
 
 # role -> the one definition of a valid document of that role, read by
-# ``_Resolver.check`` and by validate's kinds: called with the workspace, the
-# document's name and its entry, it calls its checker by its global name like
-# the kinds do.  Every row but the category's runs only once the categories
-# its document lives on pass theirs.
+# ``_Resolver.check`` and by validate's kinds: called with the document's
+# entry, it returns its validator's Report, calling the validator by its
+# global name like the kinds do.  Every row but the category's runs only
+# once the categories its document lives on pass theirs.
 _VALIDATORS = {
-    "category": lambda ws, name, cat: validate_category(cat),
-    "functor": lambda ws, name, fun: check_functor(fun).report,
-    "partition": lambda ws, name, entry: validate_partition(ws.categories[entry[0]], entry[1]),
-    "zmorphism": lambda ws, name, entry: z_validate(ws.categories[entry[0]], entry[1], subject=name),
-    "pointed_base": lambda ws, name, base: validate_pointed_base(base),
-    "covering": lambda ws, name, entry: validate_covering(ws.categories[entry[0]], entry[1]),
-    "presheaf": lambda ws, name, F: validate_presheaf(F),
-    "square": lambda ws, name, entry: Report.collect(
-        name, square_endpoint_findings(ws.categories[entry[0]], entry[1])
-    ),
-    "layered": lambda ws, name, layered: validate_layered(layered),
-    "ladder": lambda ws, name, entry: validate_ladder(ws.layered[entry[0]], entry[1]),
+    "category": lambda cat: validate_category(cat),
+    "functor": lambda fun: check_functor(fun).report,
+    "partition": lambda entry: validate_partition(*entry),
+    "zmorphism": lambda entry: z_validate(*entry),
+    "pointed_base": lambda base: validate_pointed_base(base),
+    "covering": lambda entry: validate_covering(*entry),
+    "presheaf": lambda F: validate_presheaf(F),
+    "model": lambda model: validate_model(model),
+    "square": lambda entry: validate_square(*entry),
+    "layered": lambda layered: validate_layered(layered),
+    "ladder": lambda entry: validate_ladder(*entry),
 }
 
 # kind -> (command, run, owns_expectation).  run(r) reads the spec through
 # the resolver r and returns the check's Report (z_compose: the Report and
-# its payload); every kind but validate's ten validator kinds calls its
+# its payload); every kind but validate's eleven validator kinds calls its
 # checker through r.check.  Checkers are called by their global name at
 # call time, so a wrapper installed on this module sees every call.  Only
 # z_equiv owns its expectation and reads ``expect`` itself; for the rest it
@@ -481,15 +469,15 @@ KINDS = {
         )
         for role in _VALIDATORS
     },
-    "quotient": ("validate", lambda r: r.check(quotient_category, *r.on("partition"))[1], False),
+    "quotient": ("validate", lambda r: r.check(quotient_category, *r.id("partition"))[1], False),
     "z_compose": ("z-compose", _z_compose, False),
-    "grothendieck": ("site-check", lambda r: r.check(grothendieck_axiom_check, *r.on("covering"), r.budget), False),
+    "grothendieck": ("site-check", lambda r: r.check(grothendieck_axiom_check, *r.id("covering"), r.budget), False),
     "nisnevich": ("site-check", lambda r: r.check(nisnevich_cover_check, *_nisnevich_inputs(r)), False),
     "component_lemma": ("site-check", lambda r: r.check(nisnevich_component_lemma_check, *_nisnevich_inputs(r)), False),
     "square": ("site-check", _square, False),
     "powered_cover": ("site-check", _powered_cover, False),
     "powered_stability": ("site-check", _powered_stability, False),
-    "gamma": ("blur-check", lambda r: r.check(gamma_check, *r.on("partition")), False),
+    "gamma": ("blur-check", lambda r: r.check(gamma_check, *r.id("partition")), False),
     "blurry_probe": ("blur-check", _blurry_probe, False),
     "powered_blurry": ("blur-check", _powered_blurry, False),
     "sheaf": ("sheaf-check", lambda r: r.check(sheaf_check, *_presheaf_and(r, "covering"), r.budget), False),
@@ -504,7 +492,7 @@ KINDS = {
         False,
     ),
     "class_types": ("model-check", _class_types, False),
-    "quotient_model": ("model-check", _quotient_model, False),
+    "quotient_model": ("model-check", lambda r: r.check(quotient_model, *_model_and_partition(r))[1], False),
     "invariant": ("fingerprint", _invariant, False),
     "z_equiv": ("fingerprint", _z_equiv, True),
 }
@@ -621,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run {command} checks from a workspace")
         p.add_argument("workspace", help="path to a workspace JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--budget", type=_budget, default=50_000, help="enumeration guard")
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="enumeration guard")
         p.add_argument("--only", default=None, help="run only the check with this label")
         if command == "z-compose":
             p.add_argument("--outer", default=None, help="zmorphism applied second")

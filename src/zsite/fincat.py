@@ -40,6 +40,11 @@ class ResourceBudgetError(RuntimeError):
     """
 
 
+# the work every exhaustive enumeration may do unless its caller says
+# otherwise: the command line's ``--budget`` default
+DEFAULT_BUDGET = 50_000
+
+
 # =====================================================================
 # core types
 # =====================================================================

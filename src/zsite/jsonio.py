@@ -159,11 +159,11 @@ def _zobject(_ws: Workspace, _name: str, doc: dict, path: str) -> ZObject:
         raise WorkspaceError(f"{path}: {exc}") from exc
 
 
-def _zmorphism(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, ZMorphism]:
+def _zmorphism(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[FinCat, ZMorphism]:
     cat = _category(ws, doc, path)
     src = ws.lookup("zobject", doc["source"], f"{path}.source")
     tgt = ws.lookup("zobject", doc["target"], f"{path}.target")
-    return cat.name, z_morphism(src, tgt, [(r, c, v, a) for r, c, v, a in doc["terms"]])
+    return cat, z_morphism(src, tgt, [(r, c, v, a) for r, c, v, a in doc["terms"]])
 
 
 def _functor(ws: Workspace, name: str, doc: dict, path: str) -> Functor:
@@ -182,10 +182,9 @@ def _pointed_base(ws: Workspace, _name: str, doc: dict, path: str) -> PointedBas
     )
 
 
-def _covering(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, CoveringAssignment]:
-    cat = _category(ws, doc, path)
+def _covering(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[FinCat, CoveringAssignment]:
     families = {obj: frozenset(frozenset(fam) for fam in fams) for obj, fams in doc["families"].items()}
-    return cat.name, CoveringAssignment(families)
+    return _category(ws, doc, path), CoveringAssignment(families)
 
 
 def _presheaf(ws: Workspace, name: str, doc: dict, path: str) -> Presheaf:
@@ -199,54 +198,49 @@ def _model(ws: Workspace, _name: str, doc: dict, path: str) -> ModelLabeledCat:
     return ModelLabeledCat(_category(ws, doc, path), **labels)
 
 
-def _square(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, Square]:
-    cat = _category(ws, doc, path)
-    return cat.name, Square(doc["w_to_v"], doc["w_to_u"], doc["u_to_x"], doc["v_to_x"])
+def _square(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[FinCat, Square]:
+    return _category(ws, doc, path), Square(doc["w_to_v"], doc["w_to_u"], doc["u_to_x"], doc["v_to_x"])
 
 
-def _layered(ws: Workspace, _name: str, doc: dict, path: str) -> LayeredCategory:
+def _layered(ws: Workspace, name: str, doc: dict, path: str) -> LayeredCategory:
     levels = tuple(ws.lookup("category", c, f"{path}.levels") for c in doc["levels"])
-    return LayeredCategory(levels, tuple(dict(m) for m in doc["membership"]))
+    return LayeredCategory(name, levels, tuple(dict(m) for m in doc["membership"]))
 
 
-def _ladder(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[str, LadderMorphism]:
-    ws.lookup("layered", doc["layered"], f"{path}.layered")
-    return doc["layered"], LadderMorphism(tuple(doc["arrows"]))
-
-
-def _on_category(ws: Workspace, entry) -> tuple:
-    return (ws.categories[entry[0]],)
+def _ladder(ws: Workspace, _name: str, doc: dict, path: str) -> tuple[LayeredCategory, LadderMorphism]:
+    return ws.lookup("layered", doc["layered"], f"{path}.layered"), LadderMorphism(tuple(doc["arrows"]))
 
 
 # role -> (Workspace table, noun in diagnostics, decode(ws, name, doc, path)
 # -> entry, the categories an entry lives on).  Rows are in decoding order: a
 # document names only documents of rows above its own.  Partitions,
-# zmorphisms, coverings, squares and ladders are kept as (name of the
-# category or layered category they live on, value) pairs.
+# zmorphisms, coverings and squares are kept as (category, value) pairs and
+# ladders as (layered category, ladder) pairs, holding the very object of
+# the table their document names.
 DOCUMENTS = {
-    "category": ("categories", "category", lambda ws, name, doc, path: cat_from_doc(name, doc), lambda ws, c: (c,)),
-    "functor": ("functors", "functor", _functor, lambda ws, fun: (fun.source, fun.target)),
+    "category": ("categories", "category", lambda ws, name, doc, path: cat_from_doc(name, doc), lambda c: (c,)),
+    "functor": ("functors", "functor", _functor, lambda fun: (fun.source, fun.target)),
     "partition": (
         "partitions",
         "partition",
-        lambda ws, name, doc, path: (_category(ws, doc, path).name, partition_from_blocks(doc["blocks"])),
-        _on_category,
+        lambda ws, name, doc, path: (_category(ws, doc, path), partition_from_blocks(doc["blocks"])),
+        lambda entry: entry[:1],
     ),
-    "zobject": ("zobjects", "zobject", _zobject, lambda ws, obj: ()),
-    "zmorphism": ("zmorphisms", "zmorphism", _zmorphism, _on_category),
-    "pointed_base": ("pointed_bases", "pointed base", _pointed_base, lambda ws, base: (base.cat,)),
-    "covering": ("coverings", "covering", _covering, _on_category),
-    "presheaf": ("presheaves", "presheaf", _presheaf, lambda ws, F: (F.cat,)),
-    "model": ("model_cats", "model category", _model, lambda ws, model: (model.base,)),
+    "zobject": ("zobjects", "zobject", _zobject, lambda obj: ()),
+    "zmorphism": ("zmorphisms", "zmorphism", _zmorphism, lambda entry: entry[:1]),
+    "pointed_base": ("pointed_bases", "pointed base", _pointed_base, lambda base: (base.cat,)),
+    "covering": ("coverings", "covering", _covering, lambda entry: entry[:1]),
+    "presheaf": ("presheaves", "presheaf", _presheaf, lambda F: (F.cat,)),
+    "model": ("model_cats", "model category", _model, lambda model: (model.base,)),
     "table": (
         "fingerprints",
         "fingerprint table",
         lambda ws, name, doc, path: {obj: graded_dims(dims) for obj, dims in doc.items()},
-        lambda ws, table: (),
+        lambda table: (),
     ),
-    "square": ("squares", "square", _square, _on_category),
-    "layered": ("layered", "layered category", _layered, lambda ws, layered: layered.levels),
-    "ladder": ("ladders", "ladder", _ladder, lambda ws, entry: ws.layered[entry[0]].levels),
+    "square": ("squares", "square", _square, lambda entry: entry[:1]),
+    "layered": ("layered", "layered category", _layered, lambda layered: layered.levels),
+    "ladder": ("ladders", "ladder", _ladder, lambda entry: entry[0].levels),
 }
 
 

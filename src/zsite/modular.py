@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from . import reports
 from .fincat import (
+    DEFAULT_BUDGET,
     FinCat,
     Functor,
     InputError,
@@ -33,14 +34,6 @@ from .reports import Report
 from .search import backtrack
 
 CLASS_NAMES = ("cof", "fib", "weq")
-
-
-class QuotientRejected(InputError):
-    """Quotient has composability gaps; carries the saturation report."""
-
-    def __init__(self, report: Report):
-        super().__init__(f"quotient rejected: {report.render()}")
-        self.report = report
 
 
 class ModelLabeledCat(Record):
@@ -59,8 +52,21 @@ class ModelLabeledCat(Record):
 # =====================================================================
 
 
+def validate_model(M: ModelLabeledCat) -> Report:
+    """Structural findings of a labeling on a valid category: each label
+    names only morphisms of the base."""
+    rows = [
+        reports.structural("class_member_known", (label, m), "unknown morphism")
+        for label, cls in sorted(M.classes().items())
+        for m in sorted(cls)
+        if m not in M.base.morphisms
+    ]
+    return Report.collect("model", rows)
+
+
 def model_axiom_check(M: ModelLabeledCat, lifting: bool = False) -> Report:
-    """Label axioms, exhaustively.
+    """Label axioms, exhaustively, on valid input: a labeling that passes
+    ``validate_model``.
 
     Identity containment in all three classes; two-out-of-three for weq on
     every composable pair; composition closure for cof and fib.  With
@@ -70,13 +76,6 @@ def model_axiom_check(M: ModelLabeledCat, lifting: bool = False) -> Report:
     """
     cat = M.base
     rows = []
-    for label, cls in sorted(M.classes().items()):
-        for m in sorted(cls):
-            if m not in cat.morphisms:
-                rows.append(reports.structural("class_member_known", (label, m), "unknown morphism"))
-    if rows:
-        return Report.collect("model_axioms", rows)
-
     for label, cls in sorted(M.classes().items()):
         for obj in cat.objects:
             if cat.identity(obj) not in cls:
@@ -166,7 +165,7 @@ def _named_family(source: FinCat, model: ModelLabeledCat, members) -> ParamFamil
     return ParamFamily(source=source, model=model, members=named)
 
 
-def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = 50_000) -> ParamFamily:
+def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = DEFAULT_BUDGET) -> ParamFamily:
     """Every full, essentially surjective functor from source into M's base.
 
     Two searches on ``search.backtrack``.  The first maps the objects in
@@ -325,17 +324,17 @@ def _labels_of(M: ModelLabeledCat, morphisms) -> frozenset[str]:
     return frozenset(label for label, cls in M.classes().items() if any(m in cls for m in morphisms))
 
 
-def quotient_model(M: ModelLabeledCat, rel: ObjEquiv) -> tuple[ModelLabeledCat, Report]:
+def quotient_model(M: ModelLabeledCat, rel: ObjEquiv) -> tuple[ModelLabeledCat | None, Report]:
     """Labeled thin quotient, axioms re-checked rather than assumed.
 
     A class morphism carries a label iff some representative does.  A
-    quotient with composability gaps is rejected outright (QuotientRejected
-    carries the saturation report); otherwise the returned report is the
-    axiom check of the labeled quotient, whatever it says.
+    quotient with composability gaps gives no labeled quotient (None) and
+    its saturation report; otherwise the returned report is the axiom check
+    of the labeled quotient, whatever it says.
     """
     quotient, saturation = quotient_category(M.base, rel)
     if not saturation.ok:
-        raise QuotientRejected(saturation)
+        return None, saturation
 
     reps = class_representatives(M.base, rel)
     labels: dict[str, set[str]] = {name: set() for name in CLASS_NAMES}

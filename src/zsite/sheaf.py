@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from . import reports
-from .fincat import FinCat, InputError, ResourceBudgetError
+from .fincat import DEFAULT_BUDGET, FinCat, InputError, ResourceBudgetError
 from .records import Record
 from .reports import Report
 from .search import backtrack
@@ -115,9 +115,7 @@ def representable(cat: FinCat, obj: str) -> Presheaf:
 # =====================================================================
 
 
-def matching_families(
-    F: Presheaf, family, budget: int | None = None
-) -> tuple[tuple[tuple[str, ...], ...], list]:
+def matching_families(F: Presheaf, family, budget: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[str, ...], ...], list]:
     """All compatible section tuples for the family, in enumeration order.
 
     The family is ordered canonically (sorted ids); a tuple assigns one
@@ -153,7 +151,7 @@ def matching_families(
     def compatible(prefix, s):
         nonlocal tested
         tested += 1
-        if budget is not None and tested > budget:
+        if tested > budget:
             raise ResourceBudgetError(
                 f"matching families over {_family_label(family)} need more than {budget} candidate sections; "
                 "refusing to truncate"
@@ -191,7 +189,7 @@ def bijection_findings(mapped, targets, injective, surjective, context=()) -> li
     return rows
 
 
-def sheaf_check(F: Presheaf, assignment: CoveringAssignment, budget: int | None = None) -> Report:
+def sheaf_check(F: Presheaf, assignment: CoveringAssignment, budget: int = DEFAULT_BUDGET) -> Report:
     """Equalizer condition for every assigned family.
 
     For each family the canonical map from sections over the object to
@@ -319,8 +317,8 @@ def cartesian_square_check(F: Presheaf, square: Square) -> Report:
 
     Sends a section over X to its restrictions over U and V; the pair must
     agree over W, and the map must be a bijection onto all agreeing pairs.
-    Valid input: ``F`` passes ``validate_presheaf`` and the square has no
-    ``square_endpoint_findings``.
+    Valid input: ``F`` passes ``validate_presheaf`` and the square passes
+    ``validate_square``.
     """
     cat = F.cat
     x_obj = cat.target(square.u_to_x)
@@ -346,7 +344,7 @@ def squares_vs_sheaf_probe(
     assignment: CoveringAssignment,
     squares,
     generation_asserted: bool = True,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Report:
     """Sheaf condition against cartesianness on the declared squares.
 

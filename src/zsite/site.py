@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import reports
-from .fincat import FinCat, InputError, ResourceBudgetError
+from .fincat import DEFAULT_BUDGET, FinCat, InputError, ResourceBudgetError
 from .records import Record, Value
 from .reports import Report
 from .zlin import ZObject
@@ -119,7 +119,7 @@ def refined_families(
     cat: FinCat,
     assignment: CoveringAssignment,
     family: frozenset[str],
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> frozenset[frozenset[str]]:
     """Every refinement of ``family`` by families assigned to its members' sources.
 
@@ -143,7 +143,7 @@ def refined_families(
     partial = {frozenset()}
     for row in rows:
         partial = {p | r for p in partial for r in row}
-        if budget is not None and len(partial) > budget:
+        if len(partial) > budget:
             raise ResourceBudgetError(
                 f"refining {_family_label(family)} gave more than {budget} partial unions; "
                 "refusing to truncate"
@@ -151,7 +151,7 @@ def refined_families(
     return frozenset(partial)
 
 
-def covering_gaps(cat: FinCat, assignment: CoveringAssignment, pull, budget: int | None = None) -> list:
+def covering_gaps(cat: FinCat, assignment: CoveringAssignment, pull, budget: int = DEFAULT_BUDGET) -> list:
     """The rows ``pull`` gave and the gaps of the three covering axioms, in walk order.
 
     A gap is a family that an axiom demands and the assignment lacks, as the
@@ -195,7 +195,7 @@ _GAP_DETAILS = {
 
 
 def covering_axiom_findings(
-    cat: FinCat, assignment: CoveringAssignment, pull, noun: str = "", budget: int | None = None
+    cat: FinCat, assignment: CoveringAssignment, pull, noun: str = "", budget: int = DEFAULT_BUDGET
 ) -> list:
     """The rows of ``covering_gaps``, each gap as its law finding.
 
@@ -209,9 +209,7 @@ def covering_axiom_findings(
     return [law(*row) if isinstance(row, tuple) else row for row in covering_gaps(cat, assignment, pull, budget)]
 
 
-def grothendieck_axiom_check(
-    cat: FinCat, assignment: CoveringAssignment, budget: int | None = None
-) -> Report:
+def grothendieck_axiom_check(cat: FinCat, assignment: CoveringAssignment, budget: int = DEFAULT_BUDGET) -> Report:
     """Exhaustive check of the three covering axioms (covering_axiom_findings)
     on valid input: a covering that passes ``validate_covering``.
 
@@ -500,7 +498,7 @@ class Square(Value):
         return (self.w_to_v, self.w_to_u, self.u_to_x, self.v_to_x)
 
 
-def square_endpoint_findings(cat: FinCat, square: Square) -> list:
+def validate_square(cat: FinCat, square: Square) -> Report:
     """Structural findings of a square on a valid category: unknown sides,
     legs whose ends do not meet, and two composites W -> X that differ."""
     rows = []
@@ -508,7 +506,7 @@ def square_endpoint_findings(cat: FinCat, square: Square) -> list:
         if m not in cat.morphisms:
             rows.append(reports.structural("square_side_known", (m,), "unknown morphism"))
     if rows:
-        return rows
+        return Report.collect("square", rows)
     if cat.source(square.w_to_v) != cat.source(square.w_to_u):
         rows.append(
             reports.structural("square_apex", square.sides()[:2], "the two W-legs have different sources")
@@ -522,7 +520,7 @@ def square_endpoint_findings(cat: FinCat, square: Square) -> list:
     if cat.target(square.w_to_u) != cat.source(square.u_to_x):
         rows.append(reports.structural("square_u_side", (square.w_to_u, square.u_to_x), "U mismatch"))
     if rows:
-        return rows
+        return Report.collect("square", rows)
     left = cat.compose(square.v_to_x, square.w_to_v)
     right = cat.compose(square.u_to_x, square.w_to_u)
     if left != right:
@@ -533,12 +531,12 @@ def square_endpoint_findings(cat: FinCat, square: Square) -> list:
                 f"the two composites W -> X are {left} and {right}",
             )
         )
-    return rows
+    return Report.collect("square", rows)
 
 
 def distinguished_square_check(base: PointedBase, square: Square) -> Report:
     """Open-leg, etale-leg, and complement conditions on valid input: a
-    square with no ``square_endpoint_findings``, which commutes.
+    square that passes ``validate_square``, so it commutes.
 
     The open leg must have an injective, everywhere residue-preserving point
     map; the etale leg must carry the mark; and away from the open image the
@@ -605,8 +603,8 @@ class LayeredCategory(Record):
     "lives over" map that makes cross-level families meaningful.
     """
 
-    def __init__(self, levels: tuple[FinCat, ...], membership: tuple[dict[str, str], ...]):
-        vars(self).update(levels=levels, membership=membership)
+    def __init__(self, name: str, levels: tuple[FinCat, ...], membership: tuple[dict[str, str], ...]):
+        vars(self).update(name=name, levels=levels, membership=membership)
 
     def depth(self) -> int:
         return len(self.levels)

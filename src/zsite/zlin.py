@@ -211,7 +211,7 @@ def z_morphism(source: ZObject, target: ZObject, terms) -> ZMorphism:
 # =====================================================================
 
 
-def z_validate(base: FinCat, phi: ZMorphism, subject: str = "zmorphism") -> Report:
+def z_validate(base: FinCat, phi: ZMorphism) -> Report:
     """Structural and marginal check of a coefficient table.
 
     Structural findings: unknown component indices, unknown arrows, arrows
@@ -252,7 +252,7 @@ def z_validate(base: FinCat, phi: ZMorphism, subject: str = "zmorphism") -> Repo
                 reports.law("column_marginal", (str(idx),), f"column sum {got} != target coefficient {coeff}")
             )
 
-    return Report.collect(subject, rows)
+    return Report.collect("zmorphism", rows)
 
 
 def sign_coherent(phi: ZMorphism) -> bool:

@@ -190,8 +190,8 @@ def test_c04_covering_axioms_exhaustive_and_mutation_detected():
     for name, covers in (("poset2.json", ("K",)), ("chain3.json", ("K",)), ("layered2.json", ("K0", "K1"))):
         ws = ws_of(name)
         for cover in covers:
-            catname, assignment = ws.coverings[cover]
-            report = grothendieck_axiom_check(ws.categories[catname], assignment)
+            cat, assignment = ws.coverings[cover]
+            report = grothendieck_axiom_check(cat, assignment)
             assert report.ok, (name, cover, report.render())
 
     rng = random.Random(11)
@@ -232,18 +232,18 @@ def test_c06_sheaf_checker_matches_the_bruteforce_oracle():
     for name in ("poset2.json", "chain3.json", "etale2.json", "layered2.json"):
         ws, raw = ws_of(name), fixture_doc(name)
         for pname, F in ws.presheaves.items():
-            for kname, (catname, assignment) in ws.coverings.items():
-                if catname != F.cat.name:
+            for kname, (cat, assignment) in ws.coverings.items():
+                if cat is not F.cat:
                     continue
                 verdict = sheaf_check(F, assignment).ok
-                site, families = Tables(raw["categories"][catname]), raw["coverings"][kname]["families"]
+                site, families = Tables(raw["categories"][cat.name]), raw["coverings"][kname]["families"]
                 assert verdict == sheaf_verdict(site, raw["presheaves"][pname], families)
                 pairs += 1
     assert pairs == 2
 
     ws, raw = ws_of("chain3.json"), fixture_doc("chain3.json")
     cat = ws.categories["chain3"]
-    _catname, assignment = ws.coverings["K"]
+    _cat, assignment = ws.coverings["K"]
     chain3, families = Tables(raw["categories"]["chain3"]), raw["coverings"]["K"]["families"]
     sheaves = 0
     family = chain_presheaves(cat, max_sections=2)
@@ -259,7 +259,7 @@ def test_c07_squares_cartesian_iff_sheaf_on_the_generated_site():
     start = time.monotonic()
     ws = ws_of("chain3.json")
     cat = ws.categories["chain3"]
-    _catname, assignment = ws.coverings["K"]
+    _cat, assignment = ws.coverings["K"]
     _sqcat, square = ws.squares["sq"]
     for F in chain_presheaves(cat, max_sections=2):
         probe = squares_vs_sheaf_probe(F, assignment, [square], True)
@@ -276,8 +276,7 @@ def test_c08_blurry_probe_passes_on_every_compatible_pair():
     assert len(pairs) >= 5
     for name, cover, relname in pairs:
         ws = ws_of(name)
-        catname, assignment = ws.coverings[cover]
-        cat = ws.categories[catname]
+        cat, assignment = ws.coverings[cover]
         _relcat, rel = ws.partitions[relname]
         assert gamma_check(cat, rel).ok, (name, relname)
         report = blurry_axiom_probe(blurry_topology(cat, assignment, rel))

@@ -88,8 +88,7 @@ class TestBlurryProbe:
             (chain3_ws, "K", ("triv", "ab")),
         ]
         for ws, kname, rels in cases:
-            cat = ws.categories[ws.coverings[kname][0]]
-            K = ws.coverings[kname][1]
+            cat, K = ws.coverings[kname]
             for rel_name in rels:
                 site = blurry_topology(cat, K, ws.partitions[rel_name][1])
                 report = blurry_axiom_probe(site)

@@ -1,6 +1,9 @@
 import contextlib
+import inspect
 import io
+import itertools
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -15,18 +18,26 @@ from conftest import FIXTURE_NAMES, cli_env, drop, fixture_doc, fixture_path, pu
 from fuzz import damage_workspace, reassign_workspace
 from zsite import cli
 from zsite.cli import COMMAND_KINDS, main
-from zsite.fincat import InputError, check_functor, validate_category, validate_partition
+from zsite.blur import blurry_axiom_probe, powered_blurry_check
+from zsite.fincat import DEFAULT_BUDGET, InputError, check_functor, validate_category, validate_partition
 from zsite.jsonio import DOCUMENTS, load_workspace
-from zsite.sheaf import validate_presheaf
+from zsite.modular import enumerate_fes, validate_model
+from zsite.reports import Report
+from zsite.sheaf import matching_families, sheaf_check, squares_vs_sheaf_probe, validate_presheaf
 from zsite.site import (
+    covering_axiom_findings,
+    covering_gaps,
     grothendieck_axiom_check,
-    square_endpoint_findings,
+    refined_families,
     validate_covering,
     validate_ladder,
     validate_layered,
     validate_pointed_base,
+    validate_square,
 )
 from zsite.zlin import z_validate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # every (command, fixture) pair whose check list is non-empty and all green
 PASSING = [
@@ -176,16 +187,17 @@ def test_damaged_workspaces_keep_the_exit_table(tmp_path_factory, name, seed, ed
 # the command line's gate, and on a document other than a category only
 # once every category it lives on passes
 _FAILS_VALIDATION = {
-    "category": lambda ws, cat: not validate_category(cat).ok,
-    "functor": lambda ws, fun: not check_functor(fun).report.ok,
-    "partition": lambda ws, entry: not validate_partition(ws.categories[entry[0]], entry[1]).ok,
-    "pointed_base": lambda ws, base: not validate_pointed_base(base).ok,
-    "zmorphism": lambda ws, entry: not z_validate(ws.categories[entry[0]], entry[1]).ok,
-    "covering": lambda ws, entry: not validate_covering(ws.categories[entry[0]], entry[1]).ok,
-    "presheaf": lambda ws, F: not validate_presheaf(F).ok,
-    "square": lambda ws, entry: bool(square_endpoint_findings(ws.categories[entry[0]], entry[1])),
-    "layered": lambda ws, layered: not validate_layered(layered).ok,
-    "ladder": lambda ws, entry: not validate_ladder(ws.layered[entry[0]], entry[1]).ok,
+    "category": lambda cat: not validate_category(cat).ok,
+    "functor": lambda fun: not check_functor(fun).report.ok,
+    "partition": lambda entry: not validate_partition(*entry).ok,
+    "pointed_base": lambda base: not validate_pointed_base(base).ok,
+    "zmorphism": lambda entry: not z_validate(*entry).ok,
+    "covering": lambda entry: not validate_covering(*entry).ok,
+    "presheaf": lambda F: not validate_presheaf(F).ok,
+    "model": lambda model: not validate_model(model).ok,
+    "square": lambda entry: not validate_square(*entry).ok,
+    "layered": lambda layered: not validate_layered(layered).ok,
+    "ladder": lambda entry: not validate_ladder(*entry).ok,
 }
 
 # validate's kinds built from cli._VALIDATORS report on invalid documents by
@@ -193,13 +205,13 @@ _FAILS_VALIDATION = {
 _UNGATED = set(COMMAND_KINDS["validate"]) - {"quotient"}
 
 
-def _failing(ws, read, roles) -> list:
+def _failing(read, roles) -> list:
     """The sorted (name, precondition detail) of each document of ``roles`` in ``read`` that fails validation."""
     return sorted(
         (doc, f"{DOCUMENTS[role][1]} fails validation")
         for role in roles
         for doc, entry in read.get(role, {}).items()
-        if role in _FAILS_VALIDATION and _FAILS_VALIDATION[role](ws, entry)
+        if role in _FAILS_VALIDATION and _FAILS_VALIDATION[role](entry)
     )
 
 
@@ -219,7 +231,7 @@ def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, 
     def run_check(ws, spec, *args):
         first = len(resolvers)
         report, payload = real(ws, spec, *args)
-        checks.append((spec["kind"], ws, resolvers[first].read, report))
+        checks.append((spec["kind"], resolvers[first].read, report))
         return report, payload
 
     monkeypatch.setattr(cli, "_Resolver", Recording)
@@ -237,10 +249,10 @@ def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, 
             checks.clear()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 main([command, str(path), "--budget", "2000"])
-            for kind, ws, read, report in checks:
+            for kind, read, report in checks:
                 if kind in _UNGATED:
                     continue
-                invalid = _failing(ws, read, ["category"]) or _failing(ws, read, read)
+                invalid = _failing(read, ["category"]) or _failing(read, read)
                 got = sorted(
                     (f.witnesses[0], f.detail) for f in report.findings if f.rule == "precondition"
                 )
@@ -475,7 +487,8 @@ def test_z_compose_validates_each_factor_once_per_run(capsys, tmp_path, monkeypa
     doc["checks"] += [dict(spec, label="again"), dict(spec, label="swapped", outer="phi", inner="psi")]
     path = tmp_path / "zlin3.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    calls = counting(monkeypatch, "z_validate", lambda base, phi, subject: subject)
+    names = {phi: name for name, (_cat, phi) in load_workspace(str(path)).zmorphisms.items()}
+    calls = counting(monkeypatch, "z_validate", lambda base, phi: names[phi])
     for _run in range(2):
         _code, out, err = run(capsys, ["z-compose", str(path)])
         assert err == "" and len(json.loads(out)["checks"]) == 3
@@ -495,6 +508,14 @@ _CHAIN3 = ("chain3", "category")
 _NO_ID_A = drop("categories", "chain3", "identities", "A")
 _BENT = put("categories", "chain3", "composition", "A<B|id_A", value="id_A")
 _CHAIN3_DOCUMENTS = ["covering-shape", "base", "glues-shape", "gapped-shape"]
+_M2, _MC2, _M3 = ("M2", "model category"), ("MC2", "model category"), ("M3", "model category")
+
+
+def _ghost_weq(raw):
+    """Edit of modular.json: every model category labels the unknown morphism ``ghost`` a weak equivalence."""
+    for model in raw["model_cats"].values():
+        model["weq"].append("ghost")
+
 _CHAIN3_SHEAF_CHECKS = [
     "glues-sheaf", "gapped-sheaf", "glues-cartesian", "gapped-cartesian", "glues-probe", "gapped-probe",
     "representable-additive", "constant-not-additive",
@@ -574,6 +595,20 @@ _CHAIN3_SHEAF_CHECKS = [
         pytest.param(
             "parametrize", "modular.json", put("functors", "swap", "morphisms", "u", value="u"),
             _gated(["pullback-chain"], ("swap", "functor")), id="functor",
+        ),
+        # a label naming no morphism gave class_member_known on model_axioms
+        # alone, and class_types, quotient_model and parametrize passed
+        pytest.param(
+            "model-check", "modular.json", _ghost_weq,
+            {**_gated(["axioms-M2", "collapse-pair"], _M2), **_gated(["axioms-MC2"], _MC2),
+             **_gated(["axioms-M3", "mixed-types"], _M3)},
+            id="model-check-model",
+        ),
+        pytest.param(
+            "parametrize", "modular.json", _ghost_weq,
+            {**_gated(["point-into-pair", "pullback-chain"], _M2), **_gated(["chain-into-chain", "point-into-chain"], _MC2),
+             **_gated(["pair-onto-point"], ("Mone", "model category"))},
+            id="parametrize-model",
         ),
         # a document on a category that fails validation is not judged
         # either, by the gate or by validate, whatever unknown id its
@@ -1002,6 +1037,8 @@ VALIDATE_KINDS = [
      2, "  [structural] covering_member_target (T, A<B): targets B, not the assigned object"),
     ("validate_presheaf", "chain3.json", "glues", put("presheaves", "glues", "restrictions", "id_B", "s", value="t"),
      1, "  [law] contravariance (B<T, id_B, s): F(B<T) sends s to s, the factors send it to t"),
+    ("validate_model", "modular.json", "M2", put("model_cats", "M2", "weq", value=["id_a", "id_b", "u", "v", "ghost"]),
+     2, "  [structural] class_member_known (weq, ghost): unknown morphism"),
     ("validate_square", "chain3.json", "sq", put("squares", "sq", "w_to_u", value="id_T"),
      2, "  [structural] square_apex (A<B, id_T): the two W-legs have different sources"),
     ("validate_layered", "layered2.json", "L", drop("layered", "L", "membership", 0, "E'"), 2, _BROKEN),
@@ -1018,17 +1055,52 @@ def test_the_gate_and_the_fuzz_oracle_validate_the_same_roles():
     assert set(cli._VALIDATORS) == set(_FAILS_VALIDATION)
 
 
+@pytest.mark.parametrize("fixture", [name for name in FIXTURE_NAMES if name != "malformed.json"])
+def test_every_validator_row_returns_a_report_from_the_entry_alone(fixture):
+    ws = load_workspace(fixture_path(fixture))
+    for role, row in cli._VALIDATORS.items():
+        for name, entry in getattr(ws, DOCUMENTS[role][0]).items():
+            assert isinstance(row(entry), Report), (role, name)
+
+
+def _readme_command_kinds() -> dict:
+    """README's command -> check kinds table, read off its rows."""
+    with open(ROOT / "README.md", encoding="utf-8") as fh:
+        lines = fh.read().split("| command | check kinds |\n|---|---|\n", 1)[1].split("\n")
+    rows = [line.strip("|").split("|") for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
+    return {command.strip().strip("`"): tuple(k.strip().strip("`") for k in kinds.split(",")) for command, kinds in rows}
+
+
+def test_readme_lists_the_kinds_of_every_command_in_table_order():
+    assert _readme_command_kinds() == COMMAND_KINDS
+
+
+def test_every_enumeration_defaults_to_the_one_budget():
+    budgeted = [
+        refined_families, covering_gaps, covering_axiom_findings, grothendieck_axiom_check,
+        matching_families, sheaf_check, squares_vs_sheaf_probe,
+        blurry_axiom_probe, powered_blurry_check, enumerate_fes,
+    ]
+    for fn in budgeted:
+        assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET, fn.__name__
+    for command in COMMAND_KINDS:
+        args = cli._build_parser().parse_args([command, "workspace.json"])
+        assert args.budget == DEFAULT_BUDGET
+
+
 @pytest.mark.parametrize("kind,fixture,name,edit,code,line", VALIDATE_KINDS, ids=[c[0] for c in VALIDATE_KINDS])
 def test_validate_reports_what_the_gate_refuses(capsys, tmp_path, monkeypatch, kind, fixture, name, edit, code, line):
     # each validate kind reads the gate's own definition of a valid document
     role = "zmorphism" if kind == "z_validate" else kind.removeprefix("validate_")
-    calls, real = [], cli._VALIDATORS[role]
-    monkeypatch.setitem(cli._VALIDATORS, role, lambda ws, name, entry: calls.append(name) or real(ws, name, entry))
+    calls, real, loaded, load = [], cli._VALIDATORS[role], [], cli.load_workspace
+    monkeypatch.setitem(cli._VALIDATORS, role, lambda entry: calls.append(entry) or real(entry))
+    monkeypatch.setattr(cli, "load_workspace", lambda path: loaded.append(load(path)) or loaded[-1])
     edits = [edit, lambda raw: raw["checks"].append({"kind": kind, "label": "shape", role: name})]
     got, out, err = _run_edited(capsys, tmp_path, "validate", fixture, "shape", edits)
     assert (got, err) == (code, "")
     assert out.splitlines()[:2] == [f"[FAIL] shape ({kind})", line]
-    assert calls == [name]
+    (ws,) = loaded
+    assert calls == [getattr(ws, DOCUMENTS[role][0])[name]]
 
 
 # the library's validators, each the checker of one cli._VALIDATORS row;
@@ -1041,7 +1113,8 @@ _LIBRARY_VALIDATORS = (
     "validate_pointed_base",
     "validate_covering",
     "validate_presheaf",
-    "square_endpoint_findings",
+    "validate_model",
+    "validate_square",
     "validate_layered",
     "validate_ladder",
 )
@@ -1055,11 +1128,11 @@ def test_no_checker_validates(monkeypatch, fixture):
     stack, rows, stray = [], [], []
 
     def row_wrapper(role, row):
-        def wrapper(ws, name, entry):
-            rows.append((role, name))
+        def wrapper(entry):
+            rows.append((role, id(entry)))
             stack.append(("row", role))
             try:
-                return row(ws, name, entry)
+                return row(entry)
             finally:
                 stack.pop()
 

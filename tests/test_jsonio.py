@@ -58,10 +58,37 @@ def test_zmorphism_docs_embed_their_endpoints(name):
     ws = load_workspace(fixture_path(name))
     for mname, doc in raw.get("zmorphisms", {}).items():
         cat, phi = ws.zmorphisms[mname]
-        enc = zmorphism_to_doc(phi, category=cat, source=doc["source"], target=doc["target"])
+        enc = zmorphism_to_doc(phi, category=cat.name, source=doc["source"], target=doc["target"])
         assert {k: v for k, v in enc.items() if k in doc} == doc, mname
         assert enc["source_components"] == raw["zobjects"][doc["source"]]["components"]
         assert enc["target_components"] == raw["zobjects"][doc["target"]]["components"]
+
+
+# table of pair entries -> (the field of its documents that names what the
+# entry lives on, the Workspace table that holds it)
+PAIR_TABLES = {
+    "partitions": ("category", "categories"),
+    "zmorphisms": ("category", "categories"),
+    "coverings": ("category", "categories"),
+    "squares": ("category", "categories"),
+    "ladders": ("layered", "layered"),
+}
+
+
+@pytest.mark.parametrize("name", LOADABLE)
+def test_pair_entries_hold_the_very_object_their_document_names(name):
+    raw = raw_doc(name)
+    ws = load_workspace(fixture_path(name))
+    pair_tables = {
+        table for table, *_rest in DOCUMENTS.values() if any(isinstance(e, tuple) for e in getattr(ws, table).values())
+    }
+    assert pair_tables <= set(PAIR_TABLES)
+    for table, (field, home) in PAIR_TABLES.items():
+        for doc_name, doc in raw.get(table, {}).items():
+            on, _value = getattr(ws, table)[doc_name]
+            assert on is getattr(ws, home)[doc[field]], (table, doc_name)
+    for layered_name, layered in ws.layered.items():
+        assert layered.name == layered_name
 
 
 def test_cat_to_doc_is_a_sorted_fixed_point():

@@ -10,17 +10,17 @@ from clibench.oracles import Tables, count_fes
 from conftest import cli_env, fixture_doc, fixture_path, tables
 from fuzz import drop_composites, rand_small_category
 from oracles import fes_bruteforce, non_fes_members
-from zsite.fincat import FinCat, ResourceBudgetError, partition_from_blocks
+from zsite.fincat import FinCat, ResourceBudgetError, partition_from_blocks, quotient_category
 from zsite.jsonio import cat_from_doc, load_workspace
 from zsite.modular import (
     ModelLabeledCat,
-    QuotientRejected,
     class_types,
     compose_functors,
     enumerate_fes,
     model_axiom_check,
     precompose,
     quotient_model,
+    validate_model,
 )
 
 
@@ -63,10 +63,14 @@ class TestAxioms:
     def test_unknown_class_member_is_structural(self, ws):
         M = ws.model_cats["MC2"]
         ghostly = ModelLabeledCat(base=M.base, weq=M.weq | {"ghost"}, cof=M.cof, fib=M.fib)
-        report = model_axiom_check(ghostly)
-        assert [(f.kind, f.rule, f.witnesses) for f in report.findings] == [
-            ("structural", "class_member_known", ("weq", "ghost"))
+        report = validate_model(ghostly)
+        assert [(f.kind, f.rule, f.witnesses, f.detail) for f in report.findings] == [
+            ("structural", "class_member_known", ("weq", "ghost"), "unknown morphism")
         ]
+
+    def test_fixture_models_pass_validation(self, ws):
+        for name, M in ws.model_cats.items():
+            assert validate_model(M).findings == (), name
 
     def test_two_of_three_violation(self, ws):
         # u and its composite with v are equivalences, v alone is not
@@ -270,10 +274,10 @@ class TestQuotientLabels:
         M = ModelLabeledCat(base=cat, weq=every, cof=every, fib=every)
         assert model_axiom_check(M).ok
         rel = partition_from_blocks([["x"], ["y", "z"], ["w"]])
-        with pytest.raises(QuotientRejected) as exc:
-            quotient_model(M, rel)
-        assert not exc.value.report.ok
-        assert any(f.rule == "quotient_composability" for f in exc.value.report.failures())
+        labeled, report = quotient_model(M, rel)
+        assert labeled is None
+        assert report == quotient_category(cat, rel)[1]
+        assert any(f.rule == "quotient_composability" for f in report.failures())
 
     def test_lawful_quotient_keeps_the_union_labels(self, ws):
         # gluing the weq f with the cof g stays lawful: the merged class

@@ -53,7 +53,7 @@ IDENTITY_RECORDS = {
     ObjEquiv: lambda: ObjEquiv((frozenset({"a"}), frozenset({"b"}))),
     CoveringAssignment: lambda: CoveringAssignment({"b": frozenset({frozenset({"a<b"})})}),
     PointedBase: lambda: PointedBase(_cat(), {"a": ("p",)}, {"a<b": {"p": "q"}}),
-    LayeredCategory: lambda: LayeredCategory((_cat(),), ()),
+    LayeredCategory: lambda: LayeredCategory("L", (_cat(),), ()),
     Presheaf: lambda: Presheaf("F", _cat(), {"a": ("s",)}, {}),
     ZPresheaf: lambda: ZPresheaf("Z", _cat(), tuple, min),
     BlurrySite: _blurry_site,

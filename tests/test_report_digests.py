@@ -20,7 +20,7 @@ def test_bundled_reports_match_the_pinned_digests():
     # every output of the seeded checker sweep, the term layouts of
     # seeded z-composites, z-compose on a seeded wide-sum workspace, every
     # command on each fixture with one composite deleted, every command on
-    # ten fixture edits that fail their own validator and the load error
+    # eleven fixture edits that fail their own validator and the load error
     # of each fixture with one reference field naming nothing are pinned by
     # tools/report_digests.py, as are the covering closures of seeded poset
     # sites and the powered cover and stability reports of seeded towers;

@@ -22,11 +22,11 @@ from zsite.site import (
     powered_cover_check,
     powered_stability_probe,
     refined_families,
-    square_endpoint_findings,
     validate_covering,
     validate_ladder,
     validate_layered,
     validate_pointed_base,
+    validate_square,
 )
 from zsite.zlin import ZMorphism, z_validate
 
@@ -49,7 +49,7 @@ def layered_ws():
 class TestClosure:
     def test_square_poset_closure_families(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         want = {
             "E": {frozenset({"id_E"})},
             "P": {frozenset({"E<P", "id_P"}), frozenset({"id_P"})},
@@ -66,13 +66,13 @@ class TestClosure:
 
     def test_closure_is_a_fixpoint(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         again = generate_covering_assignment(cat, dict(K.families))
         assert again.families == K.families
 
     def test_removing_a_derived_family_breaks_an_axiom(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         # {E<P, id_P} is forced by base change of the seed along P<T
         mutated = K.without_family("P", frozenset({"E<P", "id_P"}))
         report = grothendieck_axiom_check(cat, mutated)
@@ -80,7 +80,7 @@ class TestClosure:
 
     def test_removing_an_iso_singleton_breaks_the_iso_axiom(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         mutated = K.without_family("T", frozenset({"id_T"}))
         report = grothendieck_axiom_check(cat, mutated)
         assert any(f.rule == "isoAxiom" for f in report.failures())
@@ -89,14 +89,14 @@ class TestClosure:
         # the seed family is implied by nothing else, so dropping it leaves
         # every axiom intact; detection tests must not assume otherwise
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         mutated = K.without_family("T", frozenset({"P<T", "Q<T"}))
         assert grothendieck_axiom_check(cat, mutated).ok
         assert generate_covering_assignment(cat, dict(mutated.families)).families == mutated.families
 
     def test_added_junk_family_is_detected(self, poset2_ws):
         cat = poset2_ws.categories["poset2"]
-        _catname, K = poset2_ws.coverings["K"]
+        _cat, K = poset2_ws.coverings["K"]
         mutated = K.with_family("T", frozenset({"Q<T"}))
         report = grothendieck_axiom_check(cat, mutated)
         assert not report.ok
@@ -264,7 +264,7 @@ class TestDistinguishedSquares:
     def test_non_commuting_square_is_structural(self, chain3):
         _ws, base, _sq = chain3
         bent = Square(w_to_v="id_B", w_to_u="B<T", u_to_x="id_T", v_to_x="id_B")
-        rows = square_endpoint_findings(base.cat, bent)
+        rows = validate_square(base.cat, bent).findings
         assert rows and all(f.kind == "structural" for f in rows)
 
 
@@ -362,7 +362,7 @@ class TestLayered:
         lower = thin("L0", ["m", "u", "v", "x"], relations)
         upper = thin("L1", ["m'", "u'", "v'", "x'"], [(a + "'", b + "'") for a, b in relations])
         over = {"m'": "x", "u'": "u", "v'": "v", "x'": "x"}
-        L = LayeredCategory(levels=(lower, upper), membership=(over,))
+        L = LayeredCategory(name="L", levels=(lower, upper), membership=(over,))
         Ks = [
             CoveringAssignment(families={"x": frozenset({frozenset({"u<x", "v<x"})})}),
             CoveringAssignment(families={"x'": frozenset({frozenset({"u'<x'", "v'<x'"})})}),
@@ -406,7 +406,7 @@ class TestRefinementKernel:
 
     def test_chain3_closure(self):
         ws, raw = load_workspace(fixture_path("chain3.json")), fixture_doc("chain3.json")
-        cat, (_catname, K) = ws.categories["chain3"], ws.coverings["K"]
+        cat, K = ws.coverings["K"]
         chain3, families = Tables(raw["categories"]["chain3"]), raw["coverings"]["K"]["families"]
         for fam in self._families(K):
             assert refined_families(cat, K, fam) == refinements_product(chain3, families, fam)
@@ -467,7 +467,7 @@ class TestRefinementKernel:
 
     def test_budget_caps_the_partial_unions(self):
         ws = load_workspace(fixture_path("chain3.json"))
-        cat, (_catname, K) = ws.categories["chain3"], ws.coverings["K"]
+        cat, K = ws.coverings["K"]
         # id_T refines by either family of T: two partial unions
         assert len(refined_families(cat, K, frozenset({"id_T"}), budget=2)) == 2
         with pytest.raises(ResourceBudgetError, match=r"\{id_T\}"):
@@ -491,7 +491,7 @@ def _covering(ws):
 
 
 def _square_sides(ws):
-    return square_endpoint_findings(ws.categories["chain3"], ws.squares["sq"][1])
+    return validate_square(*ws.squares["sq"]).findings
 
 
 def _square(ws):

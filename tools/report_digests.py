@@ -24,7 +24,7 @@ is the sha256 of the exit code, stdout and stderr of ``validate`` on a copy
 of each bundled fixture with one reference field of one document naming
 nothing (see ``dangling_fixtures``).  The ``"invalid inputs"`` entry is the
 sha256 of the exit code, stdout and stderr of every command, in both
-formats, on ten schema-valid edits of bundled fixtures whose edited
+formats, on eleven schema-valid edits of bundled fixtures whose edited
 document fails its own validator (see ``invalid_fixtures``).  Like the
 command line, the sweeps call a checker only on documents that pass their
 validators: an invalid partition, presheaf or ladder is recorded by its
@@ -67,6 +67,7 @@ from fuzz import (  # noqa: E402
 from zsite.blur import blurry_axiom_probe, blurry_topology  # noqa: E402
 from zsite.cli import COMMAND_KINDS, main  # noqa: E402
 from zsite.fincat import (  # noqa: E402
+    DEFAULT_BUDGET,
     Functor,
     InputError,
     ResourceBudgetError,
@@ -257,6 +258,7 @@ INVALID_EDITS = (
     ("chain3.json", "identity", drop("categories", "chain3", "identities", "A")),
     ("chain3.json", "right unit", put("categories", "chain3", "composition", "A<B|id_A", value="id_A")),
     ("modular.json", "functor end", drop("categories", "m2", "identities", "a")),
+    ("modular.json", "model", put("model_cats", "M2", "weq", value=["id_a", "id_b", "u", "v", "ghost"])),
 )
 
 
@@ -270,8 +272,9 @@ def invalid_fixtures():
     maps level 1's object E' to no object of level 0, partition ab leaves
     T in no block, ladder lad's arrows E<T and P'<T' cross L's
     membership map, chain3 gives A no identity, chain3's composite
-    ``A<B|id_A`` is ``id_A`` rather than ``A<B``, and m2, the target of
-    functor swap, gives a no identity.
+    ``A<B|id_A`` is ``id_A`` rather than ``A<B``, m2, the target of
+    functor swap, gives a no identity, and model category M2 labels the
+    unknown morphism ``ghost`` a weak equivalence.
     """
     for fixture, label, edit in INVALID_EDITS:
         doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
@@ -392,6 +395,8 @@ def _dump_induced(pair):
 
 def _dump_model(pair):
     labeled, report = pair
+    if labeled is None:
+        return report.render()
     return [sorted(labeled.weq), sorted(labeled.cof), sorted(labeled.fib), report.render()]
 
 
@@ -425,7 +430,7 @@ def sweep_outputs(cases: int = SWEEP_CASES, seed: int = SWEEP_SEED) -> dict[str,
         except (InputError, ResourceBudgetError):
             continue
         mutated = _mutated_covering(rng, cat, closure)
-        budget = 2 if rng.random() < 0.2 else None
+        budget = 2 if rng.random() < 0.2 else DEFAULT_BUDGET
         rel = _partition(rng, cat)
         model = _labels(rng, holed)
         fun = _poset_functor(cat, _monotone_map(rng, cat))
@@ -733,7 +738,7 @@ def powered_outputs(cases: int = POWERED_CASES, seed: int = POWERED_SEED) -> lis
         if rng.random() < 0.1:
             assignments.pop()
 
-        layered = LayeredCategory(levels=tuple(levels), membership=tuple(membership))
+        layered = LayeredCategory(name="L", levels=tuple(levels), membership=tuple(membership))
         invalid = [report for report in (validate_ladder(layered, lad) for lad in family + [test]) if not report.ok]
         if invalid:
             out.append([report.render() for report in invalid])
