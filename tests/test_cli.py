@@ -508,6 +508,10 @@ _CHAIN3 = ("chain3", "category")
 _NO_ID_A = drop("categories", "chain3", "identities", "A")
 _BENT = put("categories", "chain3", "composition", "A<B|id_A", value="id_A")
 _CHAIN3_DOCUMENTS = ["covering-shape", "base", "glues-shape", "gapped-shape"]
+_CHAIN3_SHEAF_CHECKS = [
+    "glues-sheaf", "gapped-sheaf", "glues-cartesian", "gapped-cartesian", "glues-probe", "gapped-probe",
+    "representable-additive", "constant-not-additive",
+]
 _M2, _MC2, _M3 = ("M2", "model category"), ("MC2", "model category"), ("M3", "model category")
 
 
@@ -515,11 +519,6 @@ def _ghost_weq(raw):
     """Edit of modular.json: every model category labels the unknown morphism ``ghost`` a weak equivalence."""
     for model in raw["model_cats"].values():
         model["weq"].append("ghost")
-
-_CHAIN3_SHEAF_CHECKS = [
-    "glues-sheaf", "gapped-sheaf", "glues-cartesian", "gapped-cartesian", "glues-probe", "gapped-probe",
-    "representable-additive", "constant-not-additive",
-]
 
 
 @pytest.mark.parametrize(
@@ -606,7 +605,8 @@ _CHAIN3_SHEAF_CHECKS = [
         ),
         pytest.param(
             "parametrize", "modular.json", _ghost_weq,
-            {**_gated(["point-into-pair", "pullback-chain"], _M2), **_gated(["chain-into-chain", "point-into-chain"], _MC2),
+            {**_gated(["point-into-pair", "pullback-chain"], _M2),
+             **_gated(["chain-into-chain", "point-into-chain"], _MC2),
              **_gated(["pair-onto-point"], ("Mone", "model category"))},
             id="parametrize-model",
         ),
@@ -1068,7 +1068,10 @@ def _readme_command_kinds() -> dict:
     with open(ROOT / "README.md", encoding="utf-8") as fh:
         lines = fh.read().split("| command | check kinds |\n|---|---|\n", 1)[1].split("\n")
     rows = [line.strip("|").split("|") for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
-    return {command.strip().strip("`"): tuple(k.strip().strip("`") for k in kinds.split(",")) for command, kinds in rows}
+    def names(cell):
+        return tuple(name.strip().strip("`") for name in cell.split(","))
+
+    return {names(command)[0]: names(kinds) for command, kinds in rows}
 
 
 def test_readme_lists_the_kinds_of_every_command_in_table_order():
