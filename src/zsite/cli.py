@@ -206,7 +206,7 @@ class _Resolver:
 
 
 class _Precondition(Exception):
-    """A check read documents that fail validation: its findings."""
+    """A check ends before its checker runs, mostly on invalid documents: its findings."""
 
 
 def _with_expectation(report: Report, expect) -> Report:
@@ -380,6 +380,8 @@ def _precompose(r: _Resolver):
     model = r.id("model")
     if outer.target.name != model.base.name:
         raise r.error("outer functor must land in the model's base")
+    if inner.target is not outer.source:
+        raise r.error("inner functor must land in the outer functor's source")
     family = r.check(enumerate_fes, outer.target, model, budget=r.budget)
     pulled = precompose(inner, precompose(outer, family))
     rows = [
@@ -407,12 +409,20 @@ def _class_types(r: _Resolver):
     return Report.collect("class_types", rows)
 
 
+def _fingerprinted(r: _Resolver, *fields) -> tuple:
+    """The zobjects named in ``fields`` and the spec's fingerprint table.
+    Raise _Precondition with a ``fingerprint_known`` finding on the first
+    base object without a fingerprint, field by field in component order."""
+    objs, table = [r.id(field, "zobject") for field in fields], r.id("table")
+    missing = next((name for obj in objs for _idx, name, _coeff in obj.components if name not in table), None)
+    if missing is not None:
+        detail = f"no fingerprint for base object {missing}"
+        raise _Precondition([reports.structural("fingerprint_known", (missing,), detail)])
+    return (*objs, table)
+
+
 def _invariant(r: _Resolver):
-    obj, table = r.id("zobject"), r.id("table")
-    try:
-        inv = r.check(invariant_of, obj, table)
-    except InputError as exc:
-        return Report.collect("invariant", [reports.structural("fingerprint_known", (), str(exc))])
+    inv = r.check(invariant_of, *_fingerprinted(r, "zobject"))
     rows = [
         reports.info("part", (str(idx), str(coeff)), f"dims {list(dims.dims)}")
         for idx, coeff, dims in inv.parts
@@ -421,11 +431,7 @@ def _invariant(r: _Resolver):
 
 
 def _z_equiv(r: _Resolver):
-    left, right, table = r.id("left", "zobject"), r.id("right", "zobject"), r.id("table")
-    try:
-        verdict = r.check(z_equiv, left, right, table)
-    except InputError as exc:
-        return Report.collect("z_equiv", [reports.structural("fingerprint_known", (), str(exc))])
+    verdict = r.check(z_equiv, *_fingerprinted(r, "left", "right"))
     rows = [reports.info("equivalent", (), str(verdict))]
     if r.value("expect", bool, verdict) != verdict:
         rows.append(reports.law("expected_outcome", (), f"expected {not verdict}, observed {verdict}"))

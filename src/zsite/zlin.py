@@ -55,7 +55,7 @@ from .reports import Report
 
 
 class SignIncoherent(InputError):
-    """A middle component mixes signs and no explicit table was supplied."""
+    """A middle component mixes signs on both sides, so no table is canonical."""
 
 
 class MarginalMismatch(InputError):
@@ -312,18 +312,6 @@ class RefinementTable(Value):
     def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...], entries: dict | None = None):
         vars(self).update(rows=rows, cols=cols, entries={} if entries is None else entries)
 
-    def row_sums(self) -> tuple[int, ...]:
-        out = [0] * len(self.rows)
-        for (a, _b), v in self.entries.items():
-            out[a - 1] += v
-        return tuple(out)
-
-    def col_sums(self) -> tuple[int, ...]:
-        out = [0] * len(self.cols)
-        for (_a, b), v in self.entries.items():
-            out[b - 1] += v
-        return tuple(out)
-
 
 def _overlaps(rows, cols):
     """Northwest-corner walk of two runs of positive lengths with one total.
@@ -383,32 +371,6 @@ def interval_refinement(rows, cols) -> RefinementTable:
 # =====================================================================
 
 
-def _middle_table(middle_idx: int, table: RefinementTable, row_vals, col_vals) -> RefinementTable:
-    """An explicit table for one middle, checked against both splittings."""
-    if table.rows != row_vals or table.cols != col_vals:
-        raise MarginalMismatch(
-            f"middle {middle_idx}: explicit table is for partitions "
-            f"{table.rows}/{table.cols}, not {row_vals}/{col_vals}"
-        )
-    outside = [(a, b) for a, b in table.entries if not (0 < a <= len(row_vals) and 0 < b <= len(col_vals))]
-    if outside:
-        raise MarginalMismatch(
-            f"middle {middle_idx}: explicit table entry {outside[0]} lies outside "
-            f"{len(row_vals)} rows x {len(col_vals)} columns"
-        )
-    if table.row_sums() != row_vals or table.col_sums() != col_vals:
-        raise MarginalMismatch(f"middle {middle_idx}: explicit table does not reproduce its marginals")
-    return table
-
-
-def _explicit_cells(middle_idx: int, table: RefinementTable, row_terms, col_terms) -> list:
-    """(row position, column position, mass) of each nonzero entry, by row then column."""
-    row_vals = tuple(t.coefficient for t in row_terms)
-    col_vals = tuple(t.coefficient for t in col_terms)
-    table = _middle_table(middle_idx, table, row_vals, col_vals)
-    return sorted((a - 1, b - 1, v) for (a, b), v in table.entries.items() if v)
-
-
 def _computed_cells(middle_idx: int, middle_coeff: int, row_terms, col_terms) -> list:
     """(row position, column position, mass) of each cell of one middle's table, by row then column.
 
@@ -430,27 +392,22 @@ def _computed_cells(middle_idx: int, middle_coeff: int, row_terms, col_terms) ->
     vals = row_vals + col_vals
     if (min(vals) <= 0) if middle_coeff > 0 else (max(vals) >= 0):
         raise SignIncoherent(
-            f"middle {middle_idx} mixes signs ({row_vals} against {col_vals}); supply an explicit table"
+            f"middle {middle_idx} mixes signs ({row_vals} against {col_vals})"
         )
     sgn = _sign(middle_coeff)
     overlaps = _overlaps([abs(v) for v in row_vals], [abs(v) for v in col_vals])
     return [(a, b, sgn * length) for a, b, length in overlaps]
 
 
-def z_compose(
-    base: FinCat,
-    outer: ZMorphism,
-    inner: ZMorphism,
-    explicit: dict[int, RefinementTable] | None = None,
-) -> ZMorphism:
+def z_compose(base: FinCat, outer: ZMorphism, inner: ZMorphism) -> ZMorphism:
     """Composite "outer after inner" through their shared middle object.
 
     Per middle component the two splittings are refined by interval overlap
-    (or by the forced table when either side is a single term, or by a
-    supplied explicit table), and each refined mass is carried by the
-    composite of its two arrows.  Raises SignIncoherent when a middle mixes
-    signs without an explicit table, MarginalMismatch for tables or
-    splittings that do not reproduce the marginals, and InputError when the
+    (or by the forced table when either side is a single term), and each
+    refined mass is carried by the composite of its two arrows, so the
+    composite depends on its two factors alone.  Raises SignIncoherent when
+    a middle mixes signs on both sides, MarginalMismatch for splittings that
+    do not reproduce the middle's coefficient, and InputError when the
     middle objects differ.
 
     The middles are walked in order and each table by row, then column, so
@@ -469,11 +426,7 @@ def z_compose(
     by_inner: dict[int, list[ZTerm]] = {}
     for idx, _obj, coeff in inner.target.components:
         row_terms, col_terms = inner.terms_into(idx), outer.terms_out_of(idx)
-        if explicit and idx in explicit:
-            cells = _explicit_cells(idx, explicit[idx], row_terms, col_terms)
-        else:
-            cells = _computed_cells(idx, coeff, row_terms, col_terms)
-        for a, b, v in cells:
+        for a, b, v in _computed_cells(idx, coeff, row_terms, col_terms):
             it, ot = row_terms[a], col_terms[b]
             term = ZTerm(it.row, ot.col, v, compose(ot.arrow, it.arrow))
             by_outer.setdefault(id(ot), []).append(term)

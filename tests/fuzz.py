@@ -360,11 +360,13 @@ def damage_workspace(rng: random.Random, raw: dict, edits: int = 3) -> dict:
 
 def _reassignable(raw) -> list:
     """(container, key, candidates) of every entry ``reassign_workspace`` may
-    set, each candidate an id of the same sort, so the document stays
-    schema-valid and every reference still resolves."""
+    set, each candidate an id of the same sort.  An arrow- or object-valued
+    entry may also become ``"ghost"``, which names nothing; the decoder
+    resolves none of these entries, so the document stays schema-valid and
+    loads."""
     cats = raw.get("categories", {})
-    arrows = {name: sorted(cat["morphisms"]) for name, cat in cats.items()}
-    objects = {name: sorted(cat["objects"]) for name, cat in cats.items()}
+    arrows = {name: sorted(cat["morphisms"]) + ["ghost"] for name, cat in cats.items()}
+    objects = {name: sorted(cat["objects"]) + ["ghost"] for name, cat in cats.items()}
     slots = []
     for name, cat in cats.items():
         slots += [(cat["composition"], key, arrows[name]) for key in cat["composition"]]
@@ -402,8 +404,9 @@ def reassign_workspace(rng: random.Random, raw: dict, edits: int = 1) -> dict:
     pullback leg, a restriction or point-map entry, a term's arrow, a
     covering member, a functor's object or morphism image, a layered
     membership entry, a class label of a model category or a square's side.
-    The edited workspace still loads; whether its documents still pass
-    their validators is left to chance.
+    An arrow or object may also become ``"ghost"``.  The edited workspace
+    still loads; whether its documents still pass their validators is left
+    to chance.
     """
     for _ in range(edits):
         slots = _reassignable(raw)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import inspect
 import io
@@ -220,8 +221,10 @@ def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, 
     # whose resolver read a category that fails validation must have
     # exactly one precondition finding per such category; one that read
     # none must have one per other document that fails its role's
-    # validator, and a check that read neither must have none
-    resolvers, checks, real = [], [], cli._run_check
+    # validator, and a check that read neither must have none.  Some
+    # reassignments name an arrow or object no category holds, so each
+    # validator rule on an unknown id must fire at least once
+    resolvers, checks, real, fired = [], [], cli._run_check, collections.Counter()
 
     class Recording(cli._Resolver):
         def __init__(self, *args):
@@ -234,8 +237,17 @@ def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, 
         checks.append((spec["kind"], resolvers[first].read, report))
         return report, payload
 
+    def counted(validator):
+        def validate(entry):
+            report = validator(entry)
+            fired.update(f.rule for f in report.findings)
+            return report
+
+        return validate
+
     monkeypatch.setattr(cli, "_Resolver", Recording)
     monkeypatch.setattr(cli, "_run_check", run_check)
+    monkeypatch.setattr(cli, "_VALIDATORS", {role: counted(v) for role, v in cli._VALIDATORS.items()})
     names = [name for name in FIXTURE_NAMES if name != "malformed.json"]
     violations = []
     for seed in range(400):
@@ -259,6 +271,8 @@ def test_no_check_gives_a_verdict_on_a_document_that_fails_validation(tmp_path, 
                 if got != invalid:
                     violations.append((seed, name, command, kind, invalid, got))
     assert violations == []
+    unknown_ids = ("class_member_known", "square_side_known", "term_arrow_known")
+    assert all(fired[rule] for rule in unknown_ids), {rule: fired[rule] for rule in unknown_ids}
 
 
 def test_budget_overrun_is_structural(capsys):
@@ -877,6 +891,16 @@ def _run_edited(capsys, tmp_path, command, fixture, label, edits):
             id="precompose",
         ),
         pytest.param(
+            "parametrize", "modular.json", "pullback-chain",
+            [put("functors", "idm3", value={
+                "source": "m3", "target": "m3", "objects": {o: o for o in ("A", "A'", "B")},
+                "morphisms": {m: m for m in ("f", "g", "id_A", "id_A'", "id_B")},
+             }),
+             put("checks", 8, "inner", value="idm3")],
+            "error: checks[8]: inner functor must land in the outer functor's source",
+            id="precompose-chain",
+        ),
+        pytest.param(
             "z-compose", "zlin.json", "split-composite",
             [_twin("zbase"), put("zmorphisms", "psi", "category", value="zbase2")],
             "error: checks[3]: outer lives on zbase2, inner on zbase",
@@ -922,11 +946,23 @@ CHECK_RULES = [
     ),
     pytest.param(
         "fingerprint", "fingerprint.json", "parts", [put("fingerprints", "tab", value={"b": [2]})],
-        2, "  [structural] fingerprint_known (-): no fingerprint for base object a", id="fingerprint_known-invariant",
+        2, "  [structural] fingerprint_known (a): no fingerprint for base object a", id="fingerprint_known-invariant",
     ),
     pytest.param(
         "fingerprint", "fingerprint.json", "same-dims", [put("fingerprints", "tab", value={"b": [2]})],
-        2, "  [structural] fingerprint_known (-): no fingerprint for base object a", id="fingerprint_known-z_equiv",
+        2, "  [structural] fingerprint_known (a): no fingerprint for base object a", id="fingerprint_known-z_equiv",
+    ),
+    # the first base object without a fingerprint in component order, b
+    # before a in fY, and in the left sum before the right one
+    pytest.param(
+        "fingerprint", "fingerprint.json", "parts",
+        [put("fingerprints", "tab", value={"c": [1, 1]}), put("checks", 0, "zobject", value="fY")],
+        2, "  [structural] fingerprint_known (b): no fingerprint for base object b",
+        id="fingerprint_known-component-order",
+    ),
+    pytest.param(
+        "fingerprint", "fingerprint.json", "same-dims", [put("fingerprints", "tab", value={"a": [1, 1], "b": [2]})],
+        2, "  [structural] fingerprint_known (c): no fingerprint for base object c", id="fingerprint_known-right",
     ),
     pytest.param(
         "fingerprint", "fingerprint.json", "same-dims", [put("checks", 1, "expect", value=False)],
@@ -941,13 +977,17 @@ CHECK_RULES = [
         2, "  [structural] precondition (phi): zmorphism fails validation", id="z_compose-precondition",
     ),
     pytest.param(
-        "parametrize", "modular.json", "pullback-chain",
-        [put("functors", "idm3", value={
-            "source": "m3", "target": "m3", "objects": {o: o for o in ("A", "A'", "B")},
-            "morphisms": {m: m for m in ("f", "g", "id_A", "id_A'", "id_B")},
-         }),
-         put("checks", 8, "inner", value="idm3")],
-        2, "  [structural] inputs (-): functor lands in m3, the family is parametrized by m2", id="precompose-chain",
+        "z-compose", "zlin.json", "split-composite",
+        [put("zobjects", "src", "components", value=[[1, "X1", 4], [2, "X2", -1]]),
+         put("zmorphisms", "phi", "terms", value=[[1, 1, 4, "f1"], [2, 1, -1, "f2"]])],
+        1, "  [law] compose_defined (psi, phi): middle 1 mixes signs ((4, -1) against (2, 1))", id="compose_defined",
+    ),
+    pytest.param(
+        "z-compose", "zlin.json", "split-composite",
+        [put("checks", 3, "outer", value="phi"), put("checks", 3, "inner", value="psi")],
+        2, "  [structural] compose_inputs (phi, psi): middle mismatch: target(inner) != source(outer); "
+        "first difference (1, 'X1', 2)",
+        id="compose_inputs",
     ),
 ]
 

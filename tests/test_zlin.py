@@ -10,7 +10,6 @@ from zsite.fincat import FinCat, InputError
 from zsite.jsonio import _decode, load_workspace
 from zsite.zlin import (
     MarginalMismatch,
-    RefinementTable,
     SignIncoherent,
     enumerate_correspondences,
     enumerate_hom,
@@ -115,7 +114,7 @@ class TestComposition:
 
 class TestMixedSignMiddles:
     """A middle component split with both signs on both sides has no
-    canonical refinement; composition demands an explicit table there."""
+    canonical refinement, so composition refuses it."""
 
     def setup_method(self):
         self.base = thin(
@@ -136,70 +135,6 @@ class TestMixedSignMiddles:
     def test_refuses_without_explicit_table(self):
         with pytest.raises(SignIncoherent):
             z_compose(self.base, self.outer, self.inner)
-
-    def test_explicit_table_resolves_the_middle(self):
-        table = RefinementTable(
-            rows=(2, -1), cols=(3, -2),
-            entries={(1, 1): 3, (1, 2): -1, (2, 2): -1},
-        )
-        composite = z_compose(self.base, self.outer, self.inner, explicit={1: table})
-        assert composite.normal_form() == (
-            (1, 1, "a1<c1", 3),
-            (1, 2, "a1<c2", -1),
-            (2, 2, "a2<c2", -1),
-        )
-        assert z_validate(self.base, composite).ok
-
-    def test_explicit_table_lays_out_each_column_by_inner_term(self):
-        # the entries list column 2's rows out of order; the composite's
-        # target-side layout still runs inner term by inner term
-        table = RefinementTable(
-            rows=(2, -1), cols=(3, -2),
-            entries={(2, 2): -1, (1, 1): 3, (1, 2): -1},
-        )
-        composite = z_compose(self.base, self.outer, self.inner, explicit={1: table})
-        layout = [[(t.row, t.col, t.coefficient, t.arrow) for t in composite.terms_into(c)] for c in (1, 2)]
-        assert layout == [
-            [(1, 1, 3, "a1<c1")],
-            [(1, 2, -1, "a1<c2"), (2, 2, -1, "a2<c2")],
-        ]
-        assert [t.arrow for t in composite.terms_out_of(1)] == ["a1<c1", "a1<c2"]
-
-    def test_explicit_table_must_reproduce_marginals(self):
-        table = RefinementTable(
-            rows=(2, -1), cols=(3, -2),
-            entries={(1, 1): 2, (2, 2): -1},
-        )
-        with pytest.raises(MarginalMismatch):
-            z_compose(self.base, self.outer, self.inner, explicit={1: table})
-
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            # position 0 would alias the last row and column
-            {(1, 1): 3, (1, 0): -1, (0, 0): -1},
-            # position len + 1 lies past the last row
-            {(1, 1): 3, (1, 2): -1, (3, 2): -1},
-        ],
-        ids=["zero", "past-the-end"],
-    )
-    def test_explicit_table_positions_are_range_checked(self, entries):
-        table = RefinementTable(rows=(2, -1), cols=(3, -2), entries=entries)
-        with pytest.raises(MarginalMismatch, match="lies outside"):
-            z_compose(self.base, self.outer, self.inner, explicit={1: table})
-
-    def test_explicit_entries_compose_by_row_then_column(self):
-        # two entries lack a composite; the first by row, then column, is
-        # raised, though another is listed first
-        holed = replace(
-            self.base,
-            composition={
-                k: v for k, v in self.base.composition.items() if k not in {("b<c1", "a1<b"), ("b<c2", "a2<b")}
-            },
-        )
-        table = RefinementTable(rows=(2, -1), cols=(3, -2), entries={(2, 2): -1, (1, 1): 3, (1, 2): -1})
-        with pytest.raises(InputError, match=r"^mx: no composite for \(b<c1 after a1<b\)$"):
-            z_compose(holed, self.outer, self.inner, explicit={1: table})
 
     def test_singleton_side_is_forced_without_a_table(self):
         # only the inner side mixes signs; the outer layout is a single
@@ -237,8 +172,11 @@ class TestIntervalRefinement:
             cols = _rand_split(rng, total, sgn)
             table = interval_refinement(rows, cols)
             assert table.entries == overlap_by_atoms(rows, cols), (rows, cols)
-            assert table.row_sums() == rows
-            assert table.col_sums() == cols
+            row_sums, col_sums = [0] * len(rows), [0] * len(cols)
+            for (a, b), v in table.entries.items():
+                row_sums[a - 1] += v
+                col_sums[b - 1] += v
+            assert (tuple(row_sums), tuple(col_sums)) == (rows, cols)
 
     def test_marginal_mismatch_raises(self):
         with pytest.raises(MarginalMismatch):
@@ -554,24 +492,17 @@ class TestCoupler:
         return outer, inner
 
     @pytest.mark.parametrize(
-        "inner_vals,middle,outer_vals,entries,error,message",
+        "inner_vals,middle,outer_vals,error,message",
         [
-            ((1, 2), 4, (2, 2), None, MarginalMismatch,
-             "middle 1: splittings (1, 2)/(2, 2) do not sum to 4"),
-            ((1, 2), 4, (2, 2), {(1, 1): 1, (2, 1): 1, (2, 2): 1}, MarginalMismatch,
-             "middle 1: explicit table does not reproduce its marginals"),
-            ((2, -1), 1, (3, -2), None, SignIncoherent,
-             "middle 1 mixes signs ((2, -1) against (3, -2)); supply an explicit table"),
-            ((2, -1), 1, (3, -2), {(1, 1): 3, (2, 2): -2}, MarginalMismatch,
-             "middle 1: explicit table does not reproduce its marginals"),
+            ((1, 2), 4, (2, 2), MarginalMismatch, "middle 1: splittings (1, 2)/(2, 2) do not sum to 4"),
+            ((2, -1), 1, (3, -2), SignIncoherent, "middle 1 mixes signs ((2, -1) against (3, -2))"),
         ],
-        ids=["sum-computed", "sum-explicit", "signs-computed", "signs-explicit"],
+        ids=["sum-computed", "signs-computed"],
     )
-    def test_unpairable_middles_raise_pinned_errors(self, inner_vals, middle, outer_vals, entries, error, message):
+    def test_unpairable_middles_raise_pinned_errors(self, inner_vals, middle, outer_vals, error, message):
         outer, inner = self._pair(inner_vals, middle, outer_vals)
-        explicit = None if entries is None else {1: RefinementTable(inner_vals, outer_vals, entries)}
         with pytest.raises(error) as info:
-            z_compose(self.line, outer, inner, explicit=explicit)
+            z_compose(self.line, outer, inner)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -580,7 +511,7 @@ class TestCoupler:
         [
             # the first middle that cannot be paired raises, whatever follows it
             ([((1, 1), (2,)), ((2, -1), (3, -2)), ((1,), (2,))], SignIncoherent,
-             "middle 2 mixes signs ((2, -1) against (3, -2)); supply an explicit table"),
+             "middle 2 mixes signs ((2, -1) against (3, -2))"),
             ([((1, 1), (2,)), ((1,), (2,)), ((2, -1), (3, -2))], MarginalMismatch,
              "middle 2: splittings (1,)/(2,) do not sum to 1"),
         ],
@@ -592,6 +523,30 @@ class TestCoupler:
             z_compose(self.line, outer, inner)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_computed_cells_compose_by_row_then_column(self):
+        # rows (2, 1) against columns (1, 2) give the cells (1, 1), (1, 2)
+        # and (2, 2); cells (1, 2) and (2, 2) lack a composite, and (1, 2)
+        # is raised first by row, then column, though its arrows sort last
+        base = thin(
+            "mx", ["a1", "a2", "b", "c1", "c2"],
+            [("a1", "b"), ("a2", "b"), ("b", "c1"), ("b", "c2")],
+        )
+        holed = replace(
+            base,
+            composition={k: v for k, v in base.composition.items() if k not in {("b<c2", "a1<b"), ("b<c2", "a2<b")}},
+        )
+        inner = z_morphism(
+            z_object([(1, "a2", 2), (2, "a1", 1)]), z_object([(1, "b", 3)]), [(1, 1, 2, "a2<b"), (2, 1, 1, "a1<b")]
+        )
+        outer = z_morphism(
+            z_object([(1, "b", 3)]), z_object([(1, "c1", 1), (2, "c2", 2)]), [(1, 1, 1, "b<c1"), (1, 2, 2, "b<c2")]
+        )
+        assert z_compose(base, outer, inner).normal_form() == (
+            (1, 1, "a2<c1", 1), (1, 2, "a2<c2", 1), (2, 2, "a1<c2", 1),
+        )
+        with pytest.raises(InputError, match=r"^mx: no composite for \(b<c2 after a2<b\)$"):
+            z_compose(holed, outer, inner)
 
     def test_a_middle_pairs_before_its_arrows_compose(self):
         # middle 1 has no composite arrow and middle 2 mixes signs: the
