@@ -391,9 +391,7 @@ def _computed_cells(middle_idx: int, middle_coeff: int, row_terms, col_terms) ->
         return [(a, 0, v) for a, v in enumerate(row_vals)]
     vals = row_vals + col_vals
     if (min(vals) <= 0) if middle_coeff > 0 else (max(vals) >= 0):
-        raise SignIncoherent(
-            f"middle {middle_idx} mixes signs ({row_vals} against {col_vals})"
-        )
+        raise SignIncoherent(f"middle {middle_idx} mixes signs ({row_vals} against {col_vals})")
     sgn = _sign(middle_coeff)
     overlaps = _overlaps([abs(v) for v in row_vals], [abs(v) for v in col_vals])
     return [(a, b, sgn * length) for a, b, length in overlaps]
