@@ -343,7 +343,7 @@ def _additivity(r: _Resolver):
     if flavor == "tables":
         zp = representable_z(base, r.zobject("target", base))
     elif flavor == "constant":
-        zp = constant_z(base, r.values("labels", str, ()))
+        zp = constant_z(r.values("labels", str, ()))
     else:
         raise r.error(f"unknown additivity flavor {flavor!r}")
     return r.check(additivity_check, zp, obj)
@@ -378,7 +378,7 @@ def _precompose(r: _Resolver):
     inner = r.id("inner", "functor")
     outer = r.id("outer", "functor")
     model = r.id("model")
-    if outer.target.name != model.base.name:
+    if outer.target is not model.base:
         raise r.error("outer functor must land in the model's base")
     if inner.target is not outer.source:
         raise r.error("inner functor must land in the outer functor's source")
@@ -449,7 +449,7 @@ def _z_equiv(r: _Resolver):
 # once the categories its document lives on pass theirs.
 _VALIDATORS = {
     "category": lambda cat: validate_category(cat),
-    "functor": lambda fun: check_functor(fun).report,
+    "functor": lambda fun: check_functor(fun),
     "partition": lambda entry: validate_partition(*entry),
     "zmorphism": lambda entry: z_validate(*entry),
     "pointed_base": lambda base: validate_pointed_base(base),

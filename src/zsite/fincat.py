@@ -24,7 +24,7 @@ import functools
 import itertools
 
 from . import reports
-from .records import Record, Value
+from .records import Record
 from .reports import Report
 
 
@@ -362,66 +362,45 @@ def chosen_limit_check(cat: FinCat) -> Report:
 # =====================================================================
 
 
-class FunctorReport(Value):
-    def __init__(self, functorial: bool, full: bool, essentially_surjective: bool, report: Report):
-        vars(self).update(
-            functorial=functorial, full=full, essentially_surjective=essentially_surjective, report=report
-        )
+def check_functor(fun: Functor) -> Report:
+    """The report is ok exactly when ``fun`` is a full, essentially surjective functor.
 
-    @property
-    def ok(self) -> bool:
-        return self.functorial and self.full and self.essentially_surjective
-
-
-def check_functor(fun: Functor) -> FunctorReport:
-    """Check functoriality, fullness, and essential surjectivity.
-
-    The three verdicts are independent: fullness asks that every hom-set
-    between image objects is hit, essential surjectivity searches target
-    objects for an isomorphic image object by exhaustive inverse search.
+    Valid input: both categories pass ``validate_category``.  The functor
+    laws are checked only when no id is unmapped or unknown.  Fullness asks
+    that every hom-set between image objects is hit; essential surjectivity
+    searches target objects for one isomorphic to an image object.
     """
     src, tgt = fun.source, fun.target
     rows: list[reports.Finding] = []
 
-    functorial = True
     for obj in src.objects:
         if obj not in fun.object_map:
             rows.append(reports.structural("object_map_total", (obj,), "object not mapped"))
-            functorial = False
         elif fun.object_map[obj] not in set(tgt.objects):
             rows.append(reports.structural("object_map_range", (obj, fun.object_map[obj]), "image object unknown"))
-            functorial = False
     for m in src.morphisms:
         if m not in fun.morphism_map:
             rows.append(reports.structural("morphism_map_total", (m,), "morphism not mapped"))
-            functorial = False
         elif fun.morphism_map[m] not in tgt.morphisms:
             rows.append(reports.structural("morphism_map_range", (m, fun.morphism_map[m]), "image morphism unknown"))
-            functorial = False
 
-    if functorial:
+    if not rows:
         for m, (a, b) in sorted(src.morphisms.items()):
             img = fun.morphism_map[m]
             want = (fun.object_map[a], fun.object_map[b])
             if tgt.morphisms[img] != want:
                 rows.append(reports.law("endpoint_preservation", (m, img), f"image endpoints {tgt.morphisms[img]} != {want}"))
-                functorial = False
         for obj in src.objects:
             img = fun.morphism_map.get(src.identities[obj])
             want = tgt.identities.get(fun.object_map[obj])
             if img != want:
                 rows.append(reports.law("identity_preservation", (obj,), f"identity maps to {img}, expected {want}"))
-                functorial = False
         for (g, f), h in sorted(src.composition.items()):
-            if not src.composable(g, f):
-                continue
             lhs = fun.morphism_map[h]
             rhs = tgt.compose_or_none(fun.morphism_map[g], fun.morphism_map[f])
             if lhs != rhs:
                 rows.append(reports.law("composition_preservation", (g, f), f"F(g∘f) = {lhs} but F(g)∘F(f) = {rhs}"))
-                functorial = False
 
-    full = True
     if all(obj in fun.object_map for obj in src.objects):
         for a, b in itertools.product(src.objects, repeat=2):
             fa, fb = fun.object_map[a], fun.object_map[b]
@@ -429,23 +408,13 @@ def check_functor(fun: Functor) -> FunctorReport:
             for needed in tgt.hom(fa, fb):
                 if needed not in hit:
                     rows.append(reports.law("fullness", (a, b, needed), f"{needed}: {fa} -> {fb} is not in the image of Hom({a}, {b})"))
-                    full = False
-    else:
-        full = False
 
-    ess = True
     images = sorted({fun.object_map[o] for o in src.objects if o in fun.object_map})
     for d in tgt.objects:
         if not any(tgt.isomorphic(img, d) for img in images):
             rows.append(reports.law("essential_surjectivity", (d,), "no image object is isomorphic to it"))
-            ess = False
 
-    return FunctorReport(
-        functorial=functorial,
-        full=full,
-        essentially_surjective=ess,
-        report=Report.collect(fun.name, rows),
-    )
+    return Report.collect(fun.name, rows)
 
 
 # =====================================================================
@@ -560,8 +529,8 @@ def induced_functor(fun: Functor, rel: ObjEquiv) -> tuple[Functor, Report]:
     target class, independent of the chosen representative.
     """
     base = check_functor(fun)
-    if not base.functorial:
-        raise InputError(f"induced_functor needs a functor; got: {base.report.render()}")
+    if any(f.rule not in ("fullness", "essential_surjectivity") for f in base.failures()):
+        raise InputError(f"induced_functor needs a functor; got: {base.render()}")
 
     target_rel = push_forward_partition(fun, rel)
     q_src, _sat_src = quotient_category(fun.source, rel)

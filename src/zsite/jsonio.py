@@ -116,15 +116,12 @@ def zobject_to_doc(obj: ZObject) -> dict:
     return {"components": [[i, o, c] for i, o, c in obj.components]}
 
 
-def zmorphism_to_doc(phi: ZMorphism, category: str = "", source: str = "", target: str = "") -> dict:
-    doc = {
+def zmorphism_to_doc(phi: ZMorphism) -> dict:
+    return {
         "terms": [[r, c, v, a] for r, c, a, v in phi.normal_form()],
         "source_components": zobject_to_doc(phi.source)["components"],
         "target_components": zobject_to_doc(phi.target)["components"],
     }
-    if category:
-        doc = {"category": category, "source": source, "target": target, **doc}
-    return doc
 
 
 # =====================================================================

@@ -269,7 +269,7 @@ def enumerate_fes(source: FinCat, M: ModelLabeledCat, budget: int = DEFAULT_BUDG
 
 
 def compose_functors(outer: Functor, inner: Functor) -> Functor:
-    if inner.target is not outer.source and inner.target.name != outer.source.name:
+    if inner.target is not outer.source:
         raise InputError("functors do not chain")
     return Functor(
         name=f"{outer.name}.{inner.name}",
@@ -290,7 +290,7 @@ def precompose(G: Functor, family: ParamFamily) -> ParamFamily:
     member is re-verified rather than assumed to inherit both properties
     from its factors.
     """
-    if G.target.name != family.source.name:
+    if G.target is not family.source:
         raise InputError(
             f"functor lands in {G.target.name}, the family is parametrized by {family.source.name}"
         )

@@ -236,8 +236,8 @@ class ZPresheaf(Record):
     total on the objects any check visits.
     """
 
-    def __init__(self, name: str, base: FinCat, sections_fn, slice_fn):
-        vars(self).update(name=name, base=base, sections_fn=sections_fn, slice_fn=slice_fn)
+    def __init__(self, name: str, sections_fn, slice_fn):
+        vars(self).update(name=name, sections_fn=sections_fn, slice_fn=slice_fn)
 
     def sections_of(self, obj: ZObject) -> tuple:
         return self.sections_fn(obj)
@@ -256,15 +256,10 @@ def representable_z(base: FinCat, target: ZObject) -> ZPresheaf:
     def slice_fn(idx: int, section):
         return slice_correspondence(section, idx)
 
-    return ZPresheaf(
-        name=f"tables_into_{target.render()}",
-        base=base,
-        sections_fn=sections_fn,
-        slice_fn=slice_fn,
-    )
+    return ZPresheaf(name=f"tables_into_{target.render()}", sections_fn=sections_fn, slice_fn=slice_fn)
 
 
-def constant_z(base: FinCat, labels) -> ZPresheaf:
+def constant_z(labels) -> ZPresheaf:
     """The same finite label set over every formal sum; slices are identity."""
     fixed = tuple(labels)
 
@@ -274,7 +269,7 @@ def constant_z(base: FinCat, labels) -> ZPresheaf:
     def slice_fn(_idx: int, section):
         return section
 
-    return ZPresheaf(name="constant", base=base, sections_fn=sections_fn, slice_fn=slice_fn)
+    return ZPresheaf(name="constant", sections_fn=sections_fn, slice_fn=slice_fn)
 
 
 def additivity_check(zp: ZPresheaf, obj: ZObject) -> Report:

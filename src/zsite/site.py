@@ -223,7 +223,7 @@ def grothendieck_axiom_check(cat: FinCat, assignment: CoveringAssignment, budget
 def generate_covering_assignment(
     cat: FinCat,
     seeds: dict[str, frozenset[frozenset[str]]],
-    budget: int = 10_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> CoveringAssignment:
     """The least assignment that holds the seed families and has no gap.
 

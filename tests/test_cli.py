@@ -189,7 +189,7 @@ def test_damaged_workspaces_keep_the_exit_table(tmp_path_factory, name, seed, ed
 # once every category it lives on passes
 _FAILS_VALIDATION = {
     "category": lambda cat: not validate_category(cat).ok,
-    "functor": lambda fun: not check_functor(fun).report.ok,
+    "functor": lambda fun: not check_functor(fun).ok,
     "partition": lambda entry: not validate_partition(*entry).ok,
     "pointed_base": lambda base: not validate_pointed_base(base).ok,
     "zmorphism": lambda entry: not z_validate(*entry).ok,
@@ -529,6 +529,20 @@ _CHAIN3_SHEAF_CHECKS = [
 _M2, _MC2, _M3 = ("M2", "model category"), ("MC2", "model category"), ("M3", "model category")
 
 
+def _collapse(raw):
+    """Edit of modular.json: ``collapse`` sends chain2 onto x, a functor that
+    is neither full nor essentially surjective, with a precompose check and a
+    validate_functor check on it."""
+    raw["functors"]["collapse"] = {
+        "source": "chain2", "target": "chain2", "objects": {"x": "x", "y": "x"},
+        "morphisms": {"id_x": "id_x", "id_y": "id_x", "x<y": "id_x"},
+    }
+    raw["checks"] += [
+        {"kind": "precompose", "label": "collapse-chain", "inner": "collapse", "outer": "collapse", "model": "MC2"},
+        {"kind": "validate_functor", "label": "collapse-functor", "functor": "collapse"},
+    ]
+
+
 def _ghost_weq(raw):
     """Edit of modular.json: every model category labels the unknown morphism ``ghost`` a weak equivalence."""
     for model in raw["model_cats"].values():
@@ -609,6 +623,11 @@ def _ghost_weq(raw):
             "parametrize", "modular.json", put("functors", "swap", "morphisms", "u", value="u"),
             _gated(["pullback-chain"], ("swap", "functor")), id="functor",
         ),
+        # law findings alone fail the functor row too
+        pytest.param(
+            "parametrize", "modular.json", _collapse, _gated(["collapse-chain"], ("collapse", "functor")),
+            id="functor-laws-only",
+        ),
         # a label naming no morphism gave class_member_known on model_axioms
         # alone, and class_types, quotient_model and parametrize passed
         pytest.param(
@@ -684,6 +703,17 @@ def test_no_stability_verdict_on_an_invalid_member_ladder(capsys, tmp_path):
         "[FAIL] stable-identity (powered_stability)",
         "  [structural] precondition (lad): ladder fails validation",
         "site-check: 1 checks, 0 passed, 1 failed",
+    ]
+
+
+def test_a_functor_that_fails_only_its_laws_gets_their_findings(capsys, tmp_path):
+    code, out, err = _run_edited(capsys, tmp_path, "validate", "modular.json", "collapse-functor", [_collapse])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[FAIL] collapse-functor (validate_functor)",
+        "  [law] essential_surjectivity (y): no image object is isomorphic to it",
+        "  [law] fullness (y, x, id_x): id_x: x -> x is not in the image of Hom(y, x)",
+        "validate: 1 checks, 0 passed, 1 failed",
     ]
 
 

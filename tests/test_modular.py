@@ -232,6 +232,19 @@ class TestPrecomposition:
             precompose(point, family)
 
 
+    def test_functors_chain_only_through_the_same_category_object(self):
+        from zsite.fincat import Functor, InputError
+
+        # two decodings of one document are equal tables but two categories
+        doc = fixture_doc("modular.json")["categories"]["m2"]
+        first, second = cat_from_doc("m2", doc), cat_from_doc("m2", doc)
+        objects, arrows = {"a": "a", "b": "b"}, {m: m for m in first.morphisms}
+        inner = Functor(name="in", source=first, target=first, object_map=objects, morphism_map=arrows)
+        outer = Functor(name="out", source=second, target=second, object_map=objects, morphism_map=arrows)
+        with pytest.raises(InputError, match="^functors do not chain$"):
+            compose_functors(outer, inner)
+
+
 class TestQuotientLabels:
     def test_class_types_unions_representatives(self, ws):
         # f: A -> B is weq, g: A' -> B is cof; the glued block sees both

@@ -12,7 +12,7 @@ import pytest
 from conftest import replace
 from fuzz import thin
 from zsite.blur import BlurrySite
-from zsite.fincat import FinCat, Functor, FunctorReport, InputError, ObjEquiv
+from zsite.fincat import FinCat, Functor, InputError, ObjEquiv
 from zsite.fingerprint import GradedDims, ZInvariant
 from zsite.jsonio import DOCUMENTS, Workspace
 from zsite.modular import ModelLabeledCat, ParamFamily
@@ -37,7 +37,6 @@ def _blurry_site():
 VALUE_RECORDS = {
     Finding: lambda n=1: Finding("law", "rule", ("a", "b"), f"detail {n}"),
     Report: lambda n=1: Report("subject", (Finding("law", "rule", ("a",), f"detail {n}"),)),
-    FunctorReport: lambda n=1: FunctorReport(True, n == 1, True, Report("F")),
     ZObject: lambda n=1: ZObject(((n, "a", 2), (n + 1, "b", -1))),
     ZTerm: lambda n=1: ZTerm(n, 2, -3, "a<b"),
     RefinementTable: lambda n=1: RefinementTable((2, n), (2 + n,), {(1, 1): 2, (2, 1): n}),
@@ -55,7 +54,7 @@ IDENTITY_RECORDS = {
     PointedBase: lambda: PointedBase(_cat(), {"a": ("p",)}, {"a<b": {"p": "q"}}),
     LayeredCategory: lambda: LayeredCategory("L", (_cat(),), ()),
     Presheaf: lambda: Presheaf("F", _cat(), {"a": ("s",)}, {}),
-    ZPresheaf: lambda: ZPresheaf("Z", _cat(), tuple, min),
+    ZPresheaf: lambda: ZPresheaf("Z", tuple, min),
     BlurrySite: _blurry_site,
     ModelLabeledCat: lambda: ModelLabeledCat(_cat(), weq=frozenset({"a<b"})),
     ParamFamily: lambda: ParamFamily(_cat(), ModelLabeledCat(_cat()), ()),

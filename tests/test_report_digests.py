@@ -37,14 +37,16 @@ def test_sweeps_do_not_depend_on_the_hash_seed():
     # undefined composites raises the same error under every hash seed; the
     # enumeration, sheaf, closure and powered sweeps draw from sorted views
     # too, the load errors name the first dangling reference in document
-    # order, and the z-compose runs and term layouts follow component order
+    # order, the z-compose runs and term layouts follow component order, and
+    # every command on the invalid-input workspaces gives the same bytes
     script = (
         "import json, sys; sys.path.insert(0, 'tools'); import report_digests as r; "
         "print(json.dumps([r._sha(r.sweep_outputs(seed=s)) for s in range(5, 10)] "
         "+ [r._sha(r.fes_outputs(seed=s)) + r._sha(r.sheaf_outputs(seed=s)) for s in range(5, 7)] "
         "+ [r._sha(r.closure_outputs(seed=s)) for s in range(5, 7)] "
         "+ [r._sha(r.powered_outputs(seed=s)) for s in range(5, 7)] "
-        "+ [r._sha(r.decode_error_outputs()), r._sha(r.wide_outputs()), r._sha(r.layout_outputs(seed=5))]))"
+        "+ [r._sha(r.decode_error_outputs()), r._sha(r.wide_outputs()), r._sha(r.layout_outputs(seed=5)), "
+        "r._sha(r.invalid_outputs())]))"
     )
     procs = [
         subprocess.Popen(

@@ -41,9 +41,7 @@ def covering_doc(category: str, assignment: CoveringAssignment) -> dict:
 def zmor_doc(category, source, target, terms) -> dict:
     # go through z_morphism so the committed term order is the canonical one
     phi = z_morphism(terms=terms, source=NAMED[source], target=NAMED[target])
-    doc = zmorphism_to_doc(phi, category=category, source=source, target=target)
-    del doc["source_components"], doc["target_components"]
-    return doc
+    return {"category": category, "source": source, "target": target, "terms": zmorphism_to_doc(phi)["terms"]}
 
 
 NAMED = {}
