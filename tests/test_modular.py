@@ -231,7 +231,6 @@ class TestPrecomposition:
         with pytest.raises(InputError, match="precomposed member fes0.pt lost fullness or surjectivity"):
             precompose(point, family)
 
-
     def test_functors_chain_only_through_the_same_category_object(self):
         from zsite.fincat import Functor, InputError
 

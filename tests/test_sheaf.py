@@ -191,18 +191,15 @@ class TestAdditivity:
         assert report.ok, report.render()
 
     def test_constant_data_is_not_additive_on_a_two_component_sum(self, chain3_ws):
-        cat = chain3_ws.categories["chain3"]
         zX = chain3_ws.zobjects["zX"]
         report = additivity_check(constant_z(["u", "v"]), zX)
         assert any(f.rule == "additivity_surjective" for f in report.failures())
 
     def test_constant_data_is_additive_on_a_single_component(self, chain3_ws):
-        cat = chain3_ws.categories["chain3"]
         zT = chain3_ws.zobjects["zT"]
         assert additivity_check(constant_z(["u", "v"]), zT).ok
 
     def test_section_counts_are_reported(self, chain3_ws):
-        cat = chain3_ws.categories["chain3"]
         zX = chain3_ws.zobjects["zX"]
         report = additivity_check(constant_z(["u", "v"]), zX)
         counts = next(f for f in report.findings if f.rule == "section_counts")
